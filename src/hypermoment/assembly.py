@@ -9,6 +9,7 @@ all entries are independent of u and the diagonal vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,14 @@ from .index import (
     order,
     unit,
 )
-from .state import CollisionModel, MomentState, collision_coeffs
+from .state import (
+    CollisionModel,
+    MomentState,
+    _packing,
+    _unpack,
+    collision_coeffs_batch,
+    free_values,
+)
 
 
 @dataclass(frozen=True)
@@ -145,42 +153,55 @@ def assemble(state: MomentState, d: int) -> CoefficientMatrix:
     return CoefficientMatrix(entries=A, direction=d, regularized=False, state=state)
 
 
+@lru_cache(maxsize=None)
+def _correction_tables(D: int, M: int, d: int):
+    """Gather tables of the order-M row walk of regularization_correction.
+
+    Per top row alpha: its rank, the multiplier alpha_d + 1, and the ranks
+    of alpha + e_d - e_i - e_j over all (i, j), of alpha + e_d - e_i over i,
+    and of alpha + e_d - e_i - e_j over the pressure slots i <= j (rank N
+    for a void index).
+    """
+    s = IndexSet(D, M)
+    N = s.N
+    dx = d - 1
+    top = [a for a in s.indices if order(a) == M]
+
+    def rank(alpha, *steps):
+        idx = _shift(alpha, (+1, dx), *steps)
+        return N if idx is None else s.rank0(idx)
+
+    upper = list(zip(*np.triu_indices(D)))
+    return (
+        np.array([s.rank0(a) for a in top]),
+        np.array([a[dx] + 1.0 for a in top]),
+        np.array([[[rank(a, (-1, i), (-1, j)) for j in range(D)] for i in range(D)] for a in top]),
+        np.array([[rank(a, (-1, i)) for i in range(D)] for a in top]),
+        np.array([[rank(a, (-1, i), (-1, j)) for i, j in upper] for a in top]),
+    )
+
+
+def regularization_correction_batch(W: np.ndarray, D: int, M: int, d: int) -> np.ndarray:
+    """Correction matrices (n, N, N) of the packed rows W (n, N): nonzero
+    only in the order-M rows, at the density, velocity and pressure columns."""
+    t = _packing(D, M)
+    rows, c, dens, vel, pres = _correction_tables(D, M, d)
+    rho, _, p = _unpack(W, D, M)
+    fx = free_values(W, D, M)
+    th = p / rho[:, None, None]
+    A = np.zeros(W.shape + (t.N,))
+    acc = (th[:, None] * fx[:, dens]).sum(axis=(-2, -1))
+    A[:, rows, 0] = c * acc / (2 * rho[:, None])
+    A[:, rows[:, None], t.vel] = -(c[:, None] * fx[:, vel])
+    A[:, rows[:, None], t.upper_slots] = -(c[:, None] * fx[:, pres] / rho[:, None, None])
+    return A
+
+
 def regularization_correction(state: MomentState, d: int) -> np.ndarray:
     """Matrix added to the order-M rows by the regularization; zero rows
     elsewhere, nonzero columns only at the density, velocity, and pressure
     slots."""
-    D, M = state.D, state.M
-    s = state.index_set
-    r = s.rank0
-    rho = state.rho
-    th = state.theta_tensor
-    f = state.f_value
-    dx = d - 1
-    e = [unit(D, i + 1) for i in range(D)]
-
-    A = np.zeros((s.N, s.N))
-    for alpha in s.indices:
-        if order(alpha) != M:
-            continue
-        row = r(alpha)
-        c = alpha[dx] + 1
-        acc = 0.0
-        for i in range(D):
-            for j in range(D):
-                idx = _shift(alpha, (+1, dx), (-1, i), (-1, j))
-                if idx is not None:
-                    acc += th[i, j] * f(idx)
-        A[row, 0] += c * acc / (2 * rho)
-        for i in range(D):
-            idx = _shift(alpha, (+1, dx), (-1, i))
-            if idx is not None:
-                A[row, r(e[i])] -= c * f(idx)
-        for i in range(D):
-            for j in range(i, D):
-                idx = _shift(alpha, (+1, dx), (-1, i), (-1, j))
-                if idx is not None:
-                    A[row, r(_shift(e[i], (+1, j)))] -= c * f(idx) / rho
-    return A
+    return regularization_correction_batch(state.w[None], state.D, state.M, d)[0]
 
 
 def regularize(matrix: CoefficientMatrix, state: MomentState) -> CoefficientMatrix:
@@ -212,6 +233,40 @@ def directional(state: MomentState, n) -> CoefficientMatrix:
     return CoefficientMatrix(entries=A, direction=None, regularized=True, state=state)
 
 
+@lru_cache(maxsize=None)
+def _source_tables(D: int, M: int):
+    """Ranks of the order >= 3 rows, the pressure slot of every ordered pair
+    (i, j), and per row and pair the rank of alpha - e_i - e_j (N if void)."""
+    s = IndexSet(D, M)
+    e = [unit(D, i + 1) for i in range(D)]
+    free = [a for a in s.indices if order(a) >= 3]
+    pairs = [(i, j) for i in range(D) for j in range(D)]
+    down = [[_shift(a, (-1, i), (-1, j)) for i, j in pairs] for a in free]
+    return (
+        np.array([s.rank0(a) for a in free], dtype=int),
+        np.array([s.rank0(_shift(e[i], (+1, j))) for i, j in pairs]),
+        np.array([[s.N if g is None else s.rank0(g) for g in row] for row in down], dtype=int)
+        .reshape(len(free), len(pairs)),
+    )
+
+
+def source_batch(W: np.ndarray, D: int, M: int, model: CollisionModel) -> np.ndarray:
+    """Relaxation right-hand sides (n, N) of the packed rows W (n, N)."""
+    t = _packing(D, M)
+    rows, slots, down = _source_tables(D, M)
+    G = collision_coeffs_batch(W, D, M, model)
+    fx = free_values(W, D, M)
+    rho = W[:, 0][:, None]
+    nu = model.nu
+    S = np.zeros_like(W)
+    S[:, t.upper_slots] = nu * G[:, t.upper_slots]
+    val = G[:, rows] - fx[:, rows]
+    for k, slot in enumerate(slots):
+        val = val + G[:, slot][:, None] * fx[:, down[:, k]] / rho
+    S[:, rows] = nu * val
+    return S
+
+
 def source(state: MomentState, model: CollisionModel) -> np.ndarray:
     """Right-hand side of the moment system for the relaxation operator.
 
@@ -219,31 +274,7 @@ def source(state: MomentState, model: CollisionModel) -> np.ndarray:
     slots relax toward the target second moments; free rows relax toward
     the target coefficients with the scale-coupling correction.
     """
-    D, M = state.D, state.M
-    s = state.index_set
-    r = s.rank0
-    G = collision_coeffs(state, model)
-    nu = model.nu
-    f = state.f_value
-    e = [unit(D, i + 1) for i in range(D)]
-
-    S = np.zeros(s.N)
-    for i in range(D):
-        for j in range(i, D):
-            slot = r(_shift(e[i], (+1, j)))
-            S[slot] = nu * G[slot]
-    for alpha in s.indices:
-        if order(alpha) < 3:
-            continue
-        row = r(alpha)
-        val = G[row] - f(alpha)
-        for i in range(D):
-            for j in range(D):
-                down = _shift(alpha, (-1, i), (-1, j))
-                if down is not None:
-                    val += G[r(_shift(e[i], (+1, j)))] * f(down) / state.rho
-        S[row] = nu * val
-    return S
+    return source_batch(state.w[None], state.D, state.M, model)[0]
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,11 @@ import numpy as np
 from .assembly import assemble, regularize, structural_report
 from .hermite import (
     AnisotropicBasis,
-    common_zero_scan,
-    cross_order_root_distances,
     ghe_table,
     he_roots,
     integral_relation_check,
     quasi_orthogonality_check,
+    root_gap_scan,
     weight,
 )
 from .index import IndexSet, factorial, order, unit
@@ -467,13 +466,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    violations = common_zero_scan(args.n_max, args.tol)
+    violations, best = root_gap_scan(args.n_max, args.tol)
     with _open_out(args.out) as fh:
         w = csv.writer(fh, lineterminator=CSV_EOL)
         w.writerow(["m", "n", "root", "distance"])
         for m, n, r, d in violations:
             w.writerow([m, n, repr(float(r)), repr(float(d))])
-    best = min(cross_order_root_distances(args.n_max), key=lambda t: t[3], default=None)
     if best is not None:
         bm, bn, br, bd = best
         print(
@@ -644,10 +642,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_vector_values(argv):
+    """Rewrite '--dir -0.6,0.8' as '--dir=-0.6,0.8'. argparse takes a token
+    that starts with '-' and is not a plain number for an option, so a
+    direction with a negative first component needs the joined form."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--dir" and tok.startswith("-"):
+            try:
+                [float(t) for t in tok.split(",")]
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--dir={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

@@ -289,10 +289,20 @@ def common_zero_scan(n_max: int, tol: float = 1e-9):
 
     Expected empty; any hit is returned as (m, n, root, distance).
     """
+    return root_gap_scan(n_max, tol)[0]
+
+
+def root_gap_scan(n_max: int, tol: float = 1e-9):
+    """One pass over cross_order_root_distances: the hits of
+    common_zero_scan and the closest (m, n, root, distance) entry overall
+    (the first one on ties, None when there is no pair)."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     out = []
+    best = None
     for m, n, r, d in cross_order_root_distances(n_max):
         if d <= tol * max(1.0, abs(r)):
             out.append((m, n, r, d))
-    return out
+        if best is None or d < best[3]:
+            best = (m, n, r, d)
+    return out, best

@@ -151,16 +151,18 @@ class IndexSet:
         """Tuple of all multi-indices; position k holds the index of rank k+1."""
         return _enumerate(self.D, self.M)
 
-    def contains(self, alpha: Sequence[int]) -> bool:
-        return (
-            len(alpha) == self.D
-            and not is_void(alpha)
-            and order(alpha) <= self.M
-        )
-
     def rank0(self, alpha: Sequence[int]) -> int:
-        """0-based rank, convenient for array indexing."""
-        return ordinal(alpha, self) - 1
+        """0-based rank, convenient for array indexing. A table lookup; an
+        index outside the set goes through ordinal, which raises."""
+        try:
+            return _rank_table(self.D, self.M)[alpha]
+        except (KeyError, TypeError):
+            return ordinal(alpha, self) - 1
+
+
+@lru_cache(maxsize=None)
+def _rank_table(D: int, M: int) -> dict:
+    return {a: k for k, a in enumerate(_enumerate(D, M))}
 
 
 def hat(alpha: Sequence[int], axis: int = 1) -> tuple:

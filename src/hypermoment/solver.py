@@ -16,21 +16,21 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .assembly import assemble, regularization_correction, regularize, source
+from .assembly import assemble, regularization_correction_batch, regularize, source_batch
 from .hermite import AnisotropicBasis, ghe_table, he_roots, weight
 from .index import IndexSet, order
 from .state import (
     AdmissibilityError,
     CollisionModel,
-    ConservedMoments,
     MomentState,
-    from_conserved,
-    heat_flux,
-    to_conserved,
+    _check_cells,
+    _unpack,
+    from_conserved_batch,
+    heat_flux_batch,
+    to_conserved_batch,
 )
 
 
@@ -100,16 +100,27 @@ def _top_root(n: int) -> float:
     return float(he_roots(n)[-1])
 
 
+def _signal_speeds(W: np.ndarray, D: int, M: int) -> np.ndarray:
+    """|u_1| + C_max sqrt(theta_11) of every packed row."""
+    rho, u, p = _unpack(W, D, M)
+    return np.abs(u[:, 0]) + _top_root(M + 1) * np.sqrt(p[:, 0, 0] / rho)
+
+
 def max_signal_speed(state: MomentState) -> float:
     """|u_1| plus the largest characteristic offset C_max sqrt(theta_11)."""
-    th11 = state.p[0, 0] / state.rho
-    return abs(float(state.u[0])) + _top_root(state.M + 1) * math.sqrt(th11)
+    return float(_signal_speeds(state.w[None], state.D, state.M)[0])
+
+
+def _mean_w(wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """Packed variables at which interface matrices are evaluated: the
+    arithmetic mean. Single knob for trying other averages."""
+    return 0.5 * (wl + wr)
 
 
 def interface_state(left: MomentState, right: MomentState) -> MomentState:
     """State at which interface matrices are evaluated: arithmetic mean of
-    the packed variables. Single knob for trying other averages."""
-    return MomentState.from_w(left.D, left.M, 0.5 * (left.w + right.w))
+    the packed variables."""
+    return MomentState.from_w(left.D, left.M, _mean_w(left.w, right.w))
 
 
 @lru_cache(maxsize=None)
@@ -128,24 +139,23 @@ def _layout(D: int, M: int):
     return same, up, mult, top
 
 
-def _moments_and_flux(state: MomentState):
-    """Conserved vector F and closure flux G of one cell.
+def _moments_and_flux(W: np.ndarray, D: int, M: int):
+    """Conserved rows F and closure fluxes G of the packed rows W.
 
-    Both read off the moments of the state lifted one order with its
+    Both read off the moments of the states lifted one order with their
     coefficients unchanged (the closure zeroes the new order), so row alpha
     of G is (alpha_1+1) F_{alpha+e_1}.
     """
-    same, up, mult, _ = _layout(state.D, state.M)
-    lifted = MomentState(
-        D=state.D, M=state.M + 1, rho=state.rho, u=state.u, p=state.p, f=state.f
-    )
-    Fl = to_conserved(lifted).F
-    return Fl[same], mult * Fl[up]
+    same, up, mult, _ = _layout(D, M)
+    lifted = np.zeros((W.shape[0], IndexSet(D, M + 1).N))
+    lifted[:, same] = W
+    Fl = to_conserved_batch(lifted, D, M + 1)
+    return Fl[:, same], mult * Fl[:, up]
 
 
 def grad_flux(state: MomentState) -> np.ndarray:
     """Flux vector of the closed system at one state."""
-    return _moments_and_flux(state)[1]
+    return _moments_and_flux(state.w[None], state.D, state.M)[1][0]
 
 
 def _spectral_bound_check(state: MomentState):
@@ -160,51 +170,73 @@ def _spectral_bound_check(state: MomentState):
         )
 
 
-def _relax(state: MomentState, dt: float, model: CollisionModel) -> MomentState:
-    """Explicit relaxation sub-steps with dt_sub <= 1/(2 nu)."""
+def _relax(W: np.ndarray, dt: float, D: int, M: int, model: CollisionModel) -> np.ndarray:
+    """Explicit relaxation sub-steps with dt_sub <= 1/(2 nu), all cells at once.
+
+    Raises AdmissibilityError naming the lowest cell that leaves the
+    admissible set in any sub-step.
+    """
     n_sub = max(1, math.ceil(2.0 * model.nu * dt))
     h = dt / n_sub
-    for _ in range(n_sub):
-        w = state.w + h * source(state, model)
-        state = MomentState.from_w(state.D, state.M, w)
-    return state
+    start = W
+    try:
+        for _ in range(n_sub):
+            W = W + h * source_batch(W, D, M, model)
+            rho, _, p = _unpack(W, D, M)
+            _check_cells(p, "pressure tensor", rho, np.isfinite(W).all(axis=1))
+    except AdmissibilityError as e:
+        if e.cell and n_sub > 1:
+            # a lower cell may still fail in a later sub-step
+            _relax(start[: e.cell], dt, D, M, model)
+        raise
+    return W
 
 
-def step(cells: Sequence[MomentState], dt: float, config: SimulationConfig) -> list:
-    """One transport-plus-relaxation step over the whole grid."""
-    cells = list(cells)
-    grid = config.grid
-    if len(cells) != grid.nx:
-        raise ValueError(f"expected {grid.nx} cells, got {len(cells)}")
-    D, M = config.D, config.M
+def _packed_cells(cells, D: int, M: int, nx: int) -> np.ndarray:
+    if len(cells) != nx:
+        raise ValueError(f"expected {nx} cells, got {len(cells)}")
+    if isinstance(cells, np.ndarray):
+        N = IndexSet(D, M).N
+        if cells.shape != (nx, N):
+            raise ValueError(f"packed cells must have shape {(nx, N)}, got {cells.shape}")
+        bad = ~np.isfinite(cells).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AdmissibilityLoss(f"cell {i} has non-finite entries", cell=i)
+        return cells
     for c in cells:
         if (c.D, c.M) != (D, M):
             raise ValueError("cell dimensions do not match the configuration")
+    return np.array([c.w for c in cells])
+
+
+def step(cells, dt: float, config: SimulationConfig):
+    """One transport-plus-relaxation step over the whole grid.
+
+    cells is either an (nx, N) array of packed states, which is advanced
+    and returned as such, or a sequence of MomentState, returned as a list.
+    """
+    grid = config.grid
+    D, M = config.D, config.M
+    W = _packed_cells(cells, D, M, grid.nx)
     dx = grid.dx
     nx = grid.nx
 
-    speeds = np.array([max_signal_speed(c) for c in cells])
-    bound = config.cfl * dx / float(speeds.max())
+    speeds = _signal_speeds(W, D, M)
+    fastest = int(np.argmax(speeds))
+    bound = config.cfl * dx / float(speeds[fastest])
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt} exceeds the stable bound {bound}")
-    _spectral_bound_check(cells[int(np.argmax(speeds))])
+    _spectral_bound_check(MomentState.from_w(D, M, W[fastest]))
 
     _, _, _, top = _layout(D, M)
     cons = ~top
-    N = top.size
-    F = np.empty((nx, N))
-    G = np.empty((nx, N))
-    for i, c in enumerate(cells):
-        F[i], G[i] = _moments_and_flux(c)
-    W = np.array([c.w for c in cells])
+    F, G = _moments_and_flux(W, D, M)
 
     # ghost cells by boundary kind; padded index g is cell g-1
     lg, rg = (nx - 1, 0) if grid.boundary == "periodic" else (0, nx - 1)
-    padded = [cells[lg]] + cells + [cells[rg]]
-    Fp = np.vstack([F[lg], F, F[rg]])
-    Gp = np.vstack([G[lg], G, G[rg]])
-    Wp = np.vstack([W[lg], W, W[rg]])
-    sp = np.concatenate([[speeds[lg]], speeds, [speeds[rg]]])
+    pad = np.r_[lg, np.arange(nx), rg]
+    Fp, Gp, Wp, sp = F[pad], G[pad], W[pad], speeds[pad]
 
     a_if = np.maximum(sp[:-1], sp[1:])  # (nx+1,) interface dissipation speeds
     dF = Fp[1:] - Fp[:-1]
@@ -212,15 +244,12 @@ def step(cells: Sequence[MomentState], dt: float, config: SimulationConfig) -> l
 
     # nonconservative top-row term at each interface, from the correction
     # matrix at the mean state applied to the jump of the packed variables
-    noncons = np.zeros((nx + 1, N))
+    total = dG
     if M >= 3:
-        for k in range(nx + 1):
-            if not np.array_equal(Wp[k], Wp[k + 1]):
-                mid = interface_state(padded[k], padded[k + 1])
-                noncons[k] = regularization_correction(mid, 1) @ (Wp[k + 1] - Wp[k])
+        corr = regularization_correction_batch(_mean_w(Wp[:-1], Wp[1:]), D, M, 1)
+        total = dG + np.einsum("kab,kb->ka", corr, Wp[1:] - Wp[:-1])
 
     H = 0.5 * (Gp[:-1] + Gp[1:] - a_if[:, None] * dF)
-    total = dG + noncons
     diss = a_if[:, None] * dF
     fluct_minus = 0.5 * (total - diss)  # enters the cell left of the interface
     fluct_plus = 0.5 * (total + diss)  # enters the cell right of the interface
@@ -229,21 +258,22 @@ def step(cells: Sequence[MomentState], dt: float, config: SimulationConfig) -> l
     Fn[:, cons] -= dt / dx * (H[1:][:, cons] - H[:-1][:, cons])
     Fn[:, top] -= dt / dx * (fluct_plus[:-1][:, top] + fluct_minus[1:][:, top])
 
-    out = []
-    for i in range(nx):
-        try:
-            out.append(from_conserved(ConservedMoments(D=D, M=M, F=Fn[i])))
-        except AdmissibilityError as e:
-            raise AdmissibilityLoss(f"cell {i} left the admissible set: {e}", cell=i) from e
+    try:
+        W = from_conserved_batch(Fn, D, M)
+    except AdmissibilityError as e:
+        raise AdmissibilityLoss(
+            f"cell {e.cell} left the admissible set: {e}", cell=e.cell
+        ) from e
     if config.collision.nu > 0.0:
-        for i in range(nx):
-            try:
-                out[i] = _relax(out[i], dt, config.collision)
-            except AdmissibilityError as e:
-                raise AdmissibilityLoss(
-                    f"cell {i} left the admissible set during relaxation: {e}", cell=i
-                ) from e
-    return out
+        try:
+            W = _relax(W, dt, D, M, config.collision)
+        except AdmissibilityError as e:
+            raise AdmissibilityLoss(
+                f"cell {e.cell} left the admissible set during relaxation: {e}", cell=e.cell
+            ) from e
+    if isinstance(cells, np.ndarray):
+        return W
+    return [MomentState.from_w(D, M, w) for w in W]
 
 
 # -- driving and output --------------------------------------------------------
@@ -278,16 +308,11 @@ class SimulationResult:
                 )
 
 
-def _snapshot(cells):
-    rho = np.array([c.rho for c in cells])
-    u1 = np.array([float(c.u[0]) for c in cells])
-    p11 = np.array([c.p[0, 0] for c in cells])
-    th = np.array([c.theta for c in cells])
-    if cells[0].M >= 3:
-        q1 = np.array([heat_flux(c)[0] for c in cells])
-    else:
-        q1 = np.zeros(len(cells))
-    return rho, u1, p11, th, q1
+def _snapshot(W: np.ndarray, D: int, M: int):
+    rho, u, p = _unpack(W, D, M)
+    th = np.trace(p, axis1=1, axis2=2) / (D * rho)
+    q1 = heat_flux_batch(W, D, M)[:, 0] if M >= 3 else np.zeros(len(W))
+    return rho, u[:, 0], p[:, 0, 0], th, q1
 
 
 def riemann_cells(config: SimulationConfig, left: MomentState, right: MomentState) -> list:
@@ -301,17 +326,18 @@ def simulate(config: SimulationConfig, left: MomentState, right: MomentState) ->
     for st, name in ((left, "left"), (right, "right")):
         if (st.D, st.M) != (config.D, config.M):
             raise ValueError(f"{name} state dimensions do not match the configuration")
-    cells = riemann_cells(config, left, right)
+    D, M = config.D, config.M
+    W = np.array([c.w for c in riemann_cells(config, left, right)])
     times = np.linspace(0.0, config.t_end, config.n_snapshots)
-    snaps = [_snapshot(cells)]
+    snaps = [_snapshot(W, D, M)]
     t = 0.0
     for target in times[1:]:
         while t < target - 1e-12 * config.t_end:
-            amax = max(max_signal_speed(c) for c in cells)
+            amax = float(_signal_speeds(W, D, M).max())
             dt = min(config.cfl * config.grid.dx / amax, target - t)
-            cells = step(cells, dt, config)
+            W = step(W, dt, config)
             t += dt
-        snaps.append(_snapshot(cells))
+        snaps.append(_snapshot(W, D, M))
     stack = [np.stack(arrs) for arrs in zip(*snaps)]
     return SimulationResult(
         config=config,
@@ -322,7 +348,7 @@ def simulate(config: SimulationConfig, left: MomentState, right: MomentState) ->
         p11=stack[2],
         theta=stack[3],
         q1=stack[4],
-        final_states=tuple(cells),
+        final_states=tuple(MomentState.from_w(D, M, w) for w in W),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .hermite import AnisotropicBasis
 from .index import (
     IndexSet,
+    add,
     factorial,
     is_void,
     order,
@@ -31,25 +32,155 @@ _SPD_TOL = 1e-12
 
 
 class AdmissibilityError(ValueError):
-    """Raised when a state (or implied state) has rho <= 0 or a scale tensor
-    that is not positive definite. Carries the offending eigenvalue."""
+    """Raised when a state (or implied state) has a non-finite entry, rho <= 0
+    or a scale tensor that is not positive definite. Carries the offending
+    eigenvalue and, from a batched kernel, the 0-based row (cell) that
+    failed."""
 
-    def __init__(self, message, eigenvalue=None):
+    def __init__(self, message, eigenvalue=None, cell=None):
         super().__init__(message)
         self.eigenvalue = eigenvalue
+        self.cell = cell
+
+
+def _spd_margin(T: np.ndarray):
+    """Smallest eigenvalue of each stacked symmetric matrix (..., D, D) and
+    whether it passes the positive-definiteness test: above _SPD_TOL times
+    the trace. Matrices with a non-finite entry fail, with a NaN margin."""
+    T = np.asarray(T, dtype=float)
+    finite = np.isfinite(T).all(axis=(-2, -1))
+    if not finite.all():
+        T = np.where(finite[..., None, None], T, np.eye(T.shape[-1]))
+    lo = np.linalg.eigvalsh(T)[..., 0]
+    tol = _SPD_TOL * np.maximum(np.trace(T, axis1=-2, axis2=-1), 1e-300)
+    return np.where(finite, lo, np.nan), finite & (lo > tol)
 
 
 def _check_spd(T: np.ndarray, what: str):
     T = np.asarray(T, dtype=float)
-    if not np.allclose(T, T.T, rtol=1e-10, atol=1e-12):
+    if not np.isfinite(T).all():
+        raise AdmissibilityError(f"{what} has non-finite entries")
+    # np.allclose(T, T.T, rtol=1e-10, atol=1e-12), spelled out: it is called
+    # on every state construction and allclose costs more than the eigensolve
+    if not (np.abs(T - T.T) <= 1e-12 + 1e-10 * np.abs(T.T)).all():
         raise AdmissibilityError(f"{what} must be symmetric")
-    eigs = np.linalg.eigvalsh(T)
-    tol = _SPD_TOL * max(np.trace(T), 1e-300)
-    if eigs[0] <= tol:
+    lo, ok = _spd_margin(T)
+    if not ok:
         raise AdmissibilityError(
-            f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})",
-            eigenvalue=float(eigs[0]),
+            f"{what} is not positive definite (min eigenvalue {lo:.3e})",
+            eigenvalue=float(lo),
         )
+
+
+def _check_cells(T, tensor: str, rho=None, finite=None, prefix: str = ""):
+    """Batched admissibility test, one eigvalsh call for the whole stack.
+
+    Raises AdmissibilityError naming (in .cell) the lowest row that is
+    flagged not finite, has a density rho <= 0, or a tensor T failing the
+    test of _check_spd.
+    """
+    lo, ok = _spd_margin(T)
+    if finite is not None:
+        ok = ok & finite
+    if rho is not None:
+        with np.errstate(invalid="ignore"):
+            ok = ok & (rho > 0)
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    if finite is not None and not finite[i]:
+        raise AdmissibilityError(f"{prefix}state has non-finite entries", cell=i)
+    if rho is not None and not rho[i] > 0:
+        raise AdmissibilityError(f"{prefix}density {rho[i]} is not positive", cell=i)
+    raise AdmissibilityError(
+        f"{prefix}{tensor} is not positive definite (min eigenvalue {lo[i]:.3e})",
+        eigenvalue=float(lo[i]),
+        cell=i,
+    )
+
+
+# -- compiled index tables -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Packing:
+    """Rank bookkeeping of the packed vector w for one (D, M).
+
+    vel: ranks of e_i; pair: (D, D) ranks of e_i + e_j; upper: the i <= j
+    pairs as (rows, cols) and their slot ranks; norm: 1 + delta_ij per slot;
+    free / free_alphas: ranks and indices of order >= 3; low: ranks of order
+    1 and 2 (constrained to zero as coefficients); span[k]: rank range of
+    order k; fact: alpha! per rank.
+    """
+
+    N: int
+    vel: np.ndarray
+    pair: np.ndarray
+    upper: tuple
+    upper_slots: np.ndarray
+    norm: np.ndarray
+    free: np.ndarray
+    free_alphas: tuple
+    low: np.ndarray
+    span: tuple
+    fact: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _packing(D: int, M: int) -> _Packing:
+    s = IndexSet(D, M)
+    r = s.rank0
+    idx = s.indices
+    e = [unit(D, i + 1) for i in range(D)]
+    pair = np.array([[r(add(e[i], e[j])) for j in range(D)] for i in range(D)])
+    upper = np.triu_indices(D)
+    orders = np.array([order(a) for a in idx])
+    span = tuple(
+        (int(np.searchsorted(orders, k)), int(np.searchsorted(orders, k, side="right")))
+        for k in range(M + 1)
+    )
+    return _Packing(
+        N=s.N,
+        vel=np.array([r(a) for a in e]),
+        pair=pair,
+        upper=upper,
+        upper_slots=pair[upper],
+        norm=np.where(upper[0] == upper[1], 2.0, 1.0),
+        free=np.flatnonzero(orders >= 3),
+        free_alphas=tuple(a for a in idx if order(a) >= 3),
+        low=np.flatnonzero((orders == 1) | (orders == 2)),
+        span=span,
+        fact=np.array([factorial(a) for a in idx], dtype=float),
+    )
+
+
+def _unpack(W: np.ndarray, D: int, M: int):
+    """Density (n,), velocity (n, D) and pressure tensor (n, D, D) of the
+    packed rows W (n, N)."""
+    t = _packing(D, M)
+    return W[:, 0], W[:, t.vel], W[:, t.pair] * (1.0 + np.eye(D))
+
+
+def _pack(rho, u, p, fvec: np.ndarray, D: int, M: int) -> np.ndarray:
+    """Packed rows from density, velocity, pressure and the coefficient rows
+    fvec (only their order >= 3 entries are read)."""
+    t = _packing(D, M)
+    W = fvec.copy()
+    W[:, 0] = rho
+    W[:, t.vel] = u
+    W[:, t.upper_slots] = p[:, t.upper[0], t.upper[1]] / t.norm
+    return W
+
+
+def free_values(W: np.ndarray, D: int, M: int) -> np.ndarray:
+    """Expansion coefficients of the packed rows with the constraints
+    resolved (density at order 0, zero at orders 1 and 2), plus one trailing
+    zero column: gathering at rank N reads a void or out-of-set index as 0."""
+    n, N = W.shape
+    fx = np.zeros((n, N + 1))
+    fx[:, :N] = W
+    fx[:, _packing(D, M).low] = 0.0
+    return fx
 
 
 @dataclass(frozen=True)
@@ -87,8 +218,15 @@ class MomentState:
         self.validate()
 
     def validate(self):
+        if not math.isfinite(self.rho):
+            raise AdmissibilityError(f"density must be finite, got {self.rho}")
         if self.rho <= 0:
             raise AdmissibilityError(f"density must be positive, got {self.rho}")
+        if not np.isfinite(self.u).all():
+            raise AdmissibilityError(f"velocity must be finite, got {self.u.tolist()}")
+        for alpha, val in self.f.items():
+            if not math.isfinite(val):
+                raise AdmissibilityError(f"coefficient {alpha} must be finite, got {val}")
         _check_spd(self.p, "pressure tensor")
 
     # -- derived quantities ------------------------------------------------
@@ -135,38 +273,24 @@ class MomentState:
     @cached_property
     def w(self) -> np.ndarray:
         s = self.index_set
-        w = np.zeros(s.N)
-        w[0] = self.rho
-        D = self.D
-        for i in range(D):
-            w[s.rank0(unit(D, i + 1))] = self.u[i]
-        for i in range(D):
-            for j in range(i, D):
-                slot = s.rank0(tuple(unit(D, i + 1)[k] + unit(D, j + 1)[k] for k in range(D)))
-                w[slot] = self.p[i, j] / (1 + (i == j))
+        fvec = np.zeros((1, s.N))
         for alpha, val in self.f.items():
-            w[s.rank0(alpha)] = val
+            fvec[0, s.rank0(alpha)] = val
+        w = _pack(self.rho, self.u, self.p[None], fvec, self.D, self.M)[0]
         w.setflags(write=False)
         return w
 
     @classmethod
     def from_w(cls, D: int, M: int, w: Sequence[float]) -> "MomentState":
-        s = IndexSet(D, M)
+        t = _packing(D, M)
         w = np.asarray(w, dtype=float)
-        if w.shape != (s.N,):
-            raise ValueError(f"state vector must have length {s.N}, got {w.shape}")
-        rho = float(w[0])
-        u = np.array([w[s.rank0(unit(D, i + 1))] for i in range(D)])
-        p = np.zeros((D, D))
-        for i in range(D):
-            for j in range(i, D):
-                ij = tuple(unit(D, i + 1)[k] + unit(D, j + 1)[k] for k in range(D))
-                p[i, j] = p[j, i] = w[s.rank0(ij)] * (1 + (i == j))
-        f = {}
-        for alpha in s.indices:
-            if order(alpha) >= 3:
-                f[alpha] = float(w[s.rank0(alpha)])
-        return cls(D=D, M=M, rho=rho, u=u, p=p, f=f)
+        if w.shape != (t.N,):
+            raise ValueError(f"state vector must have length {t.N}, got {w.shape}")
+        if not np.isfinite(w).all():
+            raise AdmissibilityError("state vector has non-finite entries")
+        rho, u, p = _unpack(w[None], D, M)
+        f = dict(zip(t.free_alphas, w[t.free].tolist()))
+        return cls(D=D, M=M, rho=float(rho[0]), u=u[0], p=p[0], f=f)
 
     def replace(self, **kw) -> "MomentState":
         cur = dict(D=self.D, M=self.M, rho=self.rho, u=self.u, p=self.p, f=self.f)
@@ -183,22 +307,65 @@ def equilibrium(D: int, M: int, rho: float, u, Theta) -> MomentState:
     return MomentState(D=D, M=M, rho=rho, u=u, p=rho * Theta, f={})
 
 
-def heat_flux(state: MomentState) -> np.ndarray:
-    """q_i = 2 f_{3 e_i} + sum_d f_{e_i + 2 e_d}."""
-    if state.M < 3:
-        raise ValueError(f"heat flux needs order M >= 3, got M={state.M}")
-    D = state.D
-    q = np.zeros(D)
-    for i in range(D):
-        ei = unit(D, i + 1)
-        q[i] = 2.0 * state.f_value(tuple(3 * e for e in ei))
-        for d in range(D):
-            ed = unit(D, d + 1)
-            q[i] += state.f_value(tuple(a + 2 * b for a, b in zip(ei, ed)))
+@lru_cache(maxsize=None)
+def _heat_flux_ranks(D: int):
+    """Ranks of 3 e_i (D,) and of e_i + 2 e_d (D, D)."""
+    s = IndexSet(D, 3)
+    e = [unit(D, i + 1) for i in range(D)]
+    three = np.array([s.rank0(tuple(3 * x for x in e[i])) for i in range(D)])
+    mixed = np.array(
+        [[s.rank0(add(e[i], add(e[d], e[d]))) for d in range(D)] for i in range(D)]
+    )
+    return three, mixed
+
+
+def heat_flux_batch(W: np.ndarray, D: int, M: int) -> np.ndarray:
+    """q_i = 2 f_{3 e_i} + sum_d f_{e_i + 2 e_d} of the packed rows, (n, D)."""
+    if M < 3:
+        raise ValueError(f"heat flux needs order M >= 3, got M={M}")
+    three, mixed = _heat_flux_ranks(D)
+    q = 2.0 * W[:, three]
+    for d in range(D):
+        q = q + W[:, mixed[:, d]]
     return q
 
 
+def heat_flux(state: MomentState) -> np.ndarray:
+    """q_i = 2 f_{3 e_i} + sum_d f_{e_i + 2 e_d}."""
+    return heat_flux_batch(state.w[None], state.D, state.M)[0]
+
+
 # -- conversion machinery ----------------------------------------------------
+#
+# Every kernel below works on a stack of states at once: the index
+# recurrences are compiled once per (D, M) into integer gather tables, in
+# which rank N stands for a void or out-of-set index and reads a zero row.
+
+
+@lru_cache(maxsize=None)
+def _raising_tables(D: int, M: int):
+    """Gather tables of the raising recurrence behind moment_table.
+
+    up[j] holds the rank of alpha + e_j per row alpha. Per order k >= 1,
+    with columns beta of that order: the rank range, the first nonzero axis
+    d of each beta, the rank of beta - e_d, and per (row, column) the rank
+    of alpha - e_d with the multiplier alpha_d.
+    """
+    s = IndexSet(D, M)
+    idx = s.indices
+    rank = {a: k for k, a in enumerate(idx)}
+    N = s.N
+    e = [unit(D, j + 1) for j in range(D)]
+    up = np.array([[rank.get(add(a, e[j]), N) for a in idx] for j in range(D)])
+    steps = []
+    for lo, hi in _packing(D, M).span[1:]:
+        cols = idx[lo:hi]
+        axis = [next(j for j, t in enumerate(b) if t > 0) for b in cols]
+        base = [rank[sub(b, e[d])] for b, d in zip(cols, axis)]
+        down = [[rank[sub(a, e[d])] if a[d] > 0 else N for d in axis] for a in idx]
+        mult = [[float(a[d]) for d in axis] for a in idx]
+        steps.append((lo, hi, np.array(axis), np.array(base), np.array(down), np.array(mult)))
+    return up, tuple(steps)
 
 
 def moment_table(Theta: np.ndarray, set_: IndexSet) -> np.ndarray:
@@ -208,52 +375,56 @@ def moment_table(Theta: np.ndarray, set_: IndexSet) -> np.ndarray:
     alpha (a, b the 0-based ranks), for the centered weight with scale
     tensor Theta. Fully determined by the raising recurrence seeded from
     the normalized weight; vanishes for |alpha| > |beta| and between
-    different orders of equal parity violation.
+    different orders of equal parity violation. Theta may carry leading
+    batch axes (..., D, D); the result is then (..., N, N).
     """
     Theta = np.asarray(Theta, dtype=float)
-    D, M, N = set_.D, set_.M, set_.N
-    idx = set_.indices
-    rank = {a: k for k, a in enumerate(idx)}
-    m = np.zeros((N, N))
-    m[0, 0] = 1.0
-    for b_rank, beta in enumerate(idx):
-        if beta == (0,) * D:
-            continue
-        d = next(j for j, t in enumerate(beta) if t > 0)
-        base = sub(beta, unit(D, d + 1))
-        bb = rank[base]
-        for a_rank, alpha in enumerate(idx):
-            if order(alpha) > order(beta):
-                continue
-            acc = 0.0
-            for j in range(D):
-                up = tuple(a + (1 if k == j else 0) for k, a in enumerate(alpha))
-                r = rank.get(up)
-                if r is not None:
-                    acc += Theta[d, j] * m[r, bb]
-            if alpha[d] > 0:
-                down = sub(alpha, unit(D, d + 1))
-                acc += alpha[d] * m[rank[down], bb]
-            m[a_rank, b_rank] = acc
-    return m
+    D, N = set_.D, set_.N
+    batch = Theta.shape[:-2]
+    T = Theta.reshape(-1, D, D)
+    up, steps = _raising_tables(D, set_.M)
+    m = np.zeros((T.shape[0], N + 1, N))
+    m[:, 0, 0] = 1.0
+    for lo, hi, axis, base, down, mult in steps:
+        acc = T[:, axis, 0][:, None, :] * m[:, up[0][:, None], base]
+        for j in range(1, D):
+            acc = acc + T[:, axis, j][:, None, :] * m[:, up[j][:, None], base]
+        m[:, :N, lo:hi] = acc + mult * m[:, down, base]
+    return m[:, :N].reshape(batch + (N, N))
+
+
+@lru_cache(maxsize=None)
+def _binomial_tables(D: int, M: int):
+    """Pairs gamma <= beta as (gamma ranks, beta ranks), with the per-axis
+    binomials C(beta_d, gamma_d) and exponents beta_d - gamma_d."""
+    s = IndexSet(D, M)
+    rank = {a: k for k, a in enumerate(s.indices)}
+    g_rank, b_rank, binom, expo = [], [], [], []
+    for b, beta in enumerate(s.indices):
+        for gamma in _sub_indices(beta):
+            g_rank.append(rank[gamma])
+            b_rank.append(b)
+            binom.append([math.comb(x, y) for x, y in zip(beta, gamma)])
+            expo.append([x - y for x, y in zip(beta, gamma)])
+    return np.array(g_rank), np.array(b_rank), np.array(binom, dtype=float), np.array(expo)
 
 
 def _shifted_coeff_table(set_: IndexSet, u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """c[a, b] = integral of xi^beta against the alpha basis function
-    centered at u: binomial expansion of (x+u)^beta over the centered table."""
+    centered at u: binomial expansion of (x+u)^beta over the centered table.
+    u (..., D) and m (..., N, N) may carry matching leading batch axes."""
     D, N = set_.D, set_.N
-    idx = set_.indices
-    rank = {a: k for k, a in enumerate(idx)}
-    c = np.zeros((N, N))
-    for b_rank, beta in enumerate(idx):
-        for gamma in _sub_indices(beta):
-            g_rank = rank[gamma]
-            coef = 1.0
-            for d in range(D):
-                coef *= math.comb(beta[d], gamma[d]) * u[d] ** (beta[d] - gamma[d])
-            if coef != 0.0:
-                c[:, b_rank] += coef * m[:, g_rank]
-    return c
+    u = np.asarray(u, dtype=float)
+    batch = u.shape[:-1]
+    U = u.reshape(-1, D)
+    g_rank, b_rank, binom, expo = _binomial_tables(D, set_.M)
+    powers = U[:, :, None] ** np.arange(set_.M + 1)
+    coef = binom[:, 0] * powers[:, 0, expo[:, 0]]
+    for d in range(1, D):
+        coef = coef * (binom[:, d] * powers[:, d, expo[:, d]])
+    shift = np.zeros((U.shape[0], N, N))
+    shift[:, g_rank, b_rank] = coef
+    return (np.reshape(m, (-1, N, N)) @ shift).reshape(batch + (N, N))
 
 
 def _sub_indices(beta):
@@ -262,6 +433,23 @@ def _sub_indices(beta):
         return [(g,) for g in range(beta[0] + 1)]
     tails = _sub_indices(beta[1:])
     return [(g,) + t for g in range(beta[0] + 1) for t in tails]
+
+
+def _solve_by_order(target: np.ndarray, seed: np.ndarray, table: np.ndarray, D, M, first):
+    """Triangular recurrence shared by from_conserved and collision_coeffs.
+
+    Fills the coefficient rows x order by order from `first` up to M so that
+    (x @ table)[b] = target[b] for every rank b of those orders. Entries of
+    lower order are taken from seed. Entries of equal order do not couple
+    (the table is diagonal there, with alpha! on the diagonal), so each order
+    is one batched product.
+    """
+    t = _packing(D, M)
+    x = seed.copy()
+    for lo, hi in t.span[first:]:
+        acc = np.einsum("na,nab->nb", x[:, :lo], table[:, :lo, lo:hi])
+        x[:, lo:hi] = (target[:, lo:hi] - acc) / t.fact[lo:hi]
+    return x
 
 
 @dataclass(frozen=True)
@@ -285,14 +473,46 @@ class ConservedMoments:
         return float(self.F[self.index_set.rank0(alpha)])
 
 
+def to_conserved_batch(W: np.ndarray, D: int, M: int) -> np.ndarray:
+    """Raw moments F (n, N) of the packed rows W (n, N)."""
+    s = IndexSet(D, M)
+    rho, u, p = _unpack(W, D, M)
+    m = moment_table(p / rho[:, None, None], s)
+    c = _shifted_coeff_table(s, u, m)
+    fvec = free_values(W, D, M)[:, :-1]
+    return np.einsum("na,nab->nb", fvec, c) / _packing(D, M).fact
+
+
 def to_conserved(state: MomentState) -> ConservedMoments:
     """Raw moments of the expansion, via the shifted moment table."""
-    s = state.index_set
-    m = moment_table(state.theta_tensor, s)
-    c = _shifted_coeff_table(s, state.u, m)
-    fvec = np.array([state.f_value(a) for a in s.indices])
-    F = (fvec @ c) / np.array([factorial(a) for a in s.indices], dtype=float)
+    F = to_conserved_batch(state.w[None], state.D, state.M)[0]
     return ConservedMoments(D=state.D, M=state.M, F=F)
+
+
+def from_conserved_batch(F: np.ndarray, D: int, M: int) -> np.ndarray:
+    """Packed rows W (n, N) of the raw-moment rows F (n, N).
+
+    Raises AdmissibilityError, naming the lowest failing row in .cell, when
+    a row is not finite or its implied density or scale tensor is out of
+    range.
+    """
+    t = _packing(D, M)
+    rho = F[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = F[:, t.vel] / rho[:, None]
+        p = (1.0 + np.eye(D)) * F[:, t.pair] - u[:, :, None] * u[:, None, :] * rho[:, None, None]
+        Theta = p / rho[:, None, None]
+    _check_cells(Theta, "scale tensor", rho, np.isfinite(F).all(axis=1), "implied ")
+    s = IndexSet(D, M)
+    c = _shifted_coeff_table(s, u, moment_table(Theta, s))
+    seed = np.zeros_like(F)
+    seed[:, 0] = rho
+    fvec = _solve_by_order(t.fact * F, seed, c, D, M, first=3)
+    W = _pack(rho, u, p, fvec, D, M)
+    bad = ~np.isfinite(W).all(axis=1)
+    if bad.any():
+        raise AdmissibilityError("implied state has non-finite entries", cell=int(np.argmax(bad)))
+    return W
 
 
 def from_conserved(F: ConservedMoments | Sequence[float], D: int = None, M: int = None) -> MomentState:
@@ -302,38 +522,10 @@ def from_conserved(F: ConservedMoments | Sequence[float], D: int = None, M: int 
         D, M, Fv = F.D, F.M, F.F
     else:
         Fv = np.asarray(F, dtype=float)
-    s = IndexSet(D, M)
-    if Fv.shape != (s.N,):
-        raise ValueError(f"moment vector must have length {s.N}")
-    idx = s.indices
-    rank = {a: k for k, a in enumerate(idx)}
-    rho = float(Fv[0])
-    if rho <= 0:
-        raise AdmissibilityError(f"implied density {rho} is not positive")
-    u = np.array([Fv[rank[unit(D, i + 1)]] for i in range(D)]) / rho
-    p = np.zeros((D, D))
-    for i in range(D):
-        for j in range(i, D):
-            ij = tuple(unit(D, i + 1)[k] + unit(D, j + 1)[k] for k in range(D))
-            val = (1 + (i == j)) * Fv[rank[ij]] - u[i] * u[j] * rho
-            p[i, j] = p[j, i] = val
-    _check_spd(p / rho, "implied scale tensor")
-    m = moment_table(p / rho, s)
-    c = _shifted_coeff_table(s, u, m)
-    f = {}
-    fvec = np.zeros(s.N)
-    fvec[0] = rho
-    for b_rank, beta in enumerate(idx):
-        k = order(beta)
-        if k < 3:
-            continue
-        residual = factorial(beta) * Fv[b_rank]
-        residual -= float(fvec @ c[:, b_rank]) - fvec[b_rank] * c[b_rank, b_rank]
-        val = residual / factorial(beta)
-        fvec[b_rank] = val
-        if val != 0.0:
-            f[beta] = val
-    return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)
+    N = IndexSet(D, M).N
+    if Fv.shape != (N,):
+        raise ValueError(f"moment vector must have length {N}")
+    return MomentState.from_w(D, M, from_conserved_batch(Fv[None], D, M)[0])
 
 
 # -- collision targets ---------------------------------------------------------
@@ -370,38 +562,77 @@ class CollisionModel:
         return 1.0 - 1.0 / self.Pr
 
 
+@lru_cache(maxsize=None)
+def _gaussian_tables(D: int, M: int):
+    """Per order k >= 1: rank range, first nonzero axis d of each beta, and
+    per axis j the multiplier (beta - e_d)_j with the rank of beta - e_d - e_j."""
+    s = IndexSet(D, M)
+    idx = s.indices
+    rank = {a: k for k, a in enumerate(idx)}
+    e = [unit(D, j + 1) for j in range(D)]
+    steps = []
+    for lo, hi in _packing(D, M).span[1:]:
+        axis, mult, down = [], [], []
+        for beta in idx[lo:hi]:
+            d = next(j for j, t in enumerate(beta) if t > 0)
+            base = sub(beta, e[d])
+            axis.append(d)
+            mult.append([float(base[j]) for j in range(D)])
+            down.append([rank[sub(base, e[j])] if base[j] > 0 else s.N for j in range(D)])
+        steps.append((lo, hi, np.array(axis), np.array(mult), np.array(down)))
+    return tuple(steps)
+
+
 def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet) -> np.ndarray:
     """Centered Gaussian moments mu_beta for covariance Lambda, all |beta| <= M.
 
     mu_{beta+e_d} = sum_j Lambda[d,j] beta_j mu_{beta-e_j}; odd orders are
-    exactly zero.
+    exactly zero. Lambda may carry leading batch axes (..., D, D); the
+    result is then (..., N).
     """
-    D = set_.D
-    idx = set_.indices
-    rank = {a: k for k, a in enumerate(idx)}
-    mu = np.zeros(set_.N)
-    mu[0] = 1.0
-    for b_rank, beta in enumerate(idx):
-        if beta == (0,) * D:
-            continue
-        d = next(j for j, t in enumerate(beta) if t > 0)
-        base = sub(beta, unit(D, d + 1))
-        acc = 0.0
-        for j in range(D):
-            if base[j] == 0:
-                continue
-            down = sub(base, unit(D, j + 1))
-            acc += Lambda[d, j] * base[j] * mu[rank[down]]
-        mu[b_rank] = acc
-    return mu
+    Lambda = np.asarray(Lambda, dtype=float)
+    D, N = set_.D, set_.N
+    batch = Lambda.shape[:-2]
+    L = Lambda.reshape(-1, D, D)
+    mu = np.zeros((L.shape[0], N + 1))
+    mu[:, 0] = 1.0
+    for lo, hi, axis, mult, down in _gaussian_tables(D, set_.M):
+        acc = L[:, axis, 0] * mult[:, 0] * mu[:, down[:, 0]]
+        for j in range(1, D):
+            acc = acc + L[:, axis, j] * mult[:, j] * mu[:, down[:, j]]
+        mu[:, lo:hi] = acc
+    return mu[:, :N].reshape(batch + (N,))
+
+
+def _target_covariance(rho, p, D: int, model: CollisionModel) -> np.ndarray:
+    """Batched covariance b Theta + (1 - b) theta I of the relaxation target."""
+    b = model.b
+    theta = np.trace(p, axis1=-2, axis2=-1) / (D * rho)
+    return b * (p / rho[:, None, None]) + (1.0 - b) * theta[:, None, None] * np.eye(D)
 
 
 def collision_target_covariance(state: MomentState, model: CollisionModel) -> np.ndarray:
     """Covariance of the relaxation target Gaussian."""
-    b = model.b
-    Lam = b * state.theta_tensor + (1.0 - b) * state.theta * np.eye(state.D)
+    Lam = _target_covariance(np.array([state.rho]), state.p[None], state.D, model)[0]
     _check_spd(Lam, "collision target covariance")
     return Lam
+
+
+def collision_coeffs_batch(W: np.ndarray, D: int, M: int, model: CollisionModel) -> np.ndarray:
+    """Relaxation-target coefficients (n, N) of the packed rows W (n, N).
+
+    Raises AdmissibilityError, naming the lowest failing row in .cell, when
+    a target covariance is not positive definite.
+    """
+    s = IndexSet(D, M)
+    rho, _, p = _unpack(W, D, M)
+    Lam = _target_covariance(rho, p, D, model)
+    _check_cells(Lam, "collision target covariance")
+    mu = gaussian_raw_moments(Lam, s)
+    m = moment_table(p / rho[:, None, None], s)
+    seed = np.zeros_like(W)
+    seed[:, 0] = rho * mu[:, 0]
+    return _solve_by_order(rho[:, None] * mu, seed, m, D, M, first=1)
 
 
 def collision_coeffs(state: MomentState, model: CollisionModel) -> np.ndarray:
@@ -411,17 +642,7 @@ def collision_coeffs(state: MomentState, model: CollisionModel) -> np.ndarray:
     (1-b)(p delta_ij - p_ij)/(1+delta_ij) at order 2, higher even orders
     from the Gaussian moment solve.
     """
-    s = state.index_set
-    Lam = collision_target_covariance(state, model)
-    mu = gaussian_raw_moments(Lam, s)
-    m = moment_table(state.theta_tensor, s)
-    idx = s.indices
-    G = np.zeros(s.N)
-    for b_rank, beta in enumerate(idx):
-        residual = state.rho * mu[b_rank]
-        residual -= float(G @ m[:, b_rank]) - G[b_rank] * m[b_rank, b_rank]
-        G[b_rank] = residual / factorial(beta)
-    return G
+    return collision_coeffs_batch(state.w[None], state.D, state.M, model)[0]
 
 
 # -- JSON form ---------------------------------------------------------------

@@ -363,3 +363,46 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("eigenvalue,multiplicity,family_m,root_index")
+
+
+class TestSingleScanConjecture:
+    def test_one_pass_matches_two_passes(self):
+        from hypermoment.hermite import common_zero_scan, cross_order_root_distances, root_gap_scan
+
+        for n_max, tol in ((12, 1e-9), (10, 0.05)):
+            hits, best = root_gap_scan(n_max, tol)
+            assert hits == common_zero_scan(n_max, tol)
+            assert best == min(cross_order_root_distances(n_max), key=lambda t: t[3])
+
+    def test_stderr_line(self, capsys):
+        from hypermoment.hermite import cross_order_root_distances
+
+        assert run(["conjecture", "--n-max", "12"]) == 0
+        bm, bn, _, bd = min(cross_order_root_distances(12), key=lambda t: t[3])
+        want = (
+            f"orders 2..12: 0 violation(s); closest nonzero-zero gap {bd:.6e}"
+            f" between orders ({bm}, {bn})\n"
+        )
+        assert capsys.readouterr().err == want
+
+
+class TestInputContract:
+    def test_negative_direction_as_two_tokens(self, tmp_path):
+        state = write_json(
+            tmp_path, "s.json",
+            {"D": 2, "M": 3, "rho": 1.0, "u": [0.1, -0.2], "p": [[1.0, 0.1], [0.1, 0.8]],
+             "f": {"3,0": 0.05}},
+        )
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert run(["spectrum", "--state", str(state), "--dir=-0.6,0.8", "--out", str(one)]) == 0
+        assert run(["spectrum", "--state", str(state), "--dir", "-0.6,0.8", "--out", str(two)]) == 0
+        assert two.read_text() == one.read_text()
+
+    def test_nan_density_in_config_exits_1(self, tmp_path, capsys):
+        doc = sim_config(left={"rho": float("nan"), "u": [0.0], "p": [[1.0]], "f": {}})
+        cf = tmp_path / "sim.json"
+        cf.write_text(json.dumps(doc))
+        assert "NaN" in cf.read_text()
+        assert run(["simulate", "--config", str(cf)]) == 1
+        err = capsys.readouterr().err
+        assert "density must be finite" in err

@@ -176,3 +176,21 @@ class TestHelpers:
         assert index.unit(3, 2) == (0, 1, 0)
         assert index.add((1, 0), (0, 2)) == (1, 2)
         assert index.sub((1, 0), (0, 2)) == (1, -2)
+
+
+class TestRankLookup:
+    def test_table_matches_ordinal(self):
+        for D, M in ((1, 7), (2, 5), (3, 4)):
+            s = index.IndexSet(D, M)
+            for a in brute_force_indices(D, M):
+                assert s.rank0(a) == index.ordinal(a, s) - 1
+                assert s.rank0(list(a)) == s.rank0(a)
+
+    @pytest.mark.parametrize("alpha", [(-1, 2), (2, 2), (1,), (0, 0, 0)])
+    def test_miss_raises_like_ordinal(self, alpha):
+        s = index.IndexSet(2, 3)
+        with pytest.raises(ValueError) as want:
+            index.ordinal(alpha, s)
+        with pytest.raises(ValueError) as got:
+            s.rank0(alpha)
+        assert str(got.value) == str(want.value)
