@@ -197,6 +197,25 @@ def regularization_correction_batch(W: np.ndarray, D: int, M: int, d: int) -> np
     return A
 
 
+def path_integral(WL: np.ndarray, WR: np.ndarray, D: int, M: int, nodes, weights) -> np.ndarray:
+    """Nonconservative first-axis term between the packed rows WL and WR
+    (n, N): the integral over nu in [0, 1] of the regularization correction
+    at (1 - nu) WL + nu WR applied to WR - WL, by the rule (nodes, weights)
+    on [0, 1]. The path is linear in the packed variables, so every node is
+    admissible. Nonzero only in the order-M rows.
+
+    The solver's interface term and the jump condition of riemann.shock_check
+    are both this integral, with different rules.
+    """
+    nodes = np.asarray(nodes, dtype=float)[:, None, None]
+    K = nodes.shape[0]
+    n, N = WL.shape
+    W = ((1.0 - nodes) * WL + nodes * WR).reshape(K * n, N)
+    corr = regularization_correction_batch(W, D, M, 1)
+    terms = np.einsum("kab,kb->ka", corr, np.tile(WR - WL, (K, 1))).reshape(K, n, N)
+    return (np.asarray(weights, dtype=float)[:, None, None] * terms).sum(axis=0)
+
+
 def regularization_correction(state: MomentState, d: int) -> np.ndarray:
     """Matrix added to the order-M rows by the regularization; zero rows
     elsewhere, nonzero columns only at the density, velocity, and pressure
@@ -221,16 +240,20 @@ def regularize(matrix: CoefficientMatrix, state: MomentState) -> CoefficientMatr
     )
 
 
-def directional(state: MomentState, n) -> CoefficientMatrix:
-    """Regularized matrix for propagation along the unit vector n."""
+def directional(state: MomentState, n, regularized: bool = True) -> CoefficientMatrix:
+    """Matrix for propagation along the unit vector n, regularized unless
+    asked otherwise."""
     n = np.asarray(n, dtype=float).reshape(state.D)
     if abs(np.linalg.norm(n) - 1.0) > 1e-10:
         raise ValueError(f"direction vector must have unit length, got |n|={np.linalg.norm(n)}")
     A = np.zeros((state.index_set.N, state.index_set.N))
     for d in range(1, state.D + 1):
         if n[d - 1] != 0.0:
-            A += n[d - 1] * regularize(assemble(state, d), state).entries
-    return CoefficientMatrix(entries=A, direction=None, regularized=True, state=state)
+            mat = assemble(state, d)
+            if regularized:
+                mat = regularize(mat, state)
+            A += n[d - 1] * mat.entries
+    return CoefficientMatrix(entries=A, direction=None, regularized=regularized, state=state)
 
 
 @lru_cache(maxsize=None)

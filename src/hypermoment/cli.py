@@ -20,7 +20,8 @@ Subcommands:
 Data goes to --out (default stdout); diagnostics go to stderr. Exit status is
 0 on success, 1 on a validation error (bad arguments, malformed input, an
 inadmissible input state), and 2 on a numerical failure (admissibility loss
-during a run, a residual or identity check out of tolerance, scan violations).
+during a run, a failed runtime guard or LAPACK call, a residual or identity
+check out of tolerance, scan violations).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .assembly import assemble, regularize, structural_report
+from .assembly import assemble, directional, regularize, structural_report
 from .hermite import (
     AnisotropicBasis,
     ghe_table,
@@ -57,7 +58,6 @@ from .riemann import (
     wave_table_check,
 )
 from .solver import (
-    AdmissibilityLoss,
     CFLViolation,
     Grid1D,
     SimulationConfig,
@@ -173,10 +173,7 @@ def cmd_spectrum(args) -> int:
     drift = float(np.dot(state.u, n))
 
     if args.unregularized:
-        A = np.zeros((state.index_set.N, state.index_set.N))
-        for d in range(state.D):
-            if n[d] != 0.0:
-                A += n[d] * assemble(state, d + 1).entries
+        A = directional(state, n, regularized=False).entries
         vals = np.sort_complex(np.linalg.eigvals(A) + drift)
         with _open_out(args.out) as fh:
             w = csv.writer(fh, lineterminator=CSV_EOL)
@@ -254,31 +251,35 @@ def cmd_hyperbolicity(args) -> int:
 # -- riemann report --------------------------------------------------------------
 
 
-def _field_rows(left: MomentState, right: MomentState):
-    rows = []
+def _fields(left: MomentState):
+    """(spectral line, unit root C, characteristic field) per line of the
+    left state's spectrum, shared by the report sections."""
+    out = []
     for line in spectrum_regularized(left).lines:
         C = float(he_roots(line.family_m)[line.root_index])
-        fld = classify_field(left, C)
-        rows.append(
-            {
-                "C": C,
-                "family_m": line.family_m,
-                "root_index": line.root_index,
-                "multiplicity": line.multiplicity,
-                "nature": fld.nature,
-                "speed_left": wave_speed(left, C),
-                "speed_right": wave_speed(right, C),
-            }
-        )
-    return rows
+        out.append((line, C, classify_field(left, C)))
+    return out
 
 
-def _contact_rows(left: MomentState, right: MomentState):
+def _field_rows(fields, left: MomentState, right: MomentState):
+    return [
+        {
+            "C": C,
+            "family_m": line.family_m,
+            "root_index": line.root_index,
+            "multiplicity": line.multiplicity,
+            "nature": fld.nature,
+            "speed_left": wave_speed(left, C),
+            "speed_right": wave_speed(right, C),
+        }
+        for line, C, fld in fields
+    ]
+
+
+def _contact_rows(fields, left: MomentState, right: MomentState):
     rows = []
     seen = set()
-    for line in spectrum_regularized(left).lines:
-        C = float(he_roots(line.family_m)[line.root_index])
-        fld = classify_field(left, C)
+    for _, C, fld in fields:
         if fld.genuinely_nonlinear or round(C, 12) in seen:
             continue
         seen.add(round(C, 12))
@@ -295,15 +296,13 @@ def _contact_rows(left: MomentState, right: MomentState):
     return rows
 
 
-def _rarefaction_rows(left: MomentState, right: MomentState, tol: float):
+def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float):
     # integral-curve probe: a fan endpoint must sit on the curve through the
     # left state at the parameter fixed by the density ratio
     rows = []
     zeta = float(np.log(right.rho / left.rho))
     scale = max(1.0, float(np.max(np.abs(right.w))))
-    for line in spectrum_regularized(left).lines:
-        C = float(he_roots(line.family_m)[line.root_index])
-        fld = classify_field(left, C)
+    for _, C, fld in fields:
         if not fld.genuinely_nonlinear:
             continue
         row = {"C": C, "zeta": zeta}
@@ -328,12 +327,14 @@ def cmd_riemann(args) -> int:
         )
     FL, FR = to_conserved(left), to_conserved(right)
     tol = args.tol
+    fields = _fields(left)
+    field_of = {C: fld for _, C, fld in fields}
     report = {
         "D": left.D,
         "M": left.M,
-        "fields": _field_rows(left, right),
-        "contacts": _contact_rows(left, right),
-        "rarefactions": _rarefaction_rows(left, right, tol),
+        "fields": _field_rows(fields, left, right),
+        "contacts": _contact_rows(fields, left, right),
+        "rarefactions": _rarefaction_rows(fields, left, right, tol),
         "mass_flux_speed": None,
         "shock": None,
         "table": {"shock": [], "contact": [], "rarefaction": []},
@@ -357,7 +358,7 @@ def cmd_riemann(args) -> int:
             for j, passed in enumerate(rep.lax_per_root):
                 if not passed:
                     continue
-                fld = classify_field(left, float(roots[j]))
+                fld = field_of[float(roots[j])]
                 verdict = wave_table_check(ElementaryWave("shock", left, right, fld, S))
                 report["table"]["shock"].append(
                     {"C": float(roots[j]), "ok": verdict.ok, "relations": verdict.relations}
@@ -366,7 +367,7 @@ def cmd_riemann(args) -> int:
     for row in report["contacts"]:
         if not row["ok"]:
             continue
-        fld = classify_field(left, row["C"])
+        fld = field_of[row["C"]]
         speed = wave_speed(left, fld.C)
         verdict = wave_table_check(ElementaryWave("contact", left, right, fld, speed))
         report["table"]["contact"].append(
@@ -376,7 +377,7 @@ def cmd_riemann(args) -> int:
     for row in report["rarefactions"]:
         if not row.get("ok"):
             continue
-        fld = classify_field(left, row["C"])
+        fld = field_of[row["C"]]
         speeds = (wave_speed(left, fld.C), wave_speed(right, fld.C))
         verdict = wave_table_check(ElementaryWave("rarefaction", left, right, fld, speeds))
         report["table"]["rarefaction"].append(
@@ -668,7 +669,10 @@ def run(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (AdmissibilityLoss, CFLViolation) as e:
+    except (CFLViolation, RuntimeError, np.linalg.LinAlgError) as e:
+        # numerical failure: AdmissibilityLoss and the solver's speed-bound
+        # guard are RuntimeErrors; LinAlgError, a ValueError, must not read
+        # as invalid input
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError) as e:

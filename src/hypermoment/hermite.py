@@ -11,6 +11,8 @@ Two univariate scalings appear:
 They differ by the factor theta^n and share every zero. The monic family is
 what the closed-form eigenvector and characteristic-polynomial expressions
 are written in; the scaled family is the expansion basis normalization.
+Both, the Newton polish of ``he_roots`` and the coefficients of the monic
+family run one recurrence kernel, ``_recurrence``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,27 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigh_tridiagonal
 
-from .index import factorial, is_void, order, sub, unit
+from .index import IndexSet, cardinality, is_void, order, raising_tables
+
+
+def _recurrence(n: int, x, c: float, s: float, renormalize: bool = False):
+    """(P_{n-1}, P_n) of the three-term recurrence
+    P_{k+1} = (x P_k - k c P_{k-1}) / s, P_{-1} = 0, P_0 = 1.
+
+    x is an array or a numpy Polynomial (the coefficients then come out).
+    With renormalize the pair is divided by its larger magnitude after every
+    step, which keeps orders of a few hundred inside double range and leaves
+    the ratio P_n / P_{n-1} unchanged.
+    """
+    one = x**0
+    prev, cur = 0.0 * one, one
+    for k in range(n):
+        prev, cur = cur, (x * cur - k * c * prev) / s
+        if renormalize:
+            m = np.maximum(np.abs(cur), np.abs(prev))
+            m = np.where(m > 0, m, 1.0)
+            prev, cur = prev / m, cur / m
+    return prev, cur
 
 
 def he_eval(n: int, theta: float, x):
@@ -33,11 +55,7 @@ def he_eval(n: int, theta: float, x):
         raise ValueError(f"scale must be positive, got {theta}")
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for k in range(n):
-        prev, cur = cur, (x * cur - k * prev) / theta
+    cur = _recurrence(n, np.asarray(x, dtype=float), 1.0, theta)[1]
     return cur if cur.ndim else float(cur)
 
 
@@ -47,33 +65,15 @@ def he_monic_eval(n: int, theta: float, x):
         raise ValueError(f"scale must be positive, got {theta}")
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for k in range(n):
-        prev, cur = cur, x * cur - k * theta * prev
+    cur = _recurrence(n, np.asarray(x, dtype=float), theta, 1.0)[1]
     return cur if cur.ndim else float(cur)
 
 
 def _newton_step(n: int, x: np.ndarray) -> np.ndarray:
-    """One Newton correction for roots of the unit-scale order-n polynomial.
-
-    The recurrence pair is renormalized every step so orders up to a few
-    hundred stay inside double range; the correction only needs the ratio
-    value/derivative, which rescaling leaves untouched.
-    """
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    scale_log = np.zeros_like(x)
-    for k in range(n):
-        prev, cur = cur, x * cur - k * prev
-        m = np.maximum(np.abs(cur), np.abs(prev))
-        m = np.where(m > 0, m, 1.0)
-        cur = cur / m
-        prev = prev / m
-        scale_log += np.log(m)
-    # derivative of order-n polynomial is n * (order n-1 polynomial)
+    """One Newton correction for roots of the unit-scale order-n polynomial,
+    from the renormalized recurrence pair: the derivative of the order-n
+    polynomial is n times the order n-1 one."""
+    prev, cur = _recurrence(n, np.asarray(x, dtype=float), 1.0, 1.0, renormalize=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = np.where(prev != 0, cur / (n * prev), 0.0)
     return x - delta
@@ -146,40 +146,29 @@ def weight(basis: AnisotropicBasis, x) -> np.ndarray:
 def ghe_table(basis: AnisotropicBasis, x, max_order: int) -> dict:
     """Values of every polynomial of order <= max_order at points x.
 
-    Returns {multi-index: array of values}. Built by the raising recurrence
-    on the first nonzero axis, reusing the cached X = ThetaInv @ x and all
-    lower-order entries.
+    Returns {multi-index: array of values}. Built order by order by the
+    raising recurrence on the first nonzero axis (index.raising_tables),
+    from X = ThetaInv @ x and the lower-order values.
     """
     x = np.asarray(x, dtype=float)
     D = basis.D
     if x.shape[-1] != D:
         raise ValueError(f"points must have last axis {D}")
-    X = x @ basis.ThetaInv  # symmetric, so no transpose needed
+    X = np.moveaxis(x @ basis.ThetaInv, -1, 0)  # symmetric, so no transpose needed
     Tinv = basis.ThetaInv
-    table: dict = {(0,) * D: np.ones(x.shape[:-1])}
-    if max_order == 0:
-        return table
-    frontier = [(0,) * D]
-    for _ in range(max_order):
-        nxt = []
-        for beta in frontier:
-            for i in range(D):
-                target = tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))
-                if target in table:
-                    continue
-                # raise along the first nonzero axis of the target
-                ax = next(j for j, t in enumerate(target) if t > 0)
-                base = sub(target, unit(D, ax + 1))
-                val = X[..., ax] * table[base]
-                for j in range(D):
-                    if base[j] == 0:
-                        continue
-                    lower = sub(base, unit(D, j + 1))
-                    val = val - Tinv[ax, j] * base[j] * table[lower]
-                table[target] = val
-                nxt.append(target)
-        frontier = nxt
-    return table
+    n = cardinality(D, max_order)
+    s = IndexSet(D, max(max_order, 2))
+    cols = (-1,) + (1,) * (x.ndim - 1)  # per-column factors against the points
+    vals = np.zeros((s.N + 1,) + x.shape[:-1])  # rank N reads 0
+    vals[0] = 1.0
+    for step in raising_tables(D, s.M)[1]:
+        if step.lo >= n:
+            break
+        val = X[step.axis] * vals[step.base]
+        for j in range(D):
+            val = val - (Tinv[step.axis, j] * step.mult[:, j]).reshape(cols) * vals[step.down[:, j]]
+        vals[step.lo : step.hi] = val
+    return {a: vals[k, ...] for k, a in enumerate(s.indices[:n])}
 
 
 def ghe_eval(alpha: Sequence[int], basis: AnisotropicBasis, x):
@@ -271,17 +260,14 @@ def cross_order_root_distances(n_max: int):
             rm = nonzero[m]
             if rm.size == 0:
                 continue
+            # the two neighbours in rm of each root of rn, below then above;
+            # argmin keeps the first of equal gaps in that order
             pos = np.searchsorted(rm, rn)
-            best_d = np.inf
-            best_r = rn[0]
-            for j, r in enumerate(rn):
-                for k in (pos[j] - 1, pos[j]):
-                    if 0 <= k < rm.size:
-                        d = abs(r - rm[k])
-                        if d < best_d:
-                            best_d = d
-                            best_r = r
-            yield m, n, float(best_r), float(best_d)
+            cand = np.stack([pos - 1, pos], axis=1)
+            valid = (cand >= 0) & (cand < rm.size)
+            gaps = np.where(valid, np.abs(rn[:, None] - rm[np.clip(cand, 0, rm.size - 1)]), np.inf)
+            best = int(np.argmin(gaps))
+            yield m, n, float(rn[best // 2]), float(gaps.flat[best])
 
 
 def common_zero_scan(n_max: int, tol: float = 1e-9):

@@ -5,24 +5,31 @@ Fields are labeled by the unit-variance Hermite root C with wave speed
 u1 + C sqrt(theta_11). Fields from the top family are genuinely nonlinear
 (except C = 0); all others are linearly degenerate. Rarefaction curves have
 closed forms in (rho, u1, p11); shocks satisfy a generalized jump condition
-whose top-order rows depend on a path, taken linear in conserved moments.
+whose top-order rows depend on a path. The path is linear in the packed
+variables w, the one the finite-volume scheme integrates along
+(assembly.path_integral), so the scheme and the jump check agree.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .assembly import regularization_correction
+from .assembly import path_integral
 from .hermite import he_roots
-from .index import order, unit
-from .spectral import block_eigenvector, prolong, spectrum_regularized
-from .state import ConservedMoments, MomentState, from_conserved, to_conserved
+from .spectral import _block_eigenvector, _family_counts, _permuted, _prolong
+from .state import (
+    ConservedMoments,
+    MomentState,
+    _moments_and_flux,
+    _packing,
+    from_conserved,
+    from_conserved_batch,
+)
 
 GENUINELY_NONLINEAR = "genuinely-nonlinear"
 LINEARLY_DEGENERATE = "linearly-degenerate"
@@ -91,9 +98,8 @@ def classify_field(state: MomentState, C: float) -> CharField:
     """
     M = state.M
     scale = 1.0 + abs(C)
-    families = sorted({L.family_m for L in spectrum_regularized(state).lines})
     hit = None
-    for m in sorted(families, reverse=True):
+    for m in sorted(_family_counts(state.D, M), reverse=True):
         roots = he_roots(m)
         j = int(np.argmin(np.abs(roots - C)))
         if abs(roots[j] - C) <= _MATCH_TOL * scale:
@@ -125,14 +131,16 @@ def _density_entry(state: MomentState, field: CharField) -> float:
     return state.rho if field.family[0] == state.M + 1 else 0.0
 
 
-def _field_eigenvector(state: MomentState, field: CharField) -> np.ndarray:
-    m, j = field.family
+def _field_eigenvector(state: MomentState, field: CharField, root: float) -> np.ndarray:
+    """Eigenvector of the field at state; root is the field's unit root."""
+    m, _ = field.family
     h = state.M + 1 - m
-    lam = float(he_roots(m)[j] * np.sqrt(state.theta_tensor[0, 0]))
-    r = block_eigenvector(h, lam, state)
+    lam = float(root * np.sqrt(state.theta_tensor[0, 0]))
+    perm, B = _permuted(state)
+    r = _block_eigenvector(perm, B, h, lam)
     hat = (h,) + (0,) * max(state.D - 2, 0) if state.D > 1 else ()
-    R = prolong(r, hat, lam, state)
-    if field.family[0] == state.M + 1:
+    R = _prolong(perm, B, r, hat, lam)
+    if m == state.M + 1:
         R = R * state.rho  # density-entry-rho normalization for fan curves
     return R
 
@@ -150,10 +158,12 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
     C = field.C
     if abs(C * C - 1.0) < 1e-8:
         warnings.warn("unit-root magnitude 1: using the series limit")
+    m, j = field.family
+    root = he_roots(m)[j]
 
     def rhs(z, wvec):
         st = MomentState.from_w(state0.D, state0.M, wvec)
-        return _field_eigenvector(st, field)
+        return _field_eigenvector(st, field, root)
 
     sol = solve_ivp(
         rhs, (0.0, zeta), state0.w, method="RK45", rtol=1e-11, atol=1e-12,
@@ -198,55 +208,6 @@ def contact_check(wL: MomentState, wR: MomentState, field: CharField) -> Contact
     )
 
 
-def _closure_flux(F: ConservedMoments) -> np.ndarray:
-    """Per-row flux (alpha_1 + 1) F_{alpha + e1}, closing the top rows with
-    zero coefficients one order up."""
-    st = from_conserved(F)
-    lifted = MomentState(
-        D=st.D, M=st.M + 1, rho=st.rho, u=st.u, p=st.p, f=dict(st.f)
-    )
-    big = to_conserved(lifted)
-    s = F.index_set
-    out = np.empty(s.N)
-    for k, a in enumerate(s.indices):
-        up = tuple(a[i] + (1 if i == 0 else 0) for i in range(len(a)))
-        out[k] = (a[0] + 1) * big.value(up)
-    return out
-
-
-def _path_tangent_w(st: MomentState, dF: np.ndarray) -> np.ndarray:
-    """State-vector tangent induced by a linear conserved-moment path,
-    filled only on the (rho, u, pressure-slot) components; the top-order
-    correction rows have no other nonzero columns."""
-    D = st.D
-    s = st.index_set
-    F = to_conserved(st).F
-    rho = st.rho
-    drho = dF[0]
-    dw = np.zeros(s.N)
-    dw[0] = drho
-    for i in range(1, D + 1):
-        dw[s.rank0(unit(D, i))] = (dF[s.rank0(unit(D, i))] - st.u[i - 1] * drho) / rho
-    for i, j in combinations_with_replacement(range(1, D + 1), 2):
-        Fi = F[s.rank0(unit(D, i))]
-        Fj = F[s.rank0(unit(D, j))]
-        dFi = dF[s.rank0(unit(D, i))]
-        dFj = dF[s.rank0(unit(D, j))]
-        # slot_ij = F_{e_i+e_j} - F_{e_i} F_{e_j} / ((1 + delta_ij) F_0)
-        pair = tuple(a + b for a, b in zip(unit(D, i), unit(D, j)))
-        dw[s.rank0(pair)] = dF[s.rank0(pair)] - (
-            (dFi * Fj + Fi * dFj) / F[0] - Fi * Fj * drho / F[0] ** 2
-        ) / (1 + (i == j))
-    return dw
-
-
-def _top_correction(st: MomentState, dF: np.ndarray) -> np.ndarray:
-    """Nonconservative top-row terms contracted with the path tangent,
-    as the regularization correction matrix applied to the tangent."""
-    corr = regularization_correction(st, 1)
-    return corr @ _path_tangent_w(st, dF)
-
-
 def shock_speed_from_mass(FL: ConservedMoments, FR: ConservedMoments) -> Optional[float]:
     """Jump speed implied by the mass row, undefined for equal densities."""
     sL = from_conserved(FL)
@@ -263,39 +224,29 @@ def shock_check(
     """Generalized jump-condition residuals for a candidate discontinuity.
 
     Rows below the top order are conservative and checked exactly; top rows
-    combine the exact closed-flux difference with a quadrature of the
-    nonconservative terms along the linear path in conserved moments.
+    combine the exact closed-flux difference with a path_steps-node
+    Gauss-Legendre quadrature of the nonconservative terms along the path
+    linear in the packed variables (assembly.path_integral).
     """
-    s = FL.index_set
-    M = FL.M
+    D, M = FL.D, FL.M
+    W = from_conserved_batch(np.stack([FL.F, FR.F]), D, M)
+    _, G = _moments_and_flux(W, D, M)
     dF = FR.F - FL.F
-    gR = _closure_flux(FR)
-    gL = _closure_flux(FL)
-    residuals = S * dF - (gR - gL)
+    residuals = S * dF - (G[1] - G[0])
 
     nodes, weights = np.polynomial.legendre.leggauss(path_steps)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-    top = [k for k, a in enumerate(s.indices) if order(a) == M]
-    for nu, wq in zip(nodes, weights):
-        Fm = ConservedMoments(D=FL.D, M=M, F=FL.F + nu * dF)
-        st = from_conserved(Fm)
-        residuals -= wq * _top_correction(st, dF)
+    residuals -= path_integral(W[:1], W[1:], D, M, 0.5 * (nodes + 1.0), 0.5 * weights)[0]
 
-    cons = [k for k, a in enumerate(s.indices) if order(a) < M]
-    sL = from_conserved(FL)
-    sR = from_conserved(FR)
-    roots = he_roots(M + 1)
-    lax = []
-    for c in roots:
-        lax.append(bool(wave_speed(sL, c) > S > wave_speed(sR, c)))
+    top = _packing(D, M).span[M][0]  # first rank of order M
+    sL, sR = (MomentState.from_w(D, M, w) for w in W)
+    lax = tuple(bool(wave_speed(sL, c) > S > wave_speed(sR, c)) for c in he_roots(M + 1))
     prod = float((sL.rho - sR.rho) * (sL.p[0, 0] - sR.p[0, 0]))
     return ShockReport(
         speed=float(S),
         residuals=residuals,
-        conservative_max=float(np.max(np.abs(residuals[cons]))),
-        top_max=float(np.max(np.abs(residuals[top]))),
-        lax_per_root=tuple(lax),
+        conservative_max=float(np.max(np.abs(residuals[:top]))),
+        top_max=float(np.max(np.abs(residuals[top:]))),
+        lax_per_root=lax,
         entropy=any(lax),
         density_pressure_product=prod,
         mass_flux_speed=shock_speed_from_mass(FL, FR),

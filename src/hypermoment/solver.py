@@ -5,9 +5,10 @@ reference solution.
 Transport treats rows by conservation type. Moments of order below M carry
 exact linear fluxes and are updated in flux-difference form, so their cell
 totals telescope to round-off. Order-M rows are updated in fluctuation form:
-closure flux difference plus the regularization correction evaluated at the
-interface mean state, with Rusanov dissipation on the conserved jump. The
-relaxation source is sub-stepped explicitly after transport.
+closure flux difference plus the path integral of the regularization
+correction (assembly.path_integral, one midpoint node in packed w), with
+Rusanov dissipation on the conserved jump. The relaxation source is
+sub-stepped explicitly after transport.
 """
 
 from __future__ import annotations
@@ -19,18 +20,19 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .assembly import assemble, regularization_correction_batch, regularize, source_batch
+from .assembly import assemble, path_integral, regularize, source_batch
 from .hermite import AnisotropicBasis, ghe_table, he_roots, weight
-from .index import IndexSet, order
+from .index import IndexSet
 from .state import (
     AdmissibilityError,
     CollisionModel,
     MomentState,
     _check_cells,
+    _moments_and_flux,
+    _packing,
     _unpack,
     from_conserved_batch,
     heat_flux_batch,
-    to_conserved_batch,
 )
 
 
@@ -111,46 +113,14 @@ def max_signal_speed(state: MomentState) -> float:
     return float(_signal_speeds(state.w[None], state.D, state.M)[0])
 
 
-def _mean_w(wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
-    """Packed variables at which interface matrices are evaluated: the
-    arithmetic mean. Single knob for trying other averages."""
-    return 0.5 * (wl + wr)
+# one-point rule of the interface path integral: the midpoint in packed w
+_MIDPOINT = ([0.5], [1.0])
 
 
 def interface_state(left: MomentState, right: MomentState) -> MomentState:
-    """State at which interface matrices are evaluated: arithmetic mean of
-    the packed variables."""
-    return MomentState.from_w(left.D, left.M, _mean_w(left.w, right.w))
-
-
-@lru_cache(maxsize=None)
-def _layout(D: int, M: int):
-    """Rank bookkeeping between the order-M set and the lifted order-(M+1)
-    set: positions of the original indices, of their first-axis raises, the
-    flux multipliers alpha_1+1, and the top-order row mask."""
-    s = IndexSet(D, M)
-    su = IndexSet(D, M + 1)
-    same = np.array([su.rank0(a) for a in s.indices])
-    up = np.array(
-        [su.rank0(tuple(x + (1 if i == 0 else 0) for i, x in enumerate(a))) for a in s.indices]
-    )
-    mult = np.array([a[0] + 1 for a in s.indices], dtype=float)
-    top = np.array([order(a) == M for a in s.indices])
-    return same, up, mult, top
-
-
-def _moments_and_flux(W: np.ndarray, D: int, M: int):
-    """Conserved rows F and closure fluxes G of the packed rows W.
-
-    Both read off the moments of the states lifted one order with their
-    coefficients unchanged (the closure zeroes the new order), so row alpha
-    of G is (alpha_1+1) F_{alpha+e_1}.
-    """
-    same, up, mult, _ = _layout(D, M)
-    lifted = np.zeros((W.shape[0], IndexSet(D, M + 1).N))
-    lifted[:, same] = W
-    Fl = to_conserved_batch(lifted, D, M + 1)
-    return Fl[:, same], mult * Fl[:, up]
+    """State at which interface matrices are evaluated: the node of the
+    one-point interface rule, the arithmetic mean of the packed variables."""
+    return MomentState.from_w(left.D, left.M, 0.5 * (left.w + right.w))
 
 
 def grad_flux(state: MomentState) -> np.ndarray:
@@ -229,8 +199,6 @@ def step(cells, dt: float, config: SimulationConfig):
         raise CFLViolation(f"dt={dt} exceeds the stable bound {bound}")
     _spectral_bound_check(MomentState.from_w(D, M, W[fastest]))
 
-    _, _, _, top = _layout(D, M)
-    cons = ~top
     F, G = _moments_and_flux(W, D, M)
 
     # ghost cells by boundary kind; padded index g is cell g-1
@@ -242,21 +210,20 @@ def step(cells, dt: float, config: SimulationConfig):
     dF = Fp[1:] - Fp[:-1]
     dG = Gp[1:] - Gp[:-1]
 
-    # nonconservative top-row term at each interface, from the correction
-    # matrix at the mean state applied to the jump of the packed variables
+    # nonconservative top-row term at each interface
     total = dG
     if M >= 3:
-        corr = regularization_correction_batch(_mean_w(Wp[:-1], Wp[1:]), D, M, 1)
-        total = dG + np.einsum("kab,kb->ka", corr, Wp[1:] - Wp[:-1])
+        total = dG + path_integral(Wp[:-1], Wp[1:], D, M, *_MIDPOINT)
 
     H = 0.5 * (Gp[:-1] + Gp[1:] - a_if[:, None] * dF)
     diss = a_if[:, None] * dF
     fluct_minus = 0.5 * (total - diss)  # enters the cell left of the interface
     fluct_plus = 0.5 * (total + diss)  # enters the cell right of the interface
 
+    top = _packing(D, M).span[M][0]  # first rank of order M
     Fn = F.copy()
-    Fn[:, cons] -= dt / dx * (H[1:][:, cons] - H[:-1][:, cons])
-    Fn[:, top] -= dt / dx * (fluct_plus[:-1][:, top] + fluct_minus[1:][:, top])
+    Fn[:, :top] -= dt / dx * (H[1:][:, :top] - H[:-1][:, :top])
+    Fn[:, top:] -= dt / dx * (fluct_plus[:-1][:, top:] + fluct_minus[1:][:, top:])
 
     try:
         W = from_conserved_batch(Fn, D, M)
@@ -279,19 +246,9 @@ def step(cells, dt: float, config: SimulationConfig):
 # -- driving and output --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """Snapshot series of the primary observables on the grid."""
-
-    config: SimulationConfig
-    times: np.ndarray
-    x: np.ndarray
-    rho: np.ndarray
-    u1: np.ndarray
-    p11: np.ndarray
-    theta: np.ndarray
-    q1: np.ndarray
-    final_states: tuple
+class _Snapshots:
+    """Snapshot series on the grid: times (n_t,), x (nx,), and rho, u1, p11,
+    theta, q1 (n_t, nx)."""
 
     def rows(self):
         """CSV rows (t, x, rho, u1, p11, theta, q1)."""
@@ -306,6 +263,21 @@ class SimulationResult:
                     float(self.theta[j, i]),
                     float(self.q1[j, i]),
                 )
+
+
+@dataclass(frozen=True)
+class SimulationResult(_Snapshots):
+    """Snapshot series of the primary observables on the grid."""
+
+    config: SimulationConfig
+    times: np.ndarray
+    x: np.ndarray
+    rho: np.ndarray
+    u1: np.ndarray
+    p11: np.ndarray
+    theta: np.ndarray
+    q1: np.ndarray
+    final_states: tuple
 
 
 def _snapshot(W: np.ndarray, D: int, M: int):
@@ -365,13 +337,18 @@ class KineticOracle:
 
     def moments(self):
         """(rho, u, p, q) of every cell by midpoint quadrature."""
-        dv = self.dv
-        rho = self.f.sum(axis=1) * dv
-        u = (self.f @ self.v) * dv / rho
-        c = self.v[None, :] - u[:, None]
-        p = (self.f * c**2).sum(axis=1) * dv
-        q = 0.5 * (self.f * c**3).sum(axis=1) * dv
-        return rho, u, p, q
+        return _kinetic_moments(self.f, self.v, self.dv)
+
+
+def _kinetic_moments(f: np.ndarray, v: np.ndarray, dv: float):
+    """(rho, u, p, q) of every row of the cell-by-velocity array f by
+    midpoint quadrature."""
+    rho = f.sum(axis=1) * dv
+    u = (f @ v) * dv / rho
+    c = v[None, :] - u[:, None]
+    p = (f * c**2).sum(axis=1) * dv
+    q = 0.5 * (f * c**3).sum(axis=1) * dv
+    return rho, u, p, q
 
 
 def _expansion_values(state: MomentState, v: np.ndarray) -> np.ndarray:
@@ -416,7 +393,7 @@ def build_oracle(
 
 
 @dataclass(frozen=True)
-class KineticResult:
+class KineticResult(_Snapshots):
     """Moment snapshot series of the kinetic reference run."""
 
     times: np.ndarray
@@ -429,20 +406,6 @@ class KineticResult:
     @property
     def theta(self) -> np.ndarray:
         return self.p11 / self.rho
-
-    def rows(self):
-        """CSV rows (t, x, rho, u1, p11, theta, q1)."""
-        for j, t in enumerate(self.times):
-            for i, xi in enumerate(self.x):
-                yield (
-                    float(t),
-                    float(xi),
-                    float(self.rho[j, i]),
-                    float(self.u1[j, i]),
-                    float(self.p11[j, i]),
-                    float(self.theta[j, i]),
-                    float(self.q1[j, i]),
-                )
 
 
 def _maxwellian(rho, u, theta, v):
@@ -477,16 +440,8 @@ def kinetic_reference(
     vm = np.minimum(v, 0.0)
     lg, rg = (nx - 1, 0) if grid.boundary == "periodic" else (0, nx - 1)
 
-    def snapshot(fa):
-        rho = fa.sum(axis=1) * dv
-        u = (fa @ v) * dv / rho
-        c = v[None, :] - u[:, None]
-        p = (fa * c**2).sum(axis=1) * dv
-        q = 0.5 * (fa * c**3).sum(axis=1) * dv
-        return rho, u, p, q
-
     times = np.linspace(0.0, config.t_end, config.n_snapshots)
-    snaps = [snapshot(f)]
+    snaps = [_kinetic_moments(f, v, dv)]
     clip_peak = 0.0
     dt_max = config.cfl * dx / float(np.max(np.abs(v)))
     t = 0.0
@@ -497,13 +452,13 @@ def kinetic_reference(
             flux = vp * fp[:-1] + vm * fp[1:]
             f = f - dt / dx * (flux[1:] - flux[:-1])
             if nu > 0.0:
-                rho, u, p, _ = snapshot(f)
+                rho, u, p, _ = _kinetic_moments(f, v, dv)
                 g = _maxwellian(rho, u, p / rho, v)
                 f = g + (f - g) * math.exp(-nu * dt)
             t += dt
             edge = np.abs(f[:, 0]).sum() + np.abs(f[:, -1]).sum()
             clip_peak = max(clip_peak, float(edge / np.abs(f).sum()))
-        snaps.append(snapshot(f))
+        snaps.append(_kinetic_moments(f, v, dv))
     if clip_peak > 1e-6:
         warnings.warn(
             f"velocity domain clipping: boundary mass fraction {clip_peak:.3e}",

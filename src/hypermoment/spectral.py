@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import assemble, directional, regularize
-from .hermite import he_roots
+from .hermite import _recurrence, he_roots
 from .index import IndexSet, block_permutation, order
 from .state import MomentState
 
@@ -74,20 +74,6 @@ class HyperbolicityVerdict:
 # -- characteristic polynomial of the unregularized leading block -------------
 
 
-def _monic_coeffs(n: int, theta: float) -> np.ndarray:
-    """Ascending coefficients of the monic rescaled Hermite polynomial."""
-    prev = np.array([1.0])
-    if n == 0:
-        return prev
-    cur = np.array([0.0, 1.0])
-    for k in range(1, n):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = cur
-        nxt[: k] -= k * theta * prev
-        prev, cur = cur, nxt
-    return cur
-
-
 def charpoly_1d_unregularized(state: MomentState) -> np.ndarray:
     """Ascending coefficients in lambda of the characteristic polynomial of
     the leading permuted block of the unregularized matrix.
@@ -98,7 +84,8 @@ def charpoly_1d_unregularized(state: MomentState) -> np.ndarray:
     """
     M = state.M
     th = float(state.theta_tensor[0, 0])
-    c = _monic_coeffs(M + 1, th)
+    # monic rescaled Hermite polynomial of degree M+1, as coefficients
+    c = _recurrence(M + 1, np.polynomial.Polynomial([0.0, 1.0]), th, 1.0)[1].coef
     fM = state.f_value((M,) + (0,) * (state.D - 1))
     fM1 = state.f_value((M - 1,) + (0,) * (state.D - 1))
     fact = float(math.factorial(M + 1))
@@ -213,10 +200,14 @@ def _hessenberg_forward(B: np.ndarray, lam: float, v: np.ndarray, head: float) -
     return r, float(res)
 
 
-def _permuted_regularized(state: MomentState) -> tuple:
+def _permuted(state: MomentState, regularized: bool = True) -> tuple:
+    """Block permutation of the first axis and the first-axis matrix in
+    permuted coordinates."""
     perm = block_permutation(state.index_set)
-    Atil = regularize(assemble(state, 1), state).entries
-    return perm, perm.conjugate(Atil)
+    mat = assemble(state, 1)
+    if regularized:
+        mat = regularize(mat, state)
+    return perm, perm.conjugate(mat.entries)
 
 
 def block_eigenvector(n_hat: int, lam: float, state: MomentState, regularized: bool = True) -> np.ndarray:
@@ -229,11 +220,10 @@ def block_eigenvector(n_hat: int, lam: float, state: MomentState, regularized: b
     """
     if not 0 <= n_hat <= state.M:
         raise ValueError(f"block order must be in 0..{state.M}, got {n_hat}")
-    perm = block_permutation(state.index_set)
-    mat = assemble(state, 1)
-    if regularized:
-        mat = regularize(mat, state)
-    B = perm.conjugate(mat.entries)
+    return _block_eigenvector(*_permuted(state, regularized), n_hat, lam)
+
+
+def _block_eigenvector(perm, B: np.ndarray, n_hat: int, lam: float) -> np.ndarray:
     for h, start, size in perm.blocks:
         if order(h) == n_hat:
             blk = B[start : start + size, start : start + size]
@@ -294,8 +284,11 @@ def prolong(block_vector, hat_alpha, lam: float, state: MomentState) -> np.ndarr
     """Extend a diagonal-block eigenvector with trailing sub-index hat_alpha
     to a full eigenvector of the regularized first-axis matrix, in the
     original packing order."""
+    return _prolong(*_permuted(state), block_vector, hat_alpha, lam)
+
+
+def _prolong(perm, B: np.ndarray, block_vector, hat_alpha, lam: float) -> np.ndarray:
     hat_alpha = tuple(hat_alpha)
-    perm, B = _permuted_regularized(state)
     target = None
     for k, (h, _, _) in enumerate(perm.blocks):
         if h == hat_alpha:
@@ -314,7 +307,7 @@ def full_eigendecomposition(state: MomentState) -> Spectrum:
     """Complete closed-form eigendecomposition of the regularized first-axis
     matrix. Falls back to a numerical eigensolve (with a warning) if the
     closed-form construction fails its residual or rank checks."""
-    perm, B = _permuted_regularized(state)
+    perm, B = _permuted(state)
     N = B.shape[0]
     sq = float(np.sqrt(state.theta_tensor[0, 0]))
     Atil = perm.unconjugate(B)

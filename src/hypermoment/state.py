@@ -24,7 +24,7 @@ from .index import (
     factorial,
     is_void,
     order,
-    sub,
+    raising_tables,
     unit,
 )
 
@@ -342,32 +342,6 @@ def heat_flux(state: MomentState) -> np.ndarray:
 # which rank N stands for a void or out-of-set index and reads a zero row.
 
 
-@lru_cache(maxsize=None)
-def _raising_tables(D: int, M: int):
-    """Gather tables of the raising recurrence behind moment_table.
-
-    up[j] holds the rank of alpha + e_j per row alpha. Per order k >= 1,
-    with columns beta of that order: the rank range, the first nonzero axis
-    d of each beta, the rank of beta - e_d, and per (row, column) the rank
-    of alpha - e_d with the multiplier alpha_d.
-    """
-    s = IndexSet(D, M)
-    idx = s.indices
-    rank = {a: k for k, a in enumerate(idx)}
-    N = s.N
-    e = [unit(D, j + 1) for j in range(D)]
-    up = np.array([[rank.get(add(a, e[j]), N) for a in idx] for j in range(D)])
-    steps = []
-    for lo, hi in _packing(D, M).span[1:]:
-        cols = idx[lo:hi]
-        axis = [next(j for j, t in enumerate(b) if t > 0) for b in cols]
-        base = [rank[sub(b, e[d])] for b, d in zip(cols, axis)]
-        down = [[rank[sub(a, e[d])] if a[d] > 0 else N for d in axis] for a in idx]
-        mult = [[float(a[d]) for d in axis] for a in idx]
-        steps.append((lo, hi, np.array(axis), np.array(base), np.array(down), np.array(mult)))
-    return up, tuple(steps)
-
-
 def moment_table(Theta: np.ndarray, set_: IndexSet) -> np.ndarray:
     """Table of raw moments of the weighted basis functions.
 
@@ -382,14 +356,14 @@ def moment_table(Theta: np.ndarray, set_: IndexSet) -> np.ndarray:
     D, N = set_.D, set_.N
     batch = Theta.shape[:-2]
     T = Theta.reshape(-1, D, D)
-    up, steps = _raising_tables(D, set_.M)
+    up, steps = raising_tables(D, set_.M)
     m = np.zeros((T.shape[0], N + 1, N))
     m[:, 0, 0] = 1.0
-    for lo, hi, axis, base, down, mult in steps:
-        acc = T[:, axis, 0][:, None, :] * m[:, up[0][:, None], base]
+    for step in steps:
+        acc = T[:, step.axis, 0][:, None, :] * m[:, up[0][:, None], step.base]
         for j in range(1, D):
-            acc = acc + T[:, axis, j][:, None, :] * m[:, up[j][:, None], base]
-        m[:, :N, lo:hi] = acc + mult * m[:, down, base]
+            acc = acc + T[:, step.axis, j][:, None, :] * m[:, up[j][:, None], step.base]
+        m[:, :N, step.lo : step.hi] = acc + step.row_mult * m[:, step.row_down, step.base]
     return m[:, :N].reshape(batch + (N, N))
 
 
@@ -483,6 +457,34 @@ def to_conserved_batch(W: np.ndarray, D: int, M: int) -> np.ndarray:
     return np.einsum("na,nab->nb", fvec, c) / _packing(D, M).fact
 
 
+@lru_cache(maxsize=None)
+def _lift_ranks(D: int, M: int):
+    """Ranks in the order-(M+1) set of each index alpha of the order-M set
+    and of alpha + e_1, and the flux multipliers alpha_1 + 1."""
+    lifted = IndexSet(D, M + 1)
+    e1 = unit(D, 1)
+    idx = IndexSet(D, M).indices
+    return (
+        np.array([lifted.rank0(a) for a in idx]),
+        np.array([lifted.rank0(add(a, e1)) for a in idx]),
+        np.array([a[0] + 1 for a in idx], dtype=float),
+    )
+
+
+def _moments_and_flux(W: np.ndarray, D: int, M: int):
+    """Conserved rows F and first-axis closure fluxes G of the packed rows W.
+
+    Both read off the moments of the states lifted one order with their
+    coefficients unchanged (the closure zeroes the new order), so row alpha
+    of G is (alpha_1+1) F_{alpha+e_1}.
+    """
+    same, up, mult = _lift_ranks(D, M)
+    lifted = np.zeros((W.shape[0], IndexSet(D, M + 1).N))
+    lifted[:, same] = W
+    Fl = to_conserved_batch(lifted, D, M + 1)
+    return Fl[:, same], mult * Fl[:, up]
+
+
 def to_conserved(state: MomentState) -> ConservedMoments:
     """Raw moments of the expansion, via the shifted moment table."""
     F = to_conserved_batch(state.w[None], state.D, state.M)[0]
@@ -562,27 +564,6 @@ class CollisionModel:
         return 1.0 - 1.0 / self.Pr
 
 
-@lru_cache(maxsize=None)
-def _gaussian_tables(D: int, M: int):
-    """Per order k >= 1: rank range, first nonzero axis d of each beta, and
-    per axis j the multiplier (beta - e_d)_j with the rank of beta - e_d - e_j."""
-    s = IndexSet(D, M)
-    idx = s.indices
-    rank = {a: k for k, a in enumerate(idx)}
-    e = [unit(D, j + 1) for j in range(D)]
-    steps = []
-    for lo, hi in _packing(D, M).span[1:]:
-        axis, mult, down = [], [], []
-        for beta in idx[lo:hi]:
-            d = next(j for j, t in enumerate(beta) if t > 0)
-            base = sub(beta, e[d])
-            axis.append(d)
-            mult.append([float(base[j]) for j in range(D)])
-            down.append([rank[sub(base, e[j])] if base[j] > 0 else s.N for j in range(D)])
-        steps.append((lo, hi, np.array(axis), np.array(mult), np.array(down)))
-    return tuple(steps)
-
-
 def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet) -> np.ndarray:
     """Centered Gaussian moments mu_beta for covariance Lambda, all |beta| <= M.
 
@@ -596,11 +577,11 @@ def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet) -> np.ndarray:
     L = Lambda.reshape(-1, D, D)
     mu = np.zeros((L.shape[0], N + 1))
     mu[:, 0] = 1.0
-    for lo, hi, axis, mult, down in _gaussian_tables(D, set_.M):
-        acc = L[:, axis, 0] * mult[:, 0] * mu[:, down[:, 0]]
+    for step in raising_tables(D, set_.M)[1]:
+        acc = L[:, step.axis, 0] * step.mult[:, 0] * mu[:, step.down[:, 0]]
         for j in range(1, D):
-            acc = acc + L[:, axis, j] * mult[:, j] * mu[:, down[:, j]]
-        mu[:, lo:hi] = acc
+            acc = acc + L[:, step.axis, j] * step.mult[:, j] * mu[:, step.down[:, j]]
+        mu[:, step.lo : step.hi] = acc
     return mu[:, :N].reshape(batch + (N,))
 
 

@@ -406,3 +406,26 @@ class TestInputContract:
         assert run(["simulate", "--config", str(cf)]) == 1
         err = capsys.readouterr().err
         assert "density must be finite" in err
+
+
+class TestNumericalFailureExit:
+    def test_speed_bound_guard_exits_2(self, tmp_path, monkeypatch, capsys):
+        import hypermoment.solver as solver
+
+        def guard(state):
+            raise RuntimeError("speed bound 1.0 underestimates the numerical spectrum 2.0")
+
+        monkeypatch.setattr(solver, "_spectral_bound_check", guard)
+        cfg = GOLDEN / "simulate_d1m6_tube.json"
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: speed bound 1.0 underestimates the numerical spectrum 2.0\n"
+
+    def test_lapack_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        def eigvals(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--state", str(STATE), "--unregularized", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
