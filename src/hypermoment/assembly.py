@@ -14,13 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .index import (
-    IndexSet,
-    block_permutation,
-    factorial,
-    order,
-    unit,
-)
+from .index import _rank_table, block_permutation, factorial, order
 from .state import (
     CollisionModel,
     MomentState,
@@ -50,142 +44,136 @@ class CoefficientMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def _shift(alpha, *steps):
-    """Net multi-index offset; None when a component goes negative."""
-    out = list(alpha)
-    for sign, ax in steps:
-        out[ax] += sign
-    if min(out) < 0:
-        return None
-    return tuple(out)
+@dataclass(frozen=True)
+class _RowTables:
+    """The row rules of A^(d) for one (D, M, d), compiled once.
+
+    Per row alpha of order >= 3 (the ranks _Packing.free, in rank order):
+    mult, alpha_d + 1; up, the rank of alpha + e_d; down1[k], of alpha - e_k
+    when of order >= 3; down2[i, j] and down3[i, j, k], of alpha - e_i - e_j
+    and alpha - e_i - e_j - e_k; raised1[i] and raised2[i, j], of
+    alpha + e_d - e_i and alpha + e_d - e_i - e_j. Per pressure slot i <= j:
+    tri, the rank of e_i + e_j + e_d, and tri_fact, its factorial.
+    pair_scale[i] is 1 + delta_id; the order-M rows start at top. Rank N
+    stands for a void or out-of-set index: it reads a zero from free_values
+    and writes to a sink column that is dropped.
+    """
+
+    mult: np.ndarray
+    up: np.ndarray
+    down1: np.ndarray
+    down2: np.ndarray
+    down3: np.ndarray
+    raised1: np.ndarray
+    raised2: np.ndarray
+    tri: np.ndarray
+    tri_fact: np.ndarray
+    pair_scale: np.ndarray
+    top: int
+
+
+@lru_cache(maxsize=None)
+def _row_tables(D: int, M: int, d: int) -> _RowTables:
+    t = _packing(D, M)
+    N = t.N
+    rank = _rank_table(D, M)
+    free = np.array(t.free_alphas, dtype=int).reshape(-1, D)
+    orders = free.sum(axis=1)
+    E = np.eye(D, dtype=int)
+    ed = E[d - 1]
+
+    def ranks(alphas):
+        flat = alphas.reshape(-1, D).tolist()
+        return np.array([rank.get(tuple(a), N) for a in flat], dtype=int).reshape(alphas.shape[:-1])
+
+    ones = free[:, None] - E
+    pairs = free[:, None, None] - E[:, None] - E[None, :]
+    tri = E[t.upper[0]] + E[t.upper[1]] + ed
+    return _RowTables(
+        mult=free @ ed + 1.0,
+        up=ranks(free + ed),
+        down1=np.where(orders[:, None] > 3, ranks(ones), N),
+        down2=ranks(pairs),
+        down3=ranks(pairs[:, :, :, None] - E),
+        raised1=ranks(ones + ed),
+        raised2=ranks(pairs + ed),
+        tri=ranks(tri),
+        tri_fact=np.array([factorial(a) for a in tri.tolist()], dtype=float),
+        pair_scale=1.0 + ed,
+        top=int(np.searchsorted(orders, M)),
+    )
+
+
+def assemble_batch(W: np.ndarray, D: int, M: int, d: int) -> np.ndarray:
+    """Unregularized matrices A^(d) (n, N, N) of the packed rows W (n, N),
+    for 1 <= d <= D."""
+    if not 1 <= d <= D:
+        raise ValueError(f"direction must be in 1..{D}, got {d}")
+    t = _packing(D, M)
+    g = _row_tables(D, M, d)
+    dx = d - 1
+    iu, ju = t.upper
+    rho, _, p = _unpack(W, D, M)
+    th = p / rho[:, None, None]
+    fx = free_values(W, D, M)
+    R = rho[:, None, None]
+    rows = t.free[:, None]
+    A = np.zeros((W.shape[0], t.N, t.N + 1))
+
+    # density row: rho d(u_d)
+    A[:, 0, t.vel[dx]] = rho
+
+    # velocity rows: (1/rho) d(p_id), with the slot storing p_id/(1+delta_id)
+    A[:, t.vel, t.pair[:, dx]] = g.pair_scale / R[:, 0]
+
+    # pressure rows, one per unordered pair, written for the slot p_ij/(1+d_ij)
+    slots = t.upper_slots
+    A[:, slots, t.vel[dx]] += p[:, iu, ju] / t.norm
+    A[:, slots, t.vel[ju]] += p[:, iu, dx] / t.norm
+    A[:, slots, t.vel[iu]] += p[:, ju, dx] / t.norm
+    A[:, slots, g.tri] += g.tri_fact / t.norm
+
+    # free coefficient rows: transport couplings that stay among free
+    # coefficients
+    A[:, rows, g.down1] += th[:, None, dx, :]
+    A[:, t.free, g.up] += g.mult
+
+    # scale-gradient couplings, ordered pairs for the density column
+    c = sum(th[:, k, dx, None, None, None] * fx[:, g.down3[..., k]] for k in range(D))
+    c = c + g.mult[:, None, None] * fx[:, g.raised2]
+    A[:, rows, slots] += c[:, :, iu, ju] / R
+    acc = sum(th[:, i, j, None] * c[:, :, i, j] for i in range(D) for j in range(D))
+    A[:, t.free, 0] += -acc / (2 * R[:, 0])
+
+    # velocity-gradient couplings
+    A[:, rows, t.vel] += g.mult[:, None] * fx[:, g.raised1]
+
+    # scale-slot couplings from the basis advection
+    A[:, rows, t.pair[:, dx]] += -fx[:, g.down1] * g.pair_scale / R
+
+    # heat-flux slot couplings
+    A[:, rows, g.tri] += -g.tri_fact * fx[:, g.down2[:, iu, ju]] / (t.norm * R)
+    return np.ascontiguousarray(A[:, :, : t.N])
 
 
 def assemble(state: MomentState, d: int) -> CoefficientMatrix:
     """Unregularized matrix A^(d) for 1 <= d <= D."""
-    D, M = state.D, state.M
-    if not 1 <= d <= D:
-        raise ValueError(f"direction must be in 1..{D}, got {d}")
-    s = state.index_set
-    r = s.rank0
-    rho = state.rho
-    th = state.theta_tensor
-    f = state.f_value
-    dx = d - 1
-
-    A = np.zeros((s.N, s.N))
-    e = [unit(D, i + 1) for i in range(D)]
-
-    # density row: rho d(u_d)
-    A[0, r(e[dx])] += rho
-
-    # velocity rows: (1/rho) d(p_id), with the slot storing p_id/(1+delta_id)
-    for i in range(D):
-        pair = _shift(e[i], (+1, dx))
-        A[r(e[i]), r(pair)] += (1 + (i == dx)) / rho
-
-    # pressure rows, one per unordered pair, written for the slot p_ij/(1+d_ij)
-    for i in range(D):
-        for j in range(i, D):
-            row = r(_shift(e[i], (+1, j)))
-            norm = 1 + (i == j)
-            A[row, r(e[dx])] += state.p[i, j] / norm
-            A[row, r(e[j])] += state.p[i, dx] / norm
-            A[row, r(e[i])] += state.p[j, dx] / norm
-            if M >= 3:
-                tri = _shift(e[i], (+1, j), (+1, dx))
-                A[row, r(tri)] += factorial(tri) / norm
-
-    # free coefficient rows
-    for alpha in s.indices:
-        if order(alpha) < 3:
-            continue
-        row = r(alpha)
-        a_d1 = alpha[dx] + 1
-
-        # transport couplings that stay among free coefficients
-        for k in range(D):
-            down = _shift(alpha, (-1, k))
-            if down is not None and order(down) >= 3:
-                A[row, r(down)] += th[dx, k]
-        if order(alpha) < M:
-            A[row, r(_shift(alpha, (+1, dx)))] += a_d1
-
-        # scale-gradient couplings, ordered pairs for the density column
-        acc = 0.0
-        for i in range(D):
-            for j in range(D):
-                c = 0.0
-                for k in range(D):
-                    idx = _shift(alpha, (-1, i), (-1, j), (-1, k))
-                    if idx is not None:
-                        c += th[k, dx] * f(idx)
-                idx = _shift(alpha, (-1, i), (-1, j), (+1, dx))
-                if idx is not None:
-                    c += a_d1 * f(idx)
-                acc += th[i, j] * c
-                if i <= j:
-                    A[row, r(_shift(e[i], (+1, j)))] += c / rho
-        A[row, 0] += -acc / (2 * rho)
-
-        # velocity-gradient couplings
-        for i in range(D):
-            idx = _shift(alpha, (+1, dx), (-1, i))
-            if idx is not None:
-                A[row, r(e[i])] += a_d1 * f(idx)
-
-        # scale-slot couplings from the basis advection
-        for i in range(D):
-            down = _shift(alpha, (-1, i))
-            if down is not None:
-                A[row, r(_shift(e[i], (+1, dx)))] += -f(down) * (1 + (i == dx)) / rho
-
-        # heat-flux slot couplings
-        for i in range(D):
-            for j in range(i, D):
-                down = _shift(alpha, (-1, i), (-1, j))
-                if down is None:
-                    continue
-                val = f(down)
-                if val != 0.0:
-                    tri = _shift(e[i], (+1, j), (+1, dx))
-                    A[row, r(tri)] += -factorial(tri) * val / ((1 + (i == j)) * rho)
-
+    A = assemble_batch(state.w[None], state.D, state.M, d)[0]
     return CoefficientMatrix(entries=A, direction=d, regularized=False, state=state)
-
-
-@lru_cache(maxsize=None)
-def _correction_tables(D: int, M: int, d: int):
-    """Gather tables of the order-M row walk of regularization_correction.
-
-    Per top row alpha: its rank, the multiplier alpha_d + 1, and the ranks
-    of alpha + e_d - e_i - e_j over all (i, j), of alpha + e_d - e_i over i,
-    and of alpha + e_d - e_i - e_j over the pressure slots i <= j (rank N
-    for a void index).
-    """
-    s = IndexSet(D, M)
-    N = s.N
-    dx = d - 1
-    top = [a for a in s.indices if order(a) == M]
-
-    def rank(alpha, *steps):
-        idx = _shift(alpha, (+1, dx), *steps)
-        return N if idx is None else s.rank0(idx)
-
-    upper = list(zip(*np.triu_indices(D)))
-    return (
-        np.array([s.rank0(a) for a in top]),
-        np.array([a[dx] + 1.0 for a in top]),
-        np.array([[[rank(a, (-1, i), (-1, j)) for j in range(D)] for i in range(D)] for a in top]),
-        np.array([[rank(a, (-1, i)) for i in range(D)] for a in top]),
-        np.array([[rank(a, (-1, i), (-1, j)) for i, j in upper] for a in top]),
-    )
 
 
 def regularization_correction_batch(W: np.ndarray, D: int, M: int, d: int) -> np.ndarray:
     """Correction matrices (n, N, N) of the packed rows W (n, N): nonzero
-    only in the order-M rows, at the density, velocity and pressure columns."""
+    only in the order-M rows, at the density, velocity and pressure columns.
+
+    Per order-M row alpha it reads the raised columns of A^(d):
+    alpha + e_d - e_i - e_j and alpha + e_d - e_i.
+    """
     t = _packing(D, M)
-    rows, c, dens, vel, pres = _correction_tables(D, M, d)
+    g = _row_tables(D, M, d)
+    rows, c = t.free[g.top :], g.mult[g.top :]
+    dens, vel = g.raised2[g.top :], g.raised1[g.top :]
+    pres = dens[:, t.upper[0], t.upper[1]]
     rho, _, p = _unpack(W, D, M)
     fx = free_values(W, D, M)
     th = p / rho[:, None, None]
@@ -256,27 +244,11 @@ def directional(state: MomentState, n, regularized: bool = True) -> CoefficientM
     return CoefficientMatrix(entries=A, direction=None, regularized=regularized, state=state)
 
 
-@lru_cache(maxsize=None)
-def _source_tables(D: int, M: int):
-    """Ranks of the order >= 3 rows, the pressure slot of every ordered pair
-    (i, j), and per row and pair the rank of alpha - e_i - e_j (N if void)."""
-    s = IndexSet(D, M)
-    e = [unit(D, i + 1) for i in range(D)]
-    free = [a for a in s.indices if order(a) >= 3]
-    pairs = [(i, j) for i in range(D) for j in range(D)]
-    down = [[_shift(a, (-1, i), (-1, j)) for i, j in pairs] for a in free]
-    return (
-        np.array([s.rank0(a) for a in free], dtype=int),
-        np.array([s.rank0(_shift(e[i], (+1, j))) for i, j in pairs]),
-        np.array([[s.N if g is None else s.rank0(g) for g in row] for row in down], dtype=int)
-        .reshape(len(free), len(pairs)),
-    )
-
-
 def source_batch(W: np.ndarray, D: int, M: int, model: CollisionModel) -> np.ndarray:
     """Relaxation right-hand sides (n, N) of the packed rows W (n, N)."""
     t = _packing(D, M)
-    rows, slots, down = _source_tables(D, M)
+    rows, slots = t.free, t.pair.ravel()
+    down = _row_tables(D, M, 1).down2.reshape(len(rows), D * D)
     G = collision_coeffs_batch(W, D, M, model)
     fx = free_values(W, D, M)
     rho = W[:, 0][:, None]

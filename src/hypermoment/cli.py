@@ -33,6 +33,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -584,7 +585,9 @@ def cmd_hermite_check(args) -> int:
 # -- parser / dispatch --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it was."""
     p = argparse.ArgumentParser(
         prog="hypermoment",
         description="Anisotropic-Hermite moment systems: matrices, spectra, waves, solver.",

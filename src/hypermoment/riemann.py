@@ -27,7 +27,7 @@ from .state import (
     MomentState,
     _moments_and_flux,
     _packing,
-    from_conserved,
+    _unpack,
     from_conserved_batch,
 )
 
@@ -208,14 +208,20 @@ def contact_check(wL: MomentState, wR: MomentState, field: CharField) -> Contact
     )
 
 
-def shock_speed_from_mass(FL: ConservedMoments, FR: ConservedMoments) -> Optional[float]:
-    """Jump speed implied by the mass row, undefined for equal densities."""
-    sL = from_conserved(FL)
-    sR = from_conserved(FR)
-    drho = sL.rho - sR.rho
+def _mass_flux_speed(W: np.ndarray, D: int, M: int) -> Optional[float]:
+    """Jump speed implied by the mass row between the packed rows W[0] and
+    W[1], undefined for equal densities."""
+    rho, u, _ = _unpack(W, D, M)
+    drho = rho[0] - rho[1]
     if drho == 0.0:
         return None
-    return float((sL.rho * sL.u[0] - sR.rho * sR.u[0]) / drho)
+    return float((rho[0] * u[0, 0] - rho[1] * u[1, 0]) / drho)
+
+
+def shock_speed_from_mass(FL: ConservedMoments, FR: ConservedMoments) -> Optional[float]:
+    """Jump speed implied by the mass row, undefined for equal densities."""
+    W = from_conserved_batch(np.stack([FL.F, FR.F]), FL.D, FL.M)
+    return _mass_flux_speed(W, FL.D, FL.M)
 
 
 def shock_check(
@@ -249,7 +255,7 @@ def shock_check(
         lax_per_root=lax,
         entropy=any(lax),
         density_pressure_product=prod,
-        mass_flux_speed=shock_speed_from_mass(FL, FR),
+        mass_flux_speed=_mass_flux_speed(W, D, M),
     )
 
 

@@ -109,7 +109,7 @@ class TestFrozenMatrices:
 
 
 class TestOracles:
-    @pytest.mark.parametrize("D,M", [(1, 5), (2, 3), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("D,M", [(1, 5), (2, 3), (2, 4), (3, 3), (2, 6), (3, 4)])
     def test_term_walk_agreement(self, D, M):
         rng = np.random.default_rng(10 * D + M)
         st = random_state(rng, D, M)

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from helpers import random_state
 
 from hypermoment.assembly import (
+    assemble,
+    assemble_batch,
     regularization_correction,
     regularization_correction_batch,
     source,
@@ -107,8 +109,10 @@ def test_batched_kernels_equal_single_state_wrappers(data, D, n):
             np.testing.assert_array_equal(S[i], source(x, model))
     for d in range(1, D + 1):
         A = regularization_correction_batch(W, D, M, d)
+        B = assemble_batch(W, D, M, d)
         for i, x in enumerate(states):
             np.testing.assert_array_equal(A[i], regularization_correction(x, d))
+            np.testing.assert_array_equal(B[i], assemble(x, d).entries)
     if M >= 3:
         q = heat_flux_batch(W, D, M)
         for i, x in enumerate(states):

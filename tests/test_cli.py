@@ -347,6 +347,15 @@ class TestExitCodes:
         assert run(["--help"]) == 0
         assert "assemble" in capsys.readouterr().out
 
+    def test_failed_parse_leaves_parser_intact(self, tmp_path):
+        # run reuses one parser per process; a call that fails to parse must
+        # not change what the next call parses
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert run(["spectrum", "--state", str(STATE), "--out", str(one)]) == 0
+        assert run(["spectrum"]) == 1
+        assert run(["spectrum", "--state", str(STATE), "--out", str(two)]) == 0
+        assert two.read_bytes() == one.read_bytes()
+
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("HYPERMOMENT_THREADS", "zero")
         assert run(["hyperbolicity", "--scan", "f3=0:1:2"]) == 1

@@ -103,6 +103,25 @@ class TestRoots:
             assert np.all(hi[:-1] < lo) and np.all(lo < hi[1:])
 
 
+    @pytest.mark.parametrize("n", [*range(2, 21), 64, 128, 199, 200])
+    def test_match_mpmath_at_50_digits(self, n):
+        # two Newton steps on the three-term recurrence at 50 digits from
+        # each double root: He_n' = n He_{n-1}, so the step is
+        # He_n / (n He_{n-1})
+        mp = pytest.importorskip("mpmath")
+        r = H.he_roots(n)
+        assert np.all(np.diff(r) > 0)
+        with mp.workdps(50):
+            for x0 in r:
+                x = mp.mpf(float(x0))
+                for _ in range(2):
+                    prev, cur = mp.mpf(1), x
+                    for k in range(1, n):
+                        prev, cur = cur, x * cur - k * prev
+                    x -= cur / (n * prev)
+                assert abs(float(x - x0)) <= 1e-14 * max(1.0, abs(x0))
+
+
 class TestAnisotropic:
     def setup_method(self):
         self.rng = np.random.default_rng(7)
