@@ -161,7 +161,7 @@ def ghe_table(basis: AnisotropicBasis, x, max_order: int) -> dict:
     cols = (-1,) + (1,) * (x.ndim - 1)  # per-column factors against the points
     vals = np.zeros((s.N + 1,) + x.shape[:-1])  # rank N reads 0
     vals[0] = 1.0
-    for step in raising_tables(D, s.M)[1]:
+    for step in raising_tables(D, s.M):
         if step.lo >= n:
             break
         val = X[step.axis] * vals[step.base]

@@ -167,14 +167,12 @@ def _rank_table(D: int, M: int) -> dict:
 
 @dataclass(frozen=True)
 class RaisingStep:
-    """One order k >= 1 of the raising recurrence, for the columns beta of
-    that order (ranks lo..hi-1); rank N stands for a void or out-of-set
-    index.
+    """One order k >= 1 of the raising recurrence, for the indices beta of
+    that order (ranks lo..hi-1); rank N stands for a void index.
 
     axis: the first nonzero axis d of each beta; base: the rank of
     beta - e_d; mult, down (cols, D): per axis j, (beta - e_d)_j and the
-    rank of beta - e_d - e_j; row_mult, row_down (N, cols): per rank alpha,
-    alpha_d and the rank of alpha - e_d.
+    rank of beta - e_d - e_j.
     """
 
     lo: int
@@ -183,39 +181,28 @@ class RaisingStep:
     base: np.ndarray
     mult: np.ndarray
     down: np.ndarray
-    row_mult: np.ndarray
-    row_down: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def raising_tables(D: int, M: int):
-    """The raising recurrence of IndexSet(D, M), compiled once: every table
-    built by raising one axis at a time (state.moment_table,
-    state.gaussian_raw_moments, hermite.ghe_table) reads it.
-
-    Returns (up, steps): up[j] holds the rank of alpha + e_j per rank alpha
-    (N when out of the set), steps one RaisingStep per order 1..M.
+def raising_tables(D: int, M: int) -> tuple:
+    """The raising recurrence of IndexSet(D, M), compiled once: one
+    RaisingStep per order 1..M. Every table built by raising one axis at a
+    time reads it: the Gaussian moments (state.gaussian_raw_moments, from
+    which the conversions, the relaxation target and state.moment_table
+    follow) and the basis polynomials (hermite.ghe_table).
     """
     idx = _enumerate(D, M)
     rank = _rank_table(D, M)
     N = len(idx)
-    e = [unit(D, j + 1) for j in range(D)]
     deg = np.array(idx)
-    up = np.array([[rank.get(add(a, e[j]), N) for a in idx] for j in range(D)])
-    low = np.array([[rank[sub(a, e[j])] if a[j] else N for j in range(D)] for a in idx])
+    low = np.array([[rank[sub(a, unit(D, j + 1))] if a[j] else N for j in range(D)] for a in idx])
     bounds = np.searchsorted(deg.sum(axis=1), np.arange(M + 2))
     steps = []
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         axis = np.argmax(deg[lo:hi] > 0, axis=1)
         base = low[np.arange(lo, hi), axis]
-        steps.append(
-            RaisingStep(
-                int(lo), int(hi), axis, base,
-                deg[base].astype(float), low[base],
-                deg[:, axis].astype(float), low[:, axis],
-            )
-        )
-    return up, tuple(steps)
+        steps.append(RaisingStep(int(lo), int(hi), axis, base, deg[base].astype(float), low[base]))
+    return tuple(steps)
 
 
 def hat(alpha: Sequence[int], axis: int = 1) -> tuple:

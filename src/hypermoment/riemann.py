@@ -27,7 +27,6 @@ from .state import (
     MomentState,
     _moments_and_flux,
     _packing,
-    _unpack,
     from_conserved_batch,
 )
 
@@ -208,20 +207,20 @@ def contact_check(wL: MomentState, wR: MomentState, field: CharField) -> Contact
     )
 
 
-def _mass_flux_speed(W: np.ndarray, D: int, M: int) -> Optional[float]:
-    """Jump speed implied by the mass row between the packed rows W[0] and
-    W[1], undefined for equal densities."""
-    rho, u, _ = _unpack(W, D, M)
-    drho = rho[0] - rho[1]
+def _mass_flux_speed(F: np.ndarray, D: int, M: int) -> Optional[float]:
+    """Jump speed implied by the mass row between the raw-moment rows F[0]
+    and F[1]: the jump of rho u_1 = F_{e_1} over the jump of rho = F_0,
+    undefined for equal densities."""
+    e1 = _packing(D, M).vel[0]
+    drho = F[0, 0] - F[1, 0]
     if drho == 0.0:
         return None
-    return float((rho[0] * u[0, 0] - rho[1] * u[1, 0]) / drho)
+    return float((F[0, e1] - F[1, e1]) / drho)
 
 
 def shock_speed_from_mass(FL: ConservedMoments, FR: ConservedMoments) -> Optional[float]:
     """Jump speed implied by the mass row, undefined for equal densities."""
-    W = from_conserved_batch(np.stack([FL.F, FR.F]), FL.D, FL.M)
-    return _mass_flux_speed(W, FL.D, FL.M)
+    return _mass_flux_speed(np.stack([FL.F, FR.F]), FL.D, FL.M)
 
 
 def shock_check(
@@ -235,7 +234,8 @@ def shock_check(
     linear in the packed variables (assembly.path_integral).
     """
     D, M = FL.D, FL.M
-    W = from_conserved_batch(np.stack([FL.F, FR.F]), D, M)
+    F = np.stack([FL.F, FR.F])
+    W = from_conserved_batch(F, D, M)
     _, G = _moments_and_flux(W, D, M)
     dF = FR.F - FL.F
     residuals = S * dF - (G[1] - G[0])
@@ -255,7 +255,7 @@ def shock_check(
         lax_per_root=lax,
         entropy=any(lax),
         density_pressure_product=prod,
-        mass_flux_speed=_mass_flux_speed(W, D, M),
+        mass_flux_speed=_mass_flux_speed(F, D, M),
     )
 
 

@@ -9,6 +9,7 @@ rank of e_i+e_j, and the free expansion coefficients f_alpha for
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .index import (
     is_void,
     order,
     raising_tables,
+    sub,
     unit,
 )
 
@@ -272,10 +274,9 @@ class MomentState:
 
     @cached_property
     def w(self) -> np.ndarray:
-        s = self.index_set
-        fvec = np.zeros((1, s.N))
-        for alpha, val in self.f.items():
-            fvec[0, s.rank0(alpha)] = val
+        t = _packing(self.D, self.M)
+        fvec = np.zeros((1, t.N))
+        fvec[0, t.free] = [self.f.get(alpha, 0.0) for alpha in t.free_alphas]
         w = _pack(self.rho, self.u, self.p[None], fvec, self.D, self.M)[0]
         w.setflags(write=False)
         return w
@@ -337,9 +338,60 @@ def heat_flux(state: MomentState) -> np.ndarray:
 
 # -- conversion machinery ----------------------------------------------------
 #
-# Every kernel below works on a stack of states at once: the index
-# recurrences are compiled once per (D, M) into integer gather tables, in
-# which rank N stands for a void or out-of-set index and reads a zero row.
+# The expansion is built around a local Gaussian, so every moment the
+# conversions and the relaxation target need is a Gaussian moment. Every
+# kernel below works on a stack of states at once from integer gather tables
+# compiled once per (D, M), in which rank N stands for a void or out-of-set
+# index and reads a zero.
+
+
+def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet, u: np.ndarray = None) -> np.ndarray:
+    """Gaussian moments nu_beta = E[(x + u)^beta], x ~ N(0, Lambda), all |beta| <= M.
+
+    One raising recurrence: nu_{beta+e_d} = u_d nu_beta + sum_j Lambda[d,j]
+    beta_j nu_{beta-e_j}. Without u these are the centered moments mu_beta,
+    whose odd orders are exactly zero. Lambda only enters polynomially, so
+    it need not be positive definite. Lambda (..., D, D) and u (..., D) may
+    carry matching leading batch axes; the result is then (..., N).
+    """
+    Lambda = np.asarray(Lambda, dtype=float)
+    D, N = set_.D, set_.N
+    batch = Lambda.shape[:-2]
+    L = Lambda.reshape(-1, D, D)
+    U = None if u is None else np.asarray(u, dtype=float).reshape(-1, D)
+    mu = np.zeros((L.shape[0], N + 1))
+    mu[:, 0] = 1.0
+    for step in raising_tables(D, set_.M):
+        acc = L[:, step.axis, 0] * step.mult[:, 0] * mu[:, step.down[:, 0]]
+        for j in range(1, D):
+            acc = acc + L[:, step.axis, j] * step.mult[:, j] * mu[:, step.down[:, j]]
+        if U is not None:
+            acc = acc + U[:, step.axis] * mu[:, step.base]
+        mu[:, step.lo : step.hi] = acc
+    return mu[:, :N].reshape(batch + (N,))
+
+
+@lru_cache(maxsize=None)
+def _pair_table(D: int, M: int):
+    """The pairs alpha <= beta of IndexSet(D, M), sorted by beta: the ranks
+    of alpha, of beta and of beta - alpha, and the start of the run of each
+    beta (N + 1 entries, the last one the number of pairs)."""
+    s = IndexSet(D, M)
+    pairs = [
+        (s.rank0(alpha), b, s.rank0(sub(beta, alpha)))
+        for b, beta in enumerate(s.indices)
+        for alpha in itertools.product(*(range(k + 1) for k in beta))
+    ]
+    a, b, d = (np.array(col) for col in zip(*pairs))
+    return a, b, d, np.searchsorted(b, np.arange(s.N + 1))
+
+
+def _convolve(f: np.ndarray, g: np.ndarray, D: int, M: int, lo: int, hi: int) -> np.ndarray:
+    """Rows beta of ranks lo..hi-1 of the multi-index convolution
+    sum_{alpha <= beta} f_alpha g_{beta-alpha}, for stacked rows f and g."""
+    a, _, d, start = _pair_table(D, M)
+    s0, s1 = start[lo], start[hi]
+    return np.add.reduceat(f[:, a[s0:s1]] * g[:, d[s0:s1]], start[lo:hi] - s0, axis=1)
 
 
 def moment_table(Theta: np.ndarray, set_: IndexSet) -> np.ndarray:
@@ -347,83 +399,20 @@ def moment_table(Theta: np.ndarray, set_: IndexSet) -> np.ndarray:
 
     Entry [a, b] is the integral of x^beta against the function of index
     alpha (a, b the 0-based ranks), for the centered weight with scale
-    tensor Theta. Fully determined by the raising recurrence seeded from
-    the normalized weight; vanishes for |alpha| > |beta| and between
-    different orders of equal parity violation. Theta may carry leading
-    batch axes (..., D, D); the result is then (..., N, N).
+    tensor Theta: beta!/(beta-alpha)! mu_{beta-alpha}(Theta) for
+    alpha <= beta and 0 otherwise, gathered from gaussian_raw_moments. The
+    conversions do not build it; they convolve with the Gaussian moments
+    directly. Theta may carry leading batch axes (..., D, D); the result is
+    then (..., N, N).
     """
     Theta = np.asarray(Theta, dtype=float)
-    D, N = set_.D, set_.N
-    batch = Theta.shape[:-2]
-    T = Theta.reshape(-1, D, D)
-    up, steps = raising_tables(D, set_.M)
-    m = np.zeros((T.shape[0], N + 1, N))
-    m[:, 0, 0] = 1.0
-    for step in steps:
-        acc = T[:, step.axis, 0][:, None, :] * m[:, up[0][:, None], step.base]
-        for j in range(1, D):
-            acc = acc + T[:, step.axis, j][:, None, :] * m[:, up[j][:, None], step.base]
-        m[:, :N, step.lo : step.hi] = acc + step.row_mult * m[:, step.row_down, step.base]
-    return m[:, :N].reshape(batch + (N, N))
-
-
-@lru_cache(maxsize=None)
-def _binomial_tables(D: int, M: int):
-    """Pairs gamma <= beta as (gamma ranks, beta ranks), with the per-axis
-    binomials C(beta_d, gamma_d) and exponents beta_d - gamma_d."""
-    s = IndexSet(D, M)
-    rank = {a: k for k, a in enumerate(s.indices)}
-    g_rank, b_rank, binom, expo = [], [], [], []
-    for b, beta in enumerate(s.indices):
-        for gamma in _sub_indices(beta):
-            g_rank.append(rank[gamma])
-            b_rank.append(b)
-            binom.append([math.comb(x, y) for x, y in zip(beta, gamma)])
-            expo.append([x - y for x, y in zip(beta, gamma)])
-    return np.array(g_rank), np.array(b_rank), np.array(binom, dtype=float), np.array(expo)
-
-
-def _shifted_coeff_table(set_: IndexSet, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """c[a, b] = integral of xi^beta against the alpha basis function
-    centered at u: binomial expansion of (x+u)^beta over the centered table.
-    u (..., D) and m (..., N, N) may carry matching leading batch axes."""
-    D, N = set_.D, set_.N
-    u = np.asarray(u, dtype=float)
-    batch = u.shape[:-1]
-    U = u.reshape(-1, D)
-    g_rank, b_rank, binom, expo = _binomial_tables(D, set_.M)
-    powers = U[:, :, None] ** np.arange(set_.M + 1)
-    coef = binom[:, 0] * powers[:, 0, expo[:, 0]]
-    for d in range(1, D):
-        coef = coef * (binom[:, d] * powers[:, d, expo[:, d]])
-    shift = np.zeros((U.shape[0], N, N))
-    shift[:, g_rank, b_rank] = coef
-    return (np.reshape(m, (-1, N, N)) @ shift).reshape(batch + (N, N))
-
-
-def _sub_indices(beta):
-    """All gamma with 0 <= gamma <= beta componentwise."""
-    if len(beta) == 1:
-        return [(g,) for g in range(beta[0] + 1)]
-    tails = _sub_indices(beta[1:])
-    return [(g,) + t for g in range(beta[0] + 1) for t in tails]
-
-
-def _solve_by_order(target: np.ndarray, seed: np.ndarray, table: np.ndarray, D, M, first):
-    """Triangular recurrence shared by from_conserved and collision_coeffs.
-
-    Fills the coefficient rows x order by order from `first` up to M so that
-    (x @ table)[b] = target[b] for every rank b of those orders. Entries of
-    lower order are taken from seed. Entries of equal order do not couple
-    (the table is diagonal there, with alpha! on the diagonal), so each order
-    is one batched product.
-    """
-    t = _packing(D, M)
-    x = seed.copy()
-    for lo, hi in t.span[first:]:
-        acc = np.einsum("na,nab->nb", x[:, :lo], table[:, :lo, lo:hi])
-        x[:, lo:hi] = (target[:, lo:hi] - acc) / t.fact[lo:hi]
-    return x
+    N = set_.N
+    mu = gaussian_raw_moments(Theta, set_).reshape(-1, N)
+    a, b, d, _ = _pair_table(set_.D, set_.M)
+    fact = _packing(set_.D, set_.M).fact
+    m = np.zeros((mu.shape[0], N, N))
+    m[:, a, b] = fact[b] / fact[d] * mu[:, d]
+    return m.reshape(Theta.shape[:-2] + (N, N))
 
 
 @dataclass(frozen=True)
@@ -448,13 +437,12 @@ class ConservedMoments:
 
 
 def to_conserved_batch(W: np.ndarray, D: int, M: int) -> np.ndarray:
-    """Raw moments F (n, N) of the packed rows W (n, N)."""
+    """Raw moments F (n, N) of the packed rows W (n, N): the convolution
+    F_beta = sum_{alpha <= beta} f_alpha nu_{beta-alpha}(u, Theta) / (beta-alpha)!."""
     s = IndexSet(D, M)
     rho, u, p = _unpack(W, D, M)
-    m = moment_table(p / rho[:, None, None], s)
-    c = _shifted_coeff_table(s, u, m)
-    fvec = free_values(W, D, M)[:, :-1]
-    return np.einsum("na,nab->nb", fvec, c) / _packing(D, M).fact
+    g = gaussian_raw_moments(p / rho[:, None, None], s, u) / _packing(D, M).fact
+    return _convolve(free_values(W, D, M), g, D, M, 0, s.N)
 
 
 @lru_cache(maxsize=None)
@@ -486,13 +474,14 @@ def _moments_and_flux(W: np.ndarray, D: int, M: int):
 
 
 def to_conserved(state: MomentState) -> ConservedMoments:
-    """Raw moments of the expansion, via the shifted moment table."""
+    """Raw moments of the expansion, a convolution with Gaussian moments."""
     F = to_conserved_batch(state.w[None], state.D, state.M)[0]
     return ConservedMoments(D=state.D, M=state.M, F=F)
 
 
 def from_conserved_batch(F: np.ndarray, D: int, M: int) -> np.ndarray:
-    """Packed rows W (n, N) of the raw-moment rows F (n, N).
+    """Packed rows W (n, N) of the raw-moment rows F (n, N): the convolution
+    of to_conserved_batch solved order by order from order 3.
 
     Raises AdmissibilityError, naming the lowest failing row in .cell, when
     a row is not finite or its implied density or scale tensor is out of
@@ -505,11 +494,13 @@ def from_conserved_batch(F: np.ndarray, D: int, M: int) -> np.ndarray:
         p = (1.0 + np.eye(D)) * F[:, t.pair] - u[:, :, None] * u[:, None, :] * rho[:, None, None]
         Theta = p / rho[:, None, None]
     _check_cells(Theta, "scale tensor", rho, np.isfinite(F).all(axis=1), "implied ")
-    s = IndexSet(D, M)
-    c = _shifted_coeff_table(s, u, moment_table(Theta, s))
-    seed = np.zeros_like(F)
-    seed[:, 0] = rho
-    fvec = _solve_by_order(t.fact * F, seed, c, D, M, first=3)
+    g = gaussian_raw_moments(Theta, IndexSet(D, M), u) / t.fact
+    # the alpha = beta term of the convolution is f_beta itself (nu_0 = 1):
+    # each order is F less the terms of the orders below, still zero above
+    fvec = np.zeros_like(F)
+    fvec[:, 0] = rho
+    for lo, hi in t.span[3:]:
+        fvec[:, lo:hi] = F[:, lo:hi] - _convolve(fvec, g, D, M, lo, hi)
     W = _pack(rho, u, p, fvec, D, M)
     bad = ~np.isfinite(W).all(axis=1)
     if bad.any():
@@ -564,27 +555,6 @@ class CollisionModel:
         return 1.0 - 1.0 / self.Pr
 
 
-def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet) -> np.ndarray:
-    """Centered Gaussian moments mu_beta for covariance Lambda, all |beta| <= M.
-
-    mu_{beta+e_d} = sum_j Lambda[d,j] beta_j mu_{beta-e_j}; odd orders are
-    exactly zero. Lambda may carry leading batch axes (..., D, D); the
-    result is then (..., N).
-    """
-    Lambda = np.asarray(Lambda, dtype=float)
-    D, N = set_.D, set_.N
-    batch = Lambda.shape[:-2]
-    L = Lambda.reshape(-1, D, D)
-    mu = np.zeros((L.shape[0], N + 1))
-    mu[:, 0] = 1.0
-    for step in raising_tables(D, set_.M)[1]:
-        acc = L[:, step.axis, 0] * step.mult[:, 0] * mu[:, step.down[:, 0]]
-        for j in range(1, D):
-            acc = acc + L[:, step.axis, j] * step.mult[:, j] * mu[:, step.down[:, j]]
-        mu[:, step.lo : step.hi] = acc
-    return mu[:, :N].reshape(batch + (N,))
-
-
 def _target_covariance(rho, p, D: int, model: CollisionModel) -> np.ndarray:
     """Batched covariance b Theta + (1 - b) theta I of the relaxation target."""
     b = model.b
@@ -600,20 +570,17 @@ def collision_target_covariance(state: MomentState, model: CollisionModel) -> np
 
 
 def collision_coeffs_batch(W: np.ndarray, D: int, M: int, model: CollisionModel) -> np.ndarray:
-    """Relaxation-target coefficients (n, N) of the packed rows W (n, N).
+    """Relaxation-target coefficients (n, N) of the packed rows W (n, N):
+    rho mu_alpha(Lambda - Theta) / alpha!, with Lambda the target covariance.
 
     Raises AdmissibilityError, naming the lowest failing row in .cell, when
     a target covariance is not positive definite.
     """
-    s = IndexSet(D, M)
     rho, _, p = _unpack(W, D, M)
     Lam = _target_covariance(rho, p, D, model)
     _check_cells(Lam, "collision target covariance")
-    mu = gaussian_raw_moments(Lam, s)
-    m = moment_table(p / rho[:, None, None], s)
-    seed = np.zeros_like(W)
-    seed[:, 0] = rho * mu[:, 0]
-    return _solve_by_order(rho[:, None] * mu, seed, m, D, M, first=1)
+    mu = gaussian_raw_moments(Lam - p / rho[:, None, None], IndexSet(D, M))
+    return rho[:, None] * mu / _packing(D, M).fact
 
 
 def collision_coeffs(state: MomentState, model: CollisionModel) -> np.ndarray:
@@ -621,7 +588,7 @@ def collision_coeffs(state: MomentState, model: CollisionModel) -> np.ndarray:
 
     Length-N vector in rank order: density at order 0, zeros at odd orders,
     (1-b)(p delta_ij - p_ij)/(1+delta_ij) at order 2, higher even orders
-    from the Gaussian moment solve.
+    from the Gaussian moments of Lambda - Theta.
     """
     return collision_coeffs_batch(state.w[None], state.D, state.M, model)[0]
 

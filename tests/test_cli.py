@@ -190,6 +190,24 @@ class TestRiemann:
         assert all(not c["ok"] for c in doc["contacts"])
         assert all(not r["ok"] for r in doc["rarefactions"])
 
+    def test_report_converts_the_pair_once(self, tmp_path, monkeypatch):
+        import hypermoment.riemann as riemann_mod
+
+        calls = []
+        real = riemann_mod.from_conserved_batch
+
+        def counted(F, D, M):
+            calls.append(np.array(F))
+            return real(F, D, M)
+
+        monkeypatch.setattr(riemann_mod, "from_conserved_batch", counted)
+        lf = write_json(tmp_path, "l.json", HUGONIOT_LEFT)
+        rf = write_json(tmp_path, "r.json", HUGONIOT_RIGHT)
+        dst = tmp_path / "wave.json"
+        assert run(["riemann", "--left", str(lf), "--right", str(rf), "--out", str(dst)]) == 0
+        assert len(calls) == 1 and calls[0].shape[0] == 2
+        assert abs(json.loads(dst.read_text())["mass_flux_speed"] - np.sqrt(4.5)) < 1e-12
+
     def test_rarefaction_endpoints_detected(self, tmp_path):
         left = state_from_json(json.dumps(HUGONIOT_RIGHT))
         fld = classify_field(left, float(he_roots(3)[2]))

@@ -73,6 +73,29 @@ class TestMomentState:
             np.testing.assert_allclose(back.p, st_.p, rtol=0, atol=0)
             assert back.f == pytest.approx(st_.f)
 
+    def test_w_reads_no_ranks(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        random_state(rng, 3, 5).w  # compiles the layout tables of (3, 5)
+        st_ = random_state(rng, 3, 5)
+        calls = []
+        real = IndexSet.rank0
+        monkeypatch.setattr(IndexSet, "rank0", lambda self, a: calls.append(a) or real(self, a))
+        w = st_.w
+        assert calls == []
+        for a, val in st_.f.items():
+            assert w[real(st_.index_set, a)] == val
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        D=st.integers(min_value=1, max_value=3),
+        M=st.integers(min_value=2, max_value=6),
+    )
+    def test_from_w_round_trip(self, data, D, M):
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        w = random_state(np.random.default_rng(seed), D, M, scale=0.3).w
+        np.testing.assert_array_equal(MomentState.from_w(D, M, w).w, w)
+
     def test_constraint_resolution(self):
         st_ = MomentState(D=2, M=4, rho=1.5, u=[0, 0], p=np.eye(2), f={(2, 2): 0.3})
         assert st_.f_value((0, 0)) == 1.5
