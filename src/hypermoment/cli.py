@@ -29,15 +29,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 
-from .assembly import assemble, directional, regularize, structural_report
+from .assembly import assemble, assemble_batch, directional, regularize, structural_report
 from .hermite import (
     AnisotropicBasis,
     ghe_table,
@@ -47,7 +47,7 @@ from .hermite import (
     root_gap_scan,
     weight,
 )
-from .index import IndexSet, factorial, order, unit
+from .index import IndexSet, factorial, order
 from .riemann import (
     ElementaryWave,
     classify_field,
@@ -99,17 +99,18 @@ def _label(alpha) -> str:
     return ",".join(str(a) for a in alpha)
 
 
-def _max_workers() -> int:
+def _check_threads_env() -> None:
+    """Validate HYPERMOMENT_THREADS. The scan is one stacked eigensolve, so
+    the value sizes nothing; a malformed one is still bad input."""
     raw = os.environ.get("HYPERMOMENT_THREADS")
     if raw is None or not raw.strip():
-        return min(8, os.cpu_count() or 1)
+        return
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"HYPERMOMENT_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"HYPERMOMENT_THREADS must be >= 1, got {n}")
-    return n
 
 
 # -- assemble ------------------------------------------------------------------
@@ -222,6 +223,8 @@ def _parse_scan(spec: str):
         raise ValueError(f"scan must look like f3=start:stop:steps, got {spec!r}") from None
     if steps < 1:
         raise ValueError(f"scan needs at least one step, got {steps}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"scan bounds must be finite, got {spec!r}")
     return a, b, steps
 
 
@@ -230,22 +233,17 @@ def cmd_hyperbolicity(args) -> int:
     D, M = args.D, args.M
     if M < 3:
         raise ValueError(f"scan needs M >= 3 for a free cubic coefficient, got M={M}")
+    _check_threads_env()
     values = np.linspace(a, b, steps)
-    alpha3 = tuple(3 * e for e in unit(D, 1))
-    base = equilibrium(D, M, 1.0, np.zeros(D), np.eye(D))
-
-    def probe(v: float) -> float:
-        st = base.replace(f={alpha3: float(v)})
-        lam = np.linalg.eigvals(assemble(st, 1).entries)
-        return float(np.max(np.abs(lam.imag)))
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as ex:
-        ims = list(ex.map(probe, values))
+    W = np.tile(equilibrium(D, M, 1.0, np.zeros(D), np.eye(D)).w, (steps, 1))
+    W[:, IndexSet(D, M).rank0((3,) + (0,) * (D - 1))] = values
+    lam = np.linalg.eigvals(assemble_batch(W, D, M, 1))
+    ims = np.abs(lam.imag).max(axis=1)
     with _open_out(args.out) as fh:
         w = csv.writer(fh, lineterminator=CSV_EOL)
         w.writerow(["f3", "max_abs_imag"])
         for v, im in zip(values, ims):
-            w.writerow([repr(float(v)), repr(im)])
+            w.writerow([repr(float(v)), repr(float(im))])
     return 0
 
 

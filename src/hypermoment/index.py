@@ -266,11 +266,13 @@ class BlockPermutation:
         return out
 
 
+@lru_cache(maxsize=None)
 def block_permutation(set_: IndexSet, axis: int = 1) -> BlockPermutation:
     """Permutation grouping entries that differ only on the given axis.
 
     Groups are ordered by plain ascending lexicographic order of the grouping
-    key; inside each group entries are ordered by the axis entry.
+    key; inside each group entries are ordered by the axis entry. Built once
+    per (set, axis) and shared, so source is read-only.
     """
     if not 1 <= axis <= set_.D:
         raise ValueError(f"axis must be in 1..{set_.D}, got {axis}")
@@ -279,6 +281,7 @@ def block_permutation(set_: IndexSet, axis: int = 1) -> BlockPermutation:
         range(set_.N), key=lambda k: (hat(idx[k], axis), idx[k][axis - 1])
     )
     source = np.array(order_key, dtype=np.intp)
+    source.setflags(write=False)
     blocks = []
     pos = 0
     while pos < set_.N:

@@ -25,8 +25,10 @@ from .spectral import _block_eigenvector, _family_counts, _permuted, _prolong
 from .state import (
     ConservedMoments,
     MomentState,
+    _check_cells,
     _moments_and_flux,
     _packing,
+    _unpack,
     from_conserved_batch,
 )
 
@@ -130,17 +132,20 @@ def _density_entry(state: MomentState, field: CharField) -> float:
     return state.rho if field.family[0] == state.M + 1 else 0.0
 
 
-def _field_eigenvector(state: MomentState, field: CharField, root: float) -> np.ndarray:
-    """Eigenvector of the field at state; root is the field's unit root."""
+def _field_eigenvector(w: np.ndarray, D: int, M: int, field: CharField, root: float) -> np.ndarray:
+    """Eigenvector of the field at the packed row w (N,); root is the field's
+    unit root. Raises AdmissibilityError if w is not an admissible state."""
+    rho, _, p = _unpack(w[None], D, M)
+    _check_cells(p, "pressure tensor", rho, np.isfinite(w)[None].all(axis=1))
     m, _ = field.family
-    h = state.M + 1 - m
-    lam = float(root * np.sqrt(state.theta_tensor[0, 0]))
-    perm, B = _permuted(state)
+    h = M + 1 - m
+    lam = float(root * np.sqrt(p[0, 0, 0] / rho[0]))
+    perm, B = _permuted(w, D, M)
     r = _block_eigenvector(perm, B, h, lam)
-    hat = (h,) + (0,) * max(state.D - 2, 0) if state.D > 1 else ()
+    hat = (h,) + (0,) * max(D - 2, 0) if D > 1 else ()
     R = _prolong(perm, B, r, hat, lam)
-    if m == state.M + 1:
-        R = R * state.rho  # density-entry-rho normalization for fan curves
+    if m == M + 1:
+        R = R * rho[0]  # density-entry-rho normalization for fan curves
     return R
 
 
@@ -157,38 +162,30 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
     C = field.C
     if abs(C * C - 1.0) < 1e-8:
         warnings.warn("unit-root magnitude 1: using the series limit")
+    D, M = state0.D, state0.M
     m, j = field.family
     root = he_roots(m)[j]
 
-    def rhs(z, wvec):
-        st = MomentState.from_w(state0.D, state0.M, wvec)
-        return _field_eigenvector(st, field, root)
-
     sol = solve_ivp(
-        rhs, (0.0, zeta), state0.w, method="RK45", rtol=1e-11, atol=1e-12,
+        lambda z, w: _field_eigenvector(w, D, M, field, root),
+        (0.0, zeta), state0.w, method="RK45", rtol=1e-11, atol=1e-12,
         dense_output=False,
     )
     if not sol.success:
         raise RuntimeError(f"integral-curve integration failed: {sol.message}")
-    out = MomentState.from_w(state0.D, state0.M, sol.y[:, -1])
-    if not field.genuinely_nonlinear:
-        return out
-
-    rho0 = state0.rho
-    th0 = float(state0.theta_tensor[0, 0])
-    p0 = float(state0.p[0, 0])
-    eps = C * C - 1.0
-    rho = rho0 * np.exp(zeta)
-    if abs(eps) < 1e-12:
-        u1 = state0.u[0] + C * np.sqrt(th0) * zeta
-    else:
-        u1 = state0.u[0] + 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
-    p11 = p0 * np.exp(C * C * zeta)
-    u = np.array(out.u)
-    u[0] = u1
-    p = np.array(out.p)
-    p[0, 0] = p11
-    return MomentState(D=out.D, M=out.M, rho=float(rho), u=u, p=p, f=dict(out.f))
+    w = sol.y[:, -1]
+    if field.genuinely_nonlinear:
+        th0 = float(state0.theta_tensor[0, 0])
+        eps = C * C - 1.0
+        if abs(eps) < 1e-12:
+            u1 = state0.u[0] + C * np.sqrt(th0) * zeta
+        else:
+            u1 = state0.u[0] + 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
+        t = _packing(D, M)
+        w[0] = state0.rho * np.exp(zeta)
+        w[t.vel[0]] = u1
+        w[t.pair[0, 0]] = float(state0.p[0, 0]) * np.exp(C * C * zeta) / 2  # the slot stores p11/2
+    return MomentState.from_w(D, M, w)
 
 
 def contact_check(wL: MomentState, wR: MomentState, field: CharField) -> ContactVerdict:
@@ -244,9 +241,10 @@ def shock_check(
     residuals -= path_integral(W[:1], W[1:], D, M, 0.5 * (nodes + 1.0), 0.5 * weights)[0]
 
     top = _packing(D, M).span[M][0]  # first rank of order M
-    sL, sR = (MomentState.from_w(D, M, w) for w in W)
-    lax = tuple(bool(wave_speed(sL, c) > S > wave_speed(sR, c)) for c in he_roots(M + 1))
-    prod = float((sL.rho - sR.rho) * (sL.p[0, 0] - sR.p[0, 0]))
+    rho, u, p = _unpack(W, D, M)
+    sq = np.sqrt(p[:, 0, 0] / rho)
+    lax = tuple(bool(u[0, 0] + c * sq[0] > S > u[1, 0] + c * sq[1]) for c in he_roots(M + 1))
+    prod = float((rho[0] - rho[1]) * (p[0, 0, 0] - p[1, 0, 0]))
     return ShockReport(
         speed=float(S),
         residuals=residuals,

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import assemble, directional, regularize
+from .assembly import assemble, assemble_batch, directional, regularization_correction_batch, regularize
 from .hermite import _recurrence, he_roots
 from .index import IndexSet, block_permutation, order
 from .state import MomentState
@@ -200,14 +200,15 @@ def _hessenberg_forward(B: np.ndarray, lam: float, v: np.ndarray, head: float) -
     return r, float(res)
 
 
-def _permuted(state: MomentState, regularized: bool = True) -> tuple:
-    """Block permutation of the first axis and the first-axis matrix in
-    permuted coordinates."""
-    perm = block_permutation(state.index_set)
-    mat = assemble(state, 1)
+def _permuted(w: np.ndarray, D: int, M: int, regularized: bool = True) -> tuple:
+    """Block permutation of the first axis and the first-axis matrix of the
+    packed row w (N,) in permuted coordinates."""
+    W = w[None]
+    A = assemble_batch(W, D, M, 1)[0]
     if regularized:
-        mat = regularize(mat, state)
-    return perm, perm.conjugate(mat.entries)
+        A = A + regularization_correction_batch(W, D, M, 1)[0]
+    perm = block_permutation(IndexSet(D, M))
+    return perm, perm.conjugate(A)
 
 
 def block_eigenvector(n_hat: int, lam: float, state: MomentState, regularized: bool = True) -> np.ndarray:
@@ -220,7 +221,7 @@ def block_eigenvector(n_hat: int, lam: float, state: MomentState, regularized: b
     """
     if not 0 <= n_hat <= state.M:
         raise ValueError(f"block order must be in 0..{state.M}, got {n_hat}")
-    return _block_eigenvector(*_permuted(state, regularized), n_hat, lam)
+    return _block_eigenvector(*_permuted(state.w, state.D, state.M, regularized), n_hat, lam)
 
 
 def _block_eigenvector(perm, B: np.ndarray, n_hat: int, lam: float) -> np.ndarray:
@@ -284,7 +285,7 @@ def prolong(block_vector, hat_alpha, lam: float, state: MomentState) -> np.ndarr
     """Extend a diagonal-block eigenvector with trailing sub-index hat_alpha
     to a full eigenvector of the regularized first-axis matrix, in the
     original packing order."""
-    return _prolong(*_permuted(state), block_vector, hat_alpha, lam)
+    return _prolong(*_permuted(state.w, state.D, state.M), block_vector, hat_alpha, lam)
 
 
 def _prolong(perm, B: np.ndarray, block_vector, hat_alpha, lam: float) -> np.ndarray:
@@ -307,8 +308,7 @@ def full_eigendecomposition(state: MomentState) -> Spectrum:
     """Complete closed-form eigendecomposition of the regularized first-axis
     matrix. Falls back to a numerical eigensolve (with a warning) if the
     closed-form construction fails its residual or rank checks."""
-    perm, B = _permuted(state)
-    N = B.shape[0]
+    perm, B = _permuted(state.w, state.D, state.M)
     sq = float(np.sqrt(state.theta_tensor[0, 0]))
     Atil = perm.unconjugate(B)
 

@@ -167,6 +167,19 @@ class TestHyperbolicity:
         assert a.read_text() == b.read_text()
 
 
+    @pytest.mark.parametrize("D,M", [(1, 5), (2, 4), (3, 4)])
+    def test_matches_per_state_loop(self, tmp_path, D, M):
+        dst = tmp_path / "scan.csv"
+        assert run(["hyperbolicity", "--scan", "f3=-2:3:11", "--D", str(D), "--M", str(M), "--out", str(dst)]) == 0
+        base = equilibrium(D, M, 1.0, np.zeros(D), np.eye(D))
+        lines = ["f3,max_abs_imag"]
+        for v in np.linspace(-2.0, 3.0, 11):
+            st = base.replace(f={(3,) + (0,) * (D - 1): float(v)})
+            lam = np.linalg.eigvals(assemble(st, 1).entries)
+            lines.append(f"{float(v)!r},{float(np.max(np.abs(lam.imag)))!r}")
+        assert dst.read_text() == "\n".join(lines) + "\n"
+
+
 class TestRiemann:
     def test_exact_hugoniot_shock_report(self, tmp_path):
         lf = write_json(tmp_path, "l.json", HUGONIOT_LEFT)
@@ -354,6 +367,11 @@ class TestExitCodes:
     def test_bad_scan_spec(self):
         assert run(["hyperbolicity", "--scan", "f4=0:1:3"]) == 1
         assert run(["hyperbolicity", "--scan", "f3=0:1"]) == 1
+
+    @pytest.mark.parametrize("spec", ["f3=0:inf:3", "f3=nan:1:3"])
+    def test_non_finite_scan_bounds(self, spec, capsys):
+        assert run(["hyperbolicity", "--scan", spec]) == 1
+        assert "scan bounds must be finite" in capsys.readouterr().err
 
     def test_zero_direction(self):
         assert run(["spectrum", "--state", str(STATE), "--dir", "0"]) == 1

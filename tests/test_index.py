@@ -144,6 +144,13 @@ class TestBlockPermutation:
             assert size == s.M + 1 - sum(h)
         assert sum(b[2] for b in bp.blocks) == s.N
 
+    def test_built_once_and_read_only(self):
+        s = index.IndexSet(2, 4)
+        bp = index.block_permutation(s)
+        assert index.block_permutation(index.IndexSet(2, 4)) is bp
+        with pytest.raises(ValueError):
+            bp.source[0] = 1
+
     def test_apply_round_trip(self):
         s = index.IndexSet(2, 4)
         bp = index.block_permutation(s)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hypermoment import state as state_mod
 from hypermoment.hermite import he_roots
 from hypermoment.riemann import (
+    _field_eigenvector,
     ElementaryWave,
     classify_field,
     contact_check,
@@ -22,7 +24,7 @@ from hypermoment.riemann import (
     wave_table_check,
 )
 from hypermoment.spectral import full_eigendecomposition
-from hypermoment.state import MomentState, equilibrium, to_conserved
+from hypermoment.state import AdmissibilityError, MomentState, equilibrium, to_conserved
 
 from helpers import random_state
 
@@ -144,6 +146,37 @@ class TestRarefaction:
         assert out.rho == pytest.approx(st.rho, abs=1e-9)
         assert out.u[0] == pytest.approx(st.u[0], abs=1e-9)
         assert out.p[0, 0] == pytest.approx(st.p[0, 0], abs=1e-9)
+
+
+class TestPackedRightHandSide:
+    """The rarefaction right-hand side reads packed rows, not states."""
+
+    def test_one_curve_builds_at_most_two_states(self, monkeypatch):
+        st = random_state(np.random.default_rng(11), 2, 4, scale=0.02)
+        field = classify_field(st, float(he_roots(5)[-1]))
+        built = []
+        orig = state_mod.MomentState.__post_init__
+
+        def counting(self):
+            built.append(self)
+            orig(self)
+
+        monkeypatch.setattr(state_mod.MomentState, "__post_init__", counting)
+        rarefaction_curve(st, field, 0.1)
+        assert len(built) <= 2
+
+    def test_inadmissible_row_raises(self):
+        st = random_state(np.random.default_rng(12), 2, 4, scale=0.02)
+        field = classify_field(st, float(he_roots(5)[-1]))
+        root = he_roots(5)[-1]
+        w = np.array(st.w)
+        _field_eigenvector(w, 2, 4, field, root)  # admissible: no error
+        w[st.index_set.rank0((2, 0))] = -0.5  # p11 < 0
+        with pytest.raises(AdmissibilityError, match="not positive definite"):
+            _field_eigenvector(w, 2, 4, field, root)
+        w[st.index_set.rank0((2, 0))] = np.nan
+        with pytest.raises(AdmissibilityError, match="non-finite"):
+            _field_eigenvector(w, 2, 4, field, root)
 
 
 class TestContact:
