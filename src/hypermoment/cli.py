@@ -41,7 +41,6 @@ from .assembly import assemble, assemble_batch, directional, regularize, structu
 from .hermite import (
     AnisotropicBasis,
     ghe_table,
-    he_roots,
     integral_relation_check,
     quasi_orthogonality_check,
     root_gap_scan,
@@ -65,7 +64,7 @@ from .solver import (
     kinetic_reference,
     simulate,
 )
-from .spectral import rotation_spectrum_check, spectrum_regularized
+from .spectral import rotation_spectrum_check, unit_spectrum
 from .state import (
     CollisionModel,
     MomentState,
@@ -159,7 +158,10 @@ def _parse_direction(text: str, D: int) -> np.ndarray:
         raise ValueError(f"direction must be comma-separated numbers, got {text!r}") from None
     if n.size != D:
         raise ValueError(f"direction needs {D} components, got {n.size}")
-    norm = float(np.linalg.norm(n))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(n))
+    if not math.isfinite(norm):
+        raise ValueError(f"direction must be finite with a finite norm, got {text!r}")
     if norm == 0.0:
         raise ValueError("direction vector must be nonzero")
     return n / norm
@@ -185,10 +187,10 @@ def cmd_spectrum(args) -> int:
         return 0
 
     scale = float(np.sqrt(n @ state.theta_tensor @ n))
-    rows = []
-    for line in spectrum_regularized(state).lines:
-        C = float(he_roots(line.family_m)[line.root_index])
-        rows.append((drift + C * scale, line.multiplicity, line.family_m, line.root_index))
+    rows = [
+        (drift + L.value * scale, L.multiplicity, L.family_m, L.root_index)
+        for L in unit_spectrum(state.D, state.M)
+    ]
     rows.sort(key=lambda r: (r[0], r[2]))
     with _open_out(args.out) as fh:
         w = csv.writer(fh, lineterminator=CSV_EOL)
@@ -231,12 +233,13 @@ def _parse_scan(spec: str):
 def cmd_hyperbolicity(args) -> int:
     a, b, steps = _parse_scan(args.scan)
     D, M = args.D, args.M
+    s = IndexSet(D, M)
     if M < 3:
         raise ValueError(f"scan needs M >= 3 for a free cubic coefficient, got M={M}")
     _check_threads_env()
     values = np.linspace(a, b, steps)
     W = np.tile(equilibrium(D, M, 1.0, np.zeros(D), np.eye(D)).w, (steps, 1))
-    W[:, IndexSet(D, M).rank0((3,) + (0,) * (D - 1))] = values
+    W[:, s.rank0((3,) + (0,) * (D - 1))] = values
     lam = np.linalg.eigvals(assemble_batch(W, D, M, 1))
     ims = np.abs(lam.imag).max(axis=1)
     with _open_out(args.out) as fh:
@@ -253,11 +256,7 @@ def cmd_hyperbolicity(args) -> int:
 def _fields(left: MomentState):
     """(spectral line, unit root C, characteristic field) per line of the
     left state's spectrum, shared by the report sections."""
-    out = []
-    for line in spectrum_regularized(left).lines:
-        C = float(he_roots(line.family_m)[line.root_index])
-        out.append((line, C, classify_field(left, C)))
-    return out
+    return [(L, L.value, classify_field(left, L.value)) for L in unit_spectrum(left.D, left.M)]
 
 
 def _field_rows(fields, left: MomentState, right: MomentState):
@@ -353,14 +352,13 @@ def cmd_riemann(args) -> int:
             "residual_ok": rep.conservative_max <= tol and rep.top_max <= tol,
         }
         if report["shock"]["residual_ok"]:
-            roots = he_roots(left.M + 1)
-            for j, passed in enumerate(rep.lax_per_root):
+            top = [fld for line, _, fld in fields if line.family_m == left.M + 1]
+            for fld, passed in zip(top, rep.lax_per_root):
                 if not passed:
                     continue
-                fld = field_of[float(roots[j])]
                 verdict = wave_table_check(ElementaryWave("shock", left, right, fld, S))
                 report["table"]["shock"].append(
-                    {"C": float(roots[j]), "ok": verdict.ok, "relations": verdict.relations}
+                    {"C": fld.C, "ok": verdict.ok, "relations": verdict.relations}
                 )
 
     for row in report["contacts"]:
@@ -583,6 +581,17 @@ def cmd_hermite_check(args) -> int:
 # -- parser / dispatch --------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of a tolerance: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it as it was."""
@@ -617,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("riemann", help="JSON wave report for a pair of states")
     r.add_argument("--left", required=True, help="left state JSON file")
     r.add_argument("--right", required=True, help="right state JSON file")
-    r.add_argument("--tol", type=float, default=1e-8, help="residual / probe tolerance")
+    r.add_argument("--tol", type=_tolerance, default=1e-8, help="residual / probe tolerance")
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_riemann)
 
@@ -629,15 +638,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("conjecture", help="cross-order root coincidence scan")
     c.add_argument("--n-max", type=int, required=True)
-    c.add_argument("--tol", type=float, default=1e-9, help="relative coincidence tolerance")
+    c.add_argument("--tol", type=_tolerance, default=1e-9, help="relative coincidence tolerance")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_conjecture)
 
     k = sub.add_parser("hermite-check", help="verify basis-function identities numerically")
     k.add_argument("--D", type=int, default=2)
     k.add_argument("--max-order", type=int, default=4)
-    k.add_argument("--tol", type=float, default=1e-9)
-    k.add_argument("--fd-tol", type=float, default=1e-6, help="finite-difference check tolerance")
+    k.add_argument("--tol", type=_tolerance, default=1e-9)
+    k.add_argument("--fd-tol", type=_tolerance, default=1e-6, help="finite-difference check tolerance")
     k.add_argument("--out", default=None)
     k.set_defaults(func=cmd_hermite_check)
 

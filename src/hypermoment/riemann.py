@@ -20,8 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .assembly import path_integral
-from .hermite import he_roots
-from .spectral import _block_eigenvector, _family_counts, _permuted, _prolong
+from .spectral import _block_eigenvector, _permuted, _prolong, unit_spectrum
 from .state import (
     ConservedMoments,
     MomentState,
@@ -95,23 +94,22 @@ def classify_field(state: MomentState, C: float) -> CharField:
     Hermite polynomial; every other field is linearly degenerate. The
     directional derivative of the wave speed along the eigenvector has the
     closed form (C^2 + 1) sqrt(theta_11) / (2 rho) * C * R_0, zero exactly in
-    the degenerate cases.
+    the degenerate cases. A C that matches roots of several families belongs
+    to the largest of them, then to its nearest root.
     """
-    M = state.M
-    scale = 1.0 + abs(C)
-    hit = None
-    for m in sorted(_family_counts(state.D, M), reverse=True):
-        roots = he_roots(m)
-        j = int(np.argmin(np.abs(roots - C)))
-        if abs(roots[j] - C) <= _MATCH_TOL * scale:
-            hit = (m, j)
-            break
-    if hit is None:
+    tol = _MATCH_TOL * (1.0 + abs(C))
+
+    def rank(L):
+        gap = abs(L.value - C)
+        return (not gap <= tol, -L.family_m, gap, L.root_index)
+
+    hit = min(unit_spectrum(state.D, state.M), key=rank)
+    if rank(hit)[0] or np.isinf(C):
         raise ValueError(f"{C} is not a unit root of any eigenvalue family")
-    gn = hit[0] == M + 1 and abs(C) > _MATCH_TOL
+    gn = hit.family_m == state.M + 1 and abs(C) > _MATCH_TOL
     return CharField(
         C=float(C),
-        family=hit,
+        family=(hit.family_m, hit.root_index),
         nature=GENUINELY_NONLINEAR if gn else LINEARLY_DEGENERATE,
     )
 
@@ -163,8 +161,7 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
     if abs(C * C - 1.0) < 1e-8:
         warnings.warn("unit-root magnitude 1: using the series limit")
     D, M = state0.D, state0.M
-    m, j = field.family
-    root = he_roots(m)[j]
+    root = next(L.value for L in unit_spectrum(D, M) if (L.family_m, L.root_index) == field.family)
 
     sol = solve_ivp(
         lambda z, w: _field_eigenvector(w, D, M, field, root),
@@ -243,7 +240,8 @@ def shock_check(
     top = _packing(D, M).span[M][0]  # first rank of order M
     rho, u, p = _unpack(W, D, M)
     sq = np.sqrt(p[:, 0, 0] / rho)
-    lax = tuple(bool(u[0, 0] + c * sq[0] > S > u[1, 0] + c * sq[1]) for c in he_roots(M + 1))
+    top_roots = [L.value for L in unit_spectrum(D, M) if L.family_m == M + 1]
+    lax = tuple(bool(u[0, 0] + c * sq[0] > S > u[1, 0] + c * sq[1]) for c in top_roots)
     prod = float((rho[0] - rho[1]) * (p[0, 0, 0] - p[1, 0, 0]))
     return ShockReport(
         speed=float(S),

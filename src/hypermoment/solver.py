@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .assembly import assemble, path_integral, regularize, source_batch
-from .hermite import AnisotropicBasis, ghe_table, he_roots, weight
+from .hermite import AnisotropicBasis, ghe_table, weight
 from .index import IndexSet
+from .spectral import unit_spectrum
 from .state import (
     AdmissibilityError,
     CollisionModel,
@@ -97,15 +98,11 @@ class SimulationConfig:
             raise ValueError("need at least the initial and final snapshots")
 
 
-@lru_cache(maxsize=None)
-def _top_root(n: int) -> float:
-    return float(he_roots(n)[-1])
-
-
 def _signal_speeds(W: np.ndarray, D: int, M: int) -> np.ndarray:
-    """|u_1| + C_max sqrt(theta_11) of every packed row."""
+    """|u_1| + C_max sqrt(theta_11) of every packed row; C_max, the top root
+    of family M + 1, is the unit spectrum's last line."""
     rho, u, p = _unpack(W, D, M)
-    return np.abs(u[:, 0]) + _top_root(M + 1) * np.sqrt(p[:, 0, 0] / rho)
+    return np.abs(u[:, 0]) + unit_spectrum(D, M)[-1].value * np.sqrt(p[:, 0, 0] / rho)
 
 
 def max_signal_speed(state: MomentState) -> float:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -150,36 +152,34 @@ def find_nonhyperbolic_state(D: int, M: int, max_doublings: int = 60):
 # -- closed-form spectrum ------------------------------------------------------
 
 
-def _family_counts(D: int, M: int) -> dict:
-    """Number of trailing sub-indices per family m = M + 1 - |hat|."""
-    counts = {}
+@lru_cache(maxsize=None)
+def unit_spectrum(D: int, M: int) -> tuple:
+    """The regularized first-axis spectrum at unit scale, compiled once per
+    (D, M): one line per root C of the order-m Hermite polynomial, counted
+    once per trailing sub-index hat with m = M + 1 - |hat|, sorted by
+    (C, m). A state's eigenvalues are u_1 + C sqrt(theta_11)."""
     if D == 1:
-        return {M + 1: 1}
-    for h in IndexSet(D - 1, M).indices:
-        m = M + 1 - order(h)
-        counts[m] = counts.get(m, 0) + 1
-    return counts
+        counts = {M + 1: 1}
+    else:
+        counts = Counter(M + 1 - order(h) for h in IndexSet(D - 1, M).indices)
+    lines = [
+        SpectralLine(float(C), mult, m, j)
+        for m, mult in counts.items()
+        for j, C in enumerate(he_roots(m))
+    ]
+    return tuple(sorted(lines, key=lambda L: (L.value, L.family_m)))
 
 
 def spectrum_regularized(state: MomentState) -> Spectrum:
-    """Eigenvalue multiset of the regularized first-axis matrix: scaled
-    Hermite roots with multiplicities counted over trailing sub-indices."""
+    """Eigenvalue multiset of the regularized first-axis matrix: the unit
+    spectrum scaled by sqrt(theta_11)."""
     sq = float(np.sqrt(state.theta_tensor[0, 0]))
-    counts = _family_counts(state.D, state.M)
-    lines = []
-    values = []
-    for m in sorted(counts):
-        mult = counts[m]
-        roots = he_roots(m) * sq
-        for j, val in enumerate(roots):
-            lines.append(SpectralLine(float(val), mult, m, j))
-            values.extend([float(val)] * mult)
-    lines.sort(key=lambda L: (L.value, L.family_m))
+    lines = tuple(replace(L, value=L.value * sq) for L in unit_spectrum(state.D, state.M))
     return Spectrum(
         D=state.D,
         M=state.M,
-        lines=tuple(lines),
-        Lambda=np.sort(np.array(values)),
+        lines=lines,
+        Lambda=np.repeat([L.value for L in lines], [L.multiplicity for L in lines]),
     )
 
 
@@ -304,79 +304,51 @@ def _prolong(perm, B: np.ndarray, block_vector, hat_alpha, lam: float) -> np.nda
     return perm.inverse_apply(Rp)
 
 
+def _fit(A: np.ndarray, Lam: np.ndarray, R: np.ndarray) -> tuple:
+    """Residual max|A R - R Lam| and 2-norm condition number of R."""
+    residual = float(np.max(np.abs(A @ R - R * Lam[None, :])))
+    sv = np.linalg.svd(R, compute_uv=False)
+    return residual, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+
+
 def full_eigendecomposition(state: MomentState) -> Spectrum:
     """Complete closed-form eigendecomposition of the regularized first-axis
     matrix. Falls back to a numerical eigensolve (with a warning) if the
     closed-form construction fails its residual or rank checks."""
     perm, B = _permuted(state.w, state.D, state.M)
-    sq = float(np.sqrt(state.theta_tensor[0, 0]))
     Atil = perm.unconjugate(B)
-
-    cols = []
-    lams = []
-    lines = []
+    spec = spectrum_regularized(state)
     try:
-        root_cache = {}
-        vec_cache = {}
-        for t, (h, st_, n) in enumerate(perm.blocks):
-            if n not in root_cache:
-                root_cache[n] = he_roots(n) * sq
-            for j, lam in enumerate(root_cache[n]):
-                key = (order(h), j, n)
-                if key not in vec_cache:
+        cols, lams, vec_cache = [], [], {}
+        for t, (_, st_, n) in enumerate(perm.blocks):
+            # a block of size n carries the roots of family m = n, ascending
+            for j, lam in enumerate(L.value for L in spec.lines if L.family_m == n):
+                if (n, j) not in vec_cache:
                     blk = B[st_ : st_ + n, st_ : st_ + n]
-                    vec_cache[key] = _hessenberg_forward(
-                        blk, lam, np.zeros(n), 1.0
-                    )[0]
-                Rp = _prolong_permuted(perm, B, t, float(lam), vec_cache[key])
-                cols.append(perm.inverse_apply(Rp))
-                lams.append(float(lam))
-                lines.append(SpectralLine(float(lam), 1, n, j))
+                    vec_cache[n, j] = _hessenberg_forward(blk, lam, np.zeros(n), 1.0)[0]
+                cols.append(perm.inverse_apply(_prolong_permuted(perm, B, t, lam, vec_cache[n, j])))
+                lams.append(lam)
         R = np.column_stack(cols)
         Lam = np.array(lams)
-        residual = float(np.max(np.abs(Atil @ R - R * Lam[None, :])))
+        residual, cond = _fit(Atil, Lam, R)
         scale = float(np.max(np.abs(Atil)))
-        sv = np.linalg.svd(R, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         if residual > 1e-8 * max(scale, 1.0) or not np.isfinite(cond) or cond > _COND_LIMIT:
             raise ProlongationError(
                 f"closed-form residual {residual:.3e} or condition {cond:.3e} out of range"
             )
+        lines, method = spec.lines, "closed-form"
     except ProlongationError as err:
         warnings.warn(f"falling back to numerical eigensolve: {err}")
         lam, V = np.linalg.eig(Atil)
         order_ = np.argsort(lam.real)
         Lam = lam.real[order_]
         R = V.real[:, order_]
-        sv = np.linalg.svd(R, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        residual = float(np.max(np.abs(Atil @ R - R * Lam[None, :])))
-        return Spectrum(
-            D=state.D, M=state.M,
-            lines=tuple(
-                SpectralLine(float(v), 1, -1, -1) for v in Lam
-            ),
-            Lambda=Lam, R=R, residual=residual, condition=cond,
-            method="numerical",
-        )
-
-    # aggregate printable lines: multiplicity counts blocks sharing a family
-    agg = {}
-    for L in lines:
-        key = (L.family_m, L.root_index)
-        agg[key] = agg.get(key, 0) + 1
-    printable = tuple(
-        sorted(
-            (
-                SpectralLine(he_roots(m)[j] * sq, mult, m, j)
-                for (m, j), mult in agg.items()
-            ),
-            key=lambda L: (L.value, L.family_m),
-        )
-    )
+        residual, cond = _fit(Atil, Lam, R)
+        lines = tuple(SpectralLine(float(v), 1, -1, -1) for v in Lam)
+        method = "numerical"
     return Spectrum(
-        D=state.D, M=state.M, lines=printable, Lambda=Lam, R=R,
-        residual=residual, condition=cond, method="closed-form",
+        D=state.D, M=state.M, lines=lines, Lambda=Lam, R=R,
+        residual=residual, condition=cond, method=method,
     )
 
 
@@ -389,10 +361,6 @@ def rotation_spectrum_check(state: MomentState, n) -> float:
     got = np.sort(lam.real)
     imag = float(np.max(np.abs(lam.imag)))
     sq = float(np.sqrt(n @ state.theta_tensor @ n))
-    counts = _family_counts(state.D, state.M)
-    expect = np.sort(
-        np.concatenate(
-            [np.repeat(he_roots(m) * sq, mult) for m, mult in counts.items()]
-        )
-    )
+    table = unit_spectrum(state.D, state.M)
+    expect = sq * np.repeat([L.value for L in table], [L.multiplicity for L in table])
     return float(max(np.max(np.abs(got - expect)), imag))

@@ -537,8 +537,8 @@ class CollisionModel:
     Pr: float = 1.0
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError(f"collision frequency must be >= 0, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"collision frequency must be finite and >= 0, got {self.nu}")
         kind = self.kind.lower()
         object.__setattr__(self, "kind", kind)
         if kind not in ("bgk", "es-bgk"):

@@ -452,6 +452,48 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "density must be finite" in err
 
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf")])
+    def test_non_finite_collision_frequency_exits_1(self, tmp_path, capsys, nu):
+        cf = tmp_path / "sim.json"
+        cf.write_text(json.dumps(sim_config(collision={"nu": nu})))
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 1
+        assert "collision frequency must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("direction", ["nan,1", "inf,1", "1e308,1e308"])
+    def test_non_finite_direction_exits_1_before_writing(self, tmp_path, capsys, direction):
+        state = write_json(
+            tmp_path, "s.json",
+            {"D": 2, "M": 3, "rho": 1.0, "u": [0.1, -0.2], "p": [[1.0, 0.1], [0.1, 0.8]],
+             "f": {"3,0": 0.05}},
+        )
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--state", str(state), f"--dir={direction}", "--out", str(out)]) == 1
+        assert "direction must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hermite-check", "--D", "1", "--max-order", "2", "--tol", "nan"],
+            ["hermite-check", "--D", "1", "--max-order", "2", "--fd-tol", "nan"],
+            ["hermite-check", "--D", "1", "--max-order", "2", "--tol=-1e-9"],
+            ["conjecture", "--n-max", "4", "--tol", "nan"],
+            ["conjecture", "--n-max", "4", "--tol", "inf"],
+            ["riemann", "--left", str(STATE), "--right", str(STATE), "--tol", "nan"],
+        ],
+    )
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.out"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hyperbolicity_zero_dimension_exits_1(self, capsys):
+        assert run(["hyperbolicity", "--scan", "f3=0:1:2", "--D", "0"]) == 1
+        assert "dimension must be >= 1" in capsys.readouterr().err
+
 
 class TestNumericalFailureExit:
     def test_speed_bound_guard_exits_2(self, tmp_path, monkeypatch, capsys):

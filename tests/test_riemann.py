@@ -11,7 +11,9 @@ from scipy.integrate import solve_ivp
 
 from hypermoment import state as state_mod
 from hypermoment.hermite import he_roots
+from hypermoment.index import IndexSet, order
 from hypermoment.riemann import (
+    _MATCH_TOL,
     _field_eigenvector,
     ElementaryWave,
     classify_field,
@@ -23,7 +25,7 @@ from hypermoment.riemann import (
     wave_speed,
     wave_table_check,
 )
-from hypermoment.spectral import full_eigendecomposition
+from hypermoment.spectral import full_eigendecomposition, unit_spectrum
 from hypermoment.state import AdmissibilityError, MomentState, equilibrium, to_conserved
 
 from helpers import random_state
@@ -54,6 +56,36 @@ class TestClassifyField:
         st = equilibrium(1, 3, 1.0, [0.0], [[1.0]])
         with pytest.raises(ValueError, match="not a unit root"):
             classify_field(st, 0.5)
+
+    @pytest.mark.parametrize("D,M", [(1, 3), (1, 6), (2, 2), (2, 4), (3, 3), (3, 5)])
+    def test_agrees_with_descending_family_search(self, D, M):
+        # reference: the largest family with a root within tolerance, and
+        # its nearest root (lowest index on ties)
+        def search(C):
+            if D == 1:
+                families = {M + 1}
+            else:
+                families = {M + 1 - order(h) for h in IndexSet(D - 1, M).indices}
+            for m in sorted(families, reverse=True):
+                roots = he_roots(m)
+                j = int(np.argmin(np.abs(roots - C)))
+                if abs(roots[j] - C) <= _MATCH_TOL * (1.0 + abs(C)):
+                    return (m, j)
+            return None
+
+        st = equilibrium(D, M, 1.0, np.zeros(D), np.eye(D))
+        values = sorted({L.value for L in unit_spectrum(D, M)})
+        for v in values:
+            for C in (v, v - 0.5 * _MATCH_TOL, v + 0.5 * _MATCH_TOL):
+                assert classify_field(st, C).family == search(C)
+        for a, b in zip(values, values[1:]):
+            C = 0.5 * (a + b)
+            assert search(C) is None
+            with pytest.raises(ValueError, match="not a unit root"):
+                classify_field(st, C)
+        for C in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="not a unit root"):
+                classify_field(st, C)
 
     @pytest.mark.parametrize("D,M", [(1, 3), (2, 4)])
     def test_gradient_identity_finite_difference(self, D, M):

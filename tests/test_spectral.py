@@ -17,6 +17,7 @@ from hypermoment.hermite import he_monic_eval, he_roots
 from hypermoment.index import IndexSet, block_permutation, order, sub, unit
 from hypermoment.spectral import (
     ProlongationError,
+    SpectralLine,
     Spectrum,
     block_eigenvector,
     charpoly_1d_unregularized,
@@ -26,6 +27,7 @@ from hypermoment.spectral import (
     prolong,
     rotation_spectrum_check,
     spectrum_regularized,
+    unit_spectrum,
     unregularized_eigenvalues,
 )
 from hypermoment.state import MomentState, equilibrium
@@ -131,6 +133,52 @@ class TestNonhyperbolicSearch:
         st = equilibrium(2, 4, 1.0, [0.2, -0.1], [[1.0, 0.2], [0.2, 0.7]])
         v = hyperbolicity_verdict(st)
         assert v.hyperbolic and v.worst_complex_pair is None
+
+
+def family_by_family_table(D, M):
+    """The unit spectrum built family by family: trailing sub-indices
+    counted per family m = M + 1 - |hat|, then the roots of each family."""
+    counts = {M + 1: 1} if D == 1 else {}
+    if D > 1:
+        for h in IndexSet(D - 1, M).indices:
+            m = M + 1 - order(h)
+            counts[m] = counts.get(m, 0) + 1
+    lines = [
+        SpectralLine(float(v), counts[m], m, j)
+        for m in sorted(counts)
+        for j, v in enumerate(he_roots(m))
+    ]
+    lines.sort(key=lambda L: (L.value, L.family_m))
+    return tuple(lines)
+
+
+class TestUnitSpectrum:
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6, 7])
+    def test_equals_family_by_family_construction(self, D, M):
+        table = unit_spectrum(D, M)
+        assert table == family_by_family_table(D, M)
+        assert all(type(L.value) is float for L in table)
+        keys = [(L.value, L.family_m) for L in table]
+        assert keys == sorted(keys)
+        assert sum(L.multiplicity for L in table) == IndexSet(D, M).N
+
+    def test_compiled_once(self):
+        assert unit_spectrum(2, 4) is unit_spectrum(2, 4)
+
+    def test_last_line_is_top_root_of_top_family(self):
+        for D, M in [(1, 2), (2, 5), (3, 7)]:
+            last = unit_spectrum(D, M)[-1]
+            assert (last.family_m, last.root_index) == (M + 1, M)
+            assert last.value == float(he_roots(M + 1)[-1])
+
+    @pytest.mark.parametrize("D,M", [(1, 4), (2, 3), (2, 5), (3, 4)])
+    def test_full_eigendecomposition_lines_are_the_closed_spectrum(self, D, M):
+        rng = np.random.default_rng(50 + 10 * D + M)
+        st = random_state(rng, D, M)
+        sp = full_eigendecomposition(st)
+        assert sp.method == "closed-form"
+        assert sp.lines == spectrum_regularized(st).lines
 
 
 class TestSpectrumRegularized:
