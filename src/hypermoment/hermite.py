@@ -11,8 +11,10 @@ Two univariate scalings appear:
 They differ by the factor theta^n and share every zero. The monic family is
 what the closed-form eigenvector and characteristic-polynomial expressions
 are written in; the scaled family is the expansion basis normalization.
-Both, the Newton polish of ``he_roots`` and the coefficients of the monic
-family run one recurrence kernel, ``_recurrence``.
+``he_eval``, ``he_monic_eval`` and the monic coefficients read by
+``spectral`` run one recurrence kernel, ``_recurrence``. ``he_roots`` and
+the conjecture scan (``cross_order_root_distances`` and ``root_gap_scan``)
+take their zeros from one Newton polish, the root table ``_root_table``.
 """
 
 from __future__ import annotations
@@ -29,23 +31,16 @@ from scipy.linalg import eigh_tridiagonal
 from .index import IndexSet, cardinality, is_void, order, raising_tables
 
 
-def _recurrence(n: int, x, c: float, s: float, renormalize: bool = False):
+def _recurrence(n: int, x, c: float, s: float):
     """(P_{n-1}, P_n) of the three-term recurrence
     P_{k+1} = (x P_k - k c P_{k-1}) / s, P_{-1} = 0, P_0 = 1.
 
     x is an array or a numpy Polynomial (the coefficients then come out).
-    With renormalize the pair is divided by its larger magnitude after every
-    step, which keeps orders of a few hundred inside double range and leaves
-    the ratio P_n / P_{n-1} unchanged.
     """
     one = x**0
     prev, cur = 0.0 * one, one
     for k in range(n):
         prev, cur = cur, (x * cur - k * c * prev) / s
-        if renormalize:
-            m = np.maximum(np.abs(cur), np.abs(prev))
-            m = np.where(m > 0, m, 1.0)
-            prev, cur = prev / m, cur / m
     return prev, cur
 
 
@@ -69,34 +64,51 @@ def he_monic_eval(n: int, theta: float, x):
     return cur if cur.ndim else float(cur)
 
 
-def _newton_step(n: int, x: np.ndarray) -> np.ndarray:
-    """One Newton correction for roots of the unit-scale order-n polynomial,
-    from the renormalized recurrence pair: the derivative of the order-n
-    polynomial is n times the order n-1 one."""
-    prev, cur = _recurrence(n, np.asarray(x, dtype=float), 1.0, 1.0, renormalize=True)
+def _root_table(n_max: int, n_min: int = 1):
+    """Zeros of every order n_min..n_max at unit scale, in one flat array.
+
+    Returns (roots, orders): order n fills n consecutive entries, strictly
+    increasing, after the entries of lower orders; orders labels each entry.
+    Each order is seeded by the eigenvalues of its symmetric tridiagonal
+    Jacobi matrix (zero diagonal, off-diagonal sqrt(k)); then one Newton
+    step P_n / (n P_{n-1}) polishes all orders at once (the derivative of
+    the order-n polynomial is n times the order n-1 one). The pair comes
+    from the unit-scale recurrence, divided by its larger magnitude after
+    every step, which keeps orders of a few hundred inside double range and
+    leaves the ratio unchanged. An entry of order n stops after n steps; as
+    the orders ascend, the entries still running at step k are the suffix
+    from order k + 1, so each step updates a shrinking tail in place and
+    the finished head stays frozen. Zero is a root exactly when n is odd;
+    it is pinned to avoid polish noise.
+    """
+    ns = np.arange(n_min, n_max + 1)
+    jacobi = (
+        eigh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1, n, dtype=float)), eigvals_only=True)
+        for n in ns
+    )
+    x = np.concatenate([np.sort(r) for r in jacobi])
+    orders = np.repeat(ns, ns)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k, j in enumerate(np.searchsorted(orders, np.arange(n_max), side="right")):
+        p, q = cur[j:], x[j:] * cur[j:] - k * prev[j:]
+        m = np.maximum(np.abs(q), np.abs(p))
+        m = np.where(m > 0, m, 1.0)
+        prev[j:], cur[j:] = p / m, q / m
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.where(prev != 0, cur / (n * prev), 0.0)
-    return x - delta
+        x -= np.where(prev != 0, cur / (orders * prev), 0.0)
+    mid = np.cumsum(ns) - ns + ns // 2
+    x[mid[ns % 2 == 1]] = 0.0
+    return x, orders
 
 
 def he_roots(n: int) -> np.ndarray:
-    """Strictly increasing zeros of the order-n polynomial at unit scale.
-
-    Eigenvalues of the symmetric tridiagonal Jacobi matrix (zero diagonal,
-    off-diagonal sqrt(k)), then a single Newton polish. Scale by sqrt(theta)
-    for other scales.
+    """Strictly increasing zeros of the order-n polynomial at unit scale
+    (the order-n row of ``_root_table``). Scale by sqrt(theta) for other
+    scales.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        return np.zeros(1)
-    off = np.sqrt(np.arange(1, n, dtype=float))
-    roots = eigh_tridiagonal(np.zeros(n), off, eigvals_only=True)
-    roots = _newton_step(n, np.sort(roots))
-    # zero is a root exactly when n is odd; pin it to avoid polish noise
-    if n % 2 == 1:
-        roots[n // 2] = 0.0
-    return roots
+    return _root_table(n, n)[0]
 
 
 @dataclass(frozen=True)
@@ -243,15 +255,23 @@ def integral_relation_check(alpha, beta, basis: AnisotropicBasis, shift=None, np
     return float(np.sum(ws * he * mono))
 
 
+def _nonzero_roots(n_max: int):
+    """The entries of ``_root_table(n_max)`` away from zero."""
+    roots, orders = _root_table(n_max)
+    keep = np.abs(roots) > 1e-10
+    return roots[keep], orders[keep]
+
+
 def cross_order_root_distances(n_max: int):
     """Yield (m, n, root, distance) per order pair 1 <= m < n <= n_max.
 
     root is the nonzero zero of the order-n polynomial closest to any
     nonzero zero of the order-m polynomial; distance is that gap. Pairs
-    where one order has no nonzero zeros (order 1) are skipped.
+    where one order has no nonzero zeros (order 1) are skipped. This is the
+    per-pair reference of ``root_gap_scan``.
     """
-    roots = {n: he_roots(n) for n in range(1, n_max + 1)}
-    nonzero = {n: r[np.abs(r) > 1e-10] for n, r in roots.items()}
+    roots, orders = _nonzero_roots(n_max)
+    nonzero = dict(enumerate(np.split(roots, np.searchsorted(orders, np.arange(2, n_max + 1))), start=1))
     for n in range(2, n_max + 1):
         rn = nonzero[n]
         if rn.size == 0:
@@ -279,11 +299,36 @@ def common_zero_scan(n_max: int, tol: float = 1e-9):
 
 
 def root_gap_scan(n_max: int, tol: float = 1e-9):
-    """One pass over cross_order_root_distances: the hits of
-    common_zero_scan and the closest (m, n, root, distance) entry overall
-    (the first one on ties, None when there is no pair)."""
+    """The hits of common_zero_scan and the closest (m, n, root, distance)
+    entry of cross_order_root_distances (the first one on ties, None when
+    there is no pair), from one sorted pass over the root table.
+
+    Sorted together, the nonzero roots of all orders put the closest pair
+    of different orders next to each other: a root between them would be
+    closer to one of the two. Every pair's gap is at least that one, so when
+    it exceeds tol times the largest root magnitude (at least 1) there is no
+    hit. Otherwise a hit is possible, or two roots coincide and adjacency
+    no longer orders the ties; then the hits and the closest entry both
+    come from the per-pair reference.
+    """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    roots, orders = _nonzero_roots(n_max)
+    by_value = np.argsort(roots, kind="stable")
+    x, lab = roots[by_value], orders[by_value]
+    gaps = np.where(lab[1:] != lab[:-1], np.abs(np.diff(x)), np.inf)
+    d = gaps.min()
+    if d == np.inf:  # n_max == 2: order 1 has no nonzero zero
+        return [], None
+    if d > tol * max(1.0, float(np.abs(roots).max())):
+        # the reference yields the pairs by n, then m, then the root of order
+        # n; a tie between the neighbours below and above it leaves the entry
+        # unchanged
+        k = np.flatnonzero(gaps == d)
+        hi = k + (lab[k + 1] > lab[k])  # the entry of the higher order
+        lo = 2 * k + 1 - hi
+        n, m, r = min(zip(lab[hi].tolist(), lab[lo].tolist(), x[hi].tolist()))
+        return [], (m, n, r, float(d))
     out = []
     best = None
     for m, n, r, d in cross_order_root_distances(n_max):

@@ -283,15 +283,20 @@ class MomentState:
 
     @classmethod
     def from_w(cls, D: int, M: int, w: Sequence[float]) -> "MomentState":
+        """State of the packed vector w, which it keeps (a read-only copy)
+        as its ``w``."""
         t = _packing(D, M)
-        w = np.asarray(w, dtype=float)
+        w = np.array(w, dtype=float)
         if w.shape != (t.N,):
             raise ValueError(f"state vector must have length {t.N}, got {w.shape}")
         if not np.isfinite(w).all():
             raise AdmissibilityError("state vector has non-finite entries")
         rho, u, p = _unpack(w[None], D, M)
         f = dict(zip(t.free_alphas, w[t.free].tolist()))
-        return cls(D=D, M=M, rho=float(rho[0]), u=u[0], p=p[0], f=f)
+        st = cls(D=D, M=M, rho=float(rho[0]), u=u[0], p=p[0], f=f)
+        w.setflags(write=False)
+        st.__dict__["w"] = w  # the cached_property slot
+        return st
 
     def replace(self, **kw) -> "MomentState":
         cur = dict(D=self.D, M=self.M, rho=self.rho, u=self.u, p=self.p, f=self.f)

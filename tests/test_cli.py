@@ -430,6 +430,64 @@ class TestSingleScanConjecture:
         )
         assert capsys.readouterr().err == want
 
+    @staticmethod
+    def _reference(n_max, tols):
+        """Hits per tol and the closest entry of the per-pair reference."""
+        from hypermoment.hermite import cross_order_root_distances
+
+        entries = list(cross_order_root_distances(n_max))
+        hits = [[e for e in entries if e[3] <= tol * max(1.0, abs(e[2]))] for tol in tols]
+        return hits, min(entries, key=lambda t: t[3], default=None)
+
+    def test_sorted_pass_equals_reference(self):
+        from hypermoment.hermite import root_gap_scan
+
+        tols = (0.0, 1e-9, 1e-3, 0.05, 0.5)
+        for n_max in range(2, 61):
+            want_hits, want_best = self._reference(n_max, tols)
+            for tol, want in zip(tols, want_hits):
+                hits, best = root_gap_scan(n_max, tol)
+                assert hits == want, (n_max, tol)
+                assert best == want_best, (n_max, tol)
+
+    def test_sorted_pass_at_200(self):
+        from hypermoment.hermite import root_gap_scan
+
+        hits, best = root_gap_scan(200)
+        assert hits == []
+        assert best == self._reference(200, ())[1]
+
+    @staticmethod
+    def _count_reference(monkeypatch):
+        from hypermoment import hermite
+
+        calls = []
+        real = hermite.cross_order_root_distances
+
+        def counted(n_max):
+            calls.append(n_max)
+            return real(n_max)
+
+        monkeypatch.setattr(hermite, "cross_order_root_distances", counted)
+        return calls
+
+    def test_no_reference_without_possible_hits(self, monkeypatch, tmp_path):
+        calls = self._count_reference(monkeypatch)
+        out = tmp_path / "conj.csv"
+        assert run(["conjecture", "--n-max", "200", "--out", str(out)]) == 0
+        assert calls == []
+        assert out.read_bytes() == (GOLDEN / "conjecture_empty.csv").read_bytes()
+
+    def test_reference_rows_when_hits_possible(self, monkeypatch, tmp_path):
+        (want,), _ = self._reference(8, (0.5,))
+        calls = self._count_reference(monkeypatch)
+        out = tmp_path / "conj.csv"
+        assert run(["conjecture", "--n-max", "8", "--tol", "0.5", "--out", str(out)]) == 2
+        assert calls == [8]
+        head, rows = read_rows(out)
+        assert head == ["m", "n", "root", "distance"]
+        assert want and rows == [[str(m), str(n), repr(r), repr(d)] for m, n, r, d in want]
+
 
 class TestInputContract:
     def test_negative_direction_as_two_tokens(self, tmp_path):

@@ -122,6 +122,21 @@ class TestRoots:
                 assert abs(float(x - x0)) <= 1e-14 * max(1.0, abs(x0))
 
 
+class TestRootTable:
+    def test_rows_are_he_roots(self):
+        roots, orders = H._root_table(200)
+        assert np.array_equal(orders, np.repeat(np.arange(1, 201), np.arange(1, 201)))
+        for n in range(1, 201):
+            assert np.array_equal(roots[orders == n], H.he_roots(n))
+
+    def test_lower_orders_start_later(self):
+        # a table from n_min holds the same rows as the full one
+        full, orders = H._root_table(40)
+        part, part_orders = H._root_table(40, 25)
+        assert np.array_equal(part, full[orders >= 25])
+        assert np.array_equal(part_orders, orders[orders >= 25])
+
+
 class TestAnisotropic:
     def setup_method(self):
         self.rng = np.random.default_rng(7)

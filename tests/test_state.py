@@ -96,6 +96,20 @@ class TestMomentState:
         w = random_state(np.random.default_rng(seed), D, M, scale=0.3).w
         np.testing.assert_array_equal(MomentState.from_w(D, M, w).w, w)
 
+    def test_from_w_keeps_its_vector(self):
+        w = random_state(np.random.default_rng(5), 2, 5).w.copy()
+        w[-1] = -0.0  # a packing from rho, u, p and f would write +0.0
+        st_ = MomentState.from_w(2, 5, w)
+        assert st_.w.tobytes() == w.tobytes()
+        assert not st_.w.flags.writeable
+        w[0] = 99.0  # the state holds a copy
+        assert st_.w[0] == st_.rho != 99.0
+
+    def test_direct_construction_packs_w(self):
+        st_ = MomentState(D=1, M=4, rho=1.5, u=[0.2], p=[[0.9]], f={(3,): 0.1, (4,): -0.05})
+        np.testing.assert_array_equal(st_.w, [1.5, 0.2, 0.45, 0.1, -0.05])
+        assert not st_.w.flags.writeable
+
     def test_constraint_resolution(self):
         st_ = MomentState(D=2, M=4, rho=1.5, u=[0, 0], p=np.eye(2), f={(2, 2): 0.3})
         assert st_.f_value((0, 0)) == 1.5
