@@ -396,6 +396,14 @@ def _req(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _section(doc: dict, key: str, required: bool = False) -> dict:
+    """Sub-object key of the config, {} when absent and optional."""
+    val = _req(doc, key, "config") if required else doc.get(key, {})
+    if not isinstance(val, dict):
+        raise ValueError(f"config field {key!r} must be a JSON object")
+    return val
+
+
 def _state_from_doc(doc, D: int, M: int, name: str) -> MomentState:
     if not isinstance(doc, dict):
         raise ValueError(f"{name} state must be a JSON object")
@@ -410,16 +418,18 @@ def _state_from_doc(doc, D: int, M: int, name: str) -> MomentState:
 def _load_sim_config(path: str):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     D = int(_req(doc, "D", "config"))
     M = int(_req(doc, "M", "config"))
-    g = _req(doc, "grid", "config")
+    g = _section(doc, "grid", required=True)
     grid = Grid1D(
         nx=int(_req(g, "nx", "grid")),
         x_min=float(g.get("x_min", 0.0)),
         x_max=float(g.get("x_max", 1.0)),
         boundary=g.get("boundary", "copy"),
     )
-    c = doc.get("collision", {})
+    c = _section(doc, "collision")
     model = CollisionModel(
         nu=float(c.get("nu", 0.0)),
         kind=c.get("kind", "bgk"),
@@ -436,7 +446,7 @@ def _load_sim_config(path: str):
     )
     left = _state_from_doc(_req(doc, "left", "config"), D, M, "left")
     right = _state_from_doc(_req(doc, "right", "config"), D, M, "right")
-    kin = doc.get("kinetic", {})
+    kin = _section(doc, "kinetic")
     return config, left, right, kin
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .assembly import path_integral
-from .spectral import _block_eigenvector, _permuted, _prolong, unit_spectrum
+from .spectral import _block_index, _permuted, _prolong_permuted, unit_spectrum
 from .state import (
     ConservedMoments,
     MomentState,
@@ -139,9 +139,8 @@ def _field_eigenvector(w: np.ndarray, D: int, M: int, field: CharField, root: fl
     h = M + 1 - m
     lam = float(root * np.sqrt(p[0, 0, 0] / rho[0]))
     perm, B = _permuted(w, D, M)
-    r = _block_eigenvector(perm, B, h, lam)
     hat = (h,) + (0,) * max(D - 2, 0) if D > 1 else ()
-    R = _prolong(perm, B, r, hat, lam)
+    R = perm.inverse_apply(_prolong_permuted(perm.blocks[_block_index(perm, hat):], B, lam))
     if m == M + 1:
         R = R * rho[0]  # density-entry-rho normalization for fan curves
     return R

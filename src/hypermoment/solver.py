@@ -61,6 +61,8 @@ class Grid1D:
     def __post_init__(self):
         if self.nx < 4:
             raise ValueError(f"need at least 4 cells, got {self.nx}")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"domain bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if not self.x_max > self.x_min:
             raise ValueError("domain must have positive length")
         if self.boundary not in ("copy", "periodic"):
@@ -92,8 +94,8 @@ class SimulationConfig:
             raise ValueError(f"need order M >= 2, got {self.M}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"CFL number must be in (0, 1], got {self.cfl}")
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if self.n_snapshots < 2:
             raise ValueError("need at least the initial and final snapshots")
 
@@ -374,8 +376,8 @@ def build_oracle(
             raise ValueError("the kinetic reference is one-dimensional")
     if n_v < 48:
         raise ValueError(f"need at least 48 velocity points, got {n_v}")
-    if K < 6.0:
-        raise ValueError(f"need a velocity span of at least 6 sigma, got K={K}")
+    if not (math.isfinite(K) and K >= 6.0):
+        raise ValueError(f"need a finite velocity span of at least 6 sigma, got K={K}")
     spans = [(float(st.u[0]), math.sqrt(st.p[0, 0] / st.rho)) for st in (left, right)]
     vmin = min(u - K * s for u, s in spans)
     vmax = max(u + K * s for u, s in spans)

@@ -3,8 +3,9 @@
 The regularized transport matrix in a given direction decomposes, after the
 block permutation, into lower Hessenberg diagonal blocks whose characteristic
 polynomials are rescaled probabilists' Hermite polynomials. Eigenvalues come
-from tabulated Hermite roots; eigenvectors from forward substitution through
-the Hessenberg blocks plus a proper prolongation to the full system.
+from tabulated Hermite roots. Each eigenvector is one solve of the block
+lower triangular system from its target block on, with the leading entries
+of the target and of the later blocks singular at the eigenvalue fixed.
 """
 
 from __future__ import annotations
@@ -186,20 +187,6 @@ def spectrum_regularized(state: MomentState) -> Spectrum:
 # -- block eigenvectors and prolongation ---------------------------------------
 
 
-def _hessenberg_forward(B: np.ndarray, lam: float, v: np.ndarray, head: float) -> tuple:
-    """Solve rows 0..n-2 of (B - lam I) r = v for r given r[0] = head.
-
-    Returns (r, last-row residual). Requires positive superdiagonal.
-    """
-    n = B.shape[0]
-    r = np.zeros(n)
-    r[0] = head
-    for k in range(n - 1):
-        r[k + 1] = (v[k] + lam * r[k] - B[k, : k + 1] @ r[: k + 1]) / B[k, k + 1]
-    res = B[n - 1, :] @ r - lam * r[n - 1] - v[n - 1]
-    return r, float(res)
-
-
 def _permuted(w: np.ndarray, D: int, M: int, regularized: bool = True) -> tuple:
     """Block permutation of the first axis and the first-axis matrix of the
     packed row w (N,) in permuted coordinates."""
@@ -211,97 +198,100 @@ def _permuted(w: np.ndarray, D: int, M: int, regularized: bool = True) -> tuple:
     return perm, perm.conjugate(A)
 
 
+def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.ndarray:
+    """Eigenvector of the permuted matrix B at lam, in permuted coordinates,
+    from one solve over blocks: the target block, then the later blocks.
+
+    Entries before the target stay zero. block_vec, when given, fixes the
+    target block; otherwise its leading entry is 1 and its last row checks
+    that lam is an eigenvalue of it. A later block singular at lam (the
+    target's size, or odd size at lam = 0) has leading entry 0 and its last
+    row checks that the lower system is consistent. The other entries solve
+    the remaining rows of B - lam I; in reverse order these form an upper
+    Hessenberg matrix, so partial pivoting keeps the triangular rows of the
+    fixed blocks a plain substitution. One more right-hand side per other
+    later block, its last unit row, gives r / res on that block for its
+    homogeneous solution r (leading entry 1, last-row residual res): above
+    1e12 the block is singular at lam although its size says it is not. A
+    column is zero above its own block, so the last such column names one.
+    """
+    target, ts, tn = blocks[0]
+    n = blocks[-1][1] + blocks[-1][2] - ts
+    A = B[ts : ts + n, ts : ts + n].copy()
+    A.flat[:: n + 1] -= lam
+    Rp = np.zeros(B.shape[0])
+    x = Rp[ts : ts + n]
+    if block_vec is None:
+        x[0] = 1.0
+        held, first = [(target, 0, tn)], 0
+    else:
+        x[:tn] = block_vec
+        held, first = [], tn
+    free = []
+    for h, s, size in blocks[1:]:
+        singular = size == tn or (lam == 0.0 and size % 2 == 1)
+        (held if singular else free).append((h, s - ts, size))
+    leads = [s for _, s, _ in held]
+    checks = [s + size - 1 for _, s, size in held]
+    rows = [i for i in range(n - 1, first - 1, -1) if i not in checks]
+    cols = [j for j in range(n - 1, first - 1, -1) if j not in leads]
+    rhs = np.zeros((n, 1 + len(free)))
+    rhs[:, 0] = -(A @ x)
+    rhs[[s + size - 1 for _, s, size in free], range(1, 1 + len(free))] = 1.0
+    try:
+        X = np.linalg.solve(A[rows][:, cols], rhs[rows])
+    except np.linalg.LinAlgError:
+        raise ProlongationError(f"unexpected singular block at lambda={lam}") from None
+    big = np.flatnonzero(np.abs(X[:, 1:]).max(axis=0, initial=0.0) >= 1e12)
+    if big.size:
+        raise ProlongationError(f"unexpected singular block {free[big[-1]][0]} at lambda={lam}")
+    x[cols] = X[:, 0]
+    terms = A[checks] * x
+    for (h, s, _), r, sc in zip(held, terms.sum(axis=1), np.abs(terms).sum(axis=1)):
+        if s == 0 and abs(r) > 1e-10 * max(sc, 1.0):
+            raise ValueError(
+                f"{lam} is not an eigenvalue of the order-{order(h)} block (residual {r:.3e})"
+            )
+        if abs(r) > 1e-8 * max(sc, 1.0):
+            raise ProlongationError(
+                f"singular block {h} inconsistent at lambda={lam} (residual {r:.3e})"
+            )
+    return Rp
+
+
+def _block_index(perm, hat) -> int:
+    for k, (h, _, _) in enumerate(perm.blocks):
+        if h == hat:
+            return k
+    raise ValueError(f"no block with trailing sub-index {hat}")
+
+
 def block_eigenvector(n_hat: int, lam: float, state: MomentState, regularized: bool = True) -> np.ndarray:
     """Eigenvector of the diagonal block whose trailing sub-index has order
     n_hat, normalized to leading entry 1.
 
-    The block is lower Hessenberg with positive superdiagonal, so forward
-    substitution from the leading entry determines the vector; the last-row
-    residual vanishes exactly when lam is an eigenvalue of the block.
+    The block is lower Hessenberg with positive superdiagonal, so the
+    leading entry determines the vector; the last-row residual vanishes
+    exactly when lam is an eigenvalue of the block.
     """
     if not 0 <= n_hat <= state.M:
         raise ValueError(f"block order must be in 0..{state.M}, got {n_hat}")
-    return _block_eigenvector(*_permuted(state.w, state.D, state.M, regularized), n_hat, lam)
-
-
-def _block_eigenvector(perm, B: np.ndarray, n_hat: int, lam: float) -> np.ndarray:
-    for h, start, size in perm.blocks:
-        if order(h) == n_hat:
-            blk = B[start : start + size, start : start + size]
-            r, res = _hessenberg_forward(blk, lam, np.zeros(size), 1.0)
-            scale = np.abs(blk).max() * max(1.0, np.abs(r).max())
-            if abs(res) > 1e-10 * max(scale, 1.0):
-                raise ValueError(
-                    f"{lam} is not an eigenvalue of the order-{n_hat} block "
-                    f"(residual {res:.3e})"
-                )
-            return r
-    raise AssertionError("unreachable: block not found")
-
-
-def _prolong_permuted(
-    perm, B: np.ndarray, target: int, lam: float, block_vec: np.ndarray
-) -> np.ndarray:
-    """Proper prolongation in permuted coordinates.
-
-    Blocks before the target stay zero. Each later block solves its
-    Hessenberg system with the coupling from already-filled blocks; the
-    leading entry is fixed by the last-row consistency equation except when
-    the block is singular at lam (same size as the target, or odd size at
-    lam = 0), where zero is the canonical choice.
-    """
-    N = B.shape[0]
-    Rp = np.zeros(N)
-    th, ts, tn = perm.blocks[target]
-    Rp[ts : ts + tn] = block_vec
-    for j in range(target + 1, len(perm.blocks)):
-        h, sj, nj = perm.blocks[j]
-        v = -(B[sj : sj + nj, :sj] @ Rp[:sj])
-        singular = nj == tn or (lam == 0.0 and nj % 2 == 1)
-        if singular:
-            if not np.any(v):
-                continue  # Rp stays zero on this block
-            r, res = _hessenberg_forward(B[sj : sj + nj, sj : sj + nj], lam, v, 0.0)
-            scale = max(1.0, np.abs(v).max(), np.abs(r).max())
-            if abs(res) > 1e-8 * scale:
-                raise ProlongationError(
-                    f"singular block {h} inconsistent at lambda={lam} (residual {res:.3e})"
-                )
-            Rp[sj : sj + nj] = r
-            continue
-        blk = B[sj : sj + nj, sj : sj + nj]
-        r_part, res_part = _hessenberg_forward(blk, lam, v, 0.0)
-        r_hom, res_hom = _hessenberg_forward(blk, lam, np.zeros(nj), 1.0)
-        if abs(res_hom) <= 1e-12 * max(1.0, np.abs(r_hom).max()):
-            raise ProlongationError(
-                f"unexpected singular block {h} at lambda={lam}"
-            )
-        head = -res_part / res_hom
-        Rp[sj : sj + nj] = r_part + head * r_hom
-    return Rp
+    perm, B = _permuted(state.w, state.D, state.M, regularized)
+    t = next(k for k, (h, _, _) in enumerate(perm.blocks) if order(h) == n_hat)
+    _, start, size = perm.blocks[t]
+    return _prolong_permuted(perm.blocks[t : t + 1], B, lam)[start : start + size]
 
 
 def prolong(block_vector, hat_alpha, lam: float, state: MomentState) -> np.ndarray:
     """Extend a diagonal-block eigenvector with trailing sub-index hat_alpha
     to a full eigenvector of the regularized first-axis matrix, in the
     original packing order."""
-    return _prolong(*_permuted(state.w, state.D, state.M), block_vector, hat_alpha, lam)
-
-
-def _prolong(perm, B: np.ndarray, block_vector, hat_alpha, lam: float) -> np.ndarray:
-    hat_alpha = tuple(hat_alpha)
-    target = None
-    for k, (h, _, _) in enumerate(perm.blocks):
-        if h == hat_alpha:
-            target = k
-            break
-    if target is None:
-        raise ValueError(f"no block with trailing sub-index {hat_alpha}")
+    perm, B = _permuted(state.w, state.D, state.M)
+    t = _block_index(perm, tuple(hat_alpha))
     block_vector = np.asarray(block_vector, dtype=float)
-    if block_vector.shape != (perm.blocks[target][2],):
+    if block_vector.shape != (perm.blocks[t][2],):
         raise ValueError("block vector length does not match the block size")
-    Rp = _prolong_permuted(perm, B, target, lam, block_vector)
-    return perm.inverse_apply(Rp)
+    return perm.inverse_apply(_prolong_permuted(perm.blocks[t:], B, lam, block_vector))
 
 
 def _fit(A: np.ndarray, Lam: np.ndarray, R: np.ndarray) -> tuple:
@@ -319,14 +309,11 @@ def full_eigendecomposition(state: MomentState) -> Spectrum:
     Atil = perm.unconjugate(B)
     spec = spectrum_regularized(state)
     try:
-        cols, lams, vec_cache = [], [], {}
-        for t, (_, st_, n) in enumerate(perm.blocks):
+        cols, lams = [], []
+        for t, (_, _, n) in enumerate(perm.blocks):
             # a block of size n carries the roots of family m = n, ascending
-            for j, lam in enumerate(L.value for L in spec.lines if L.family_m == n):
-                if (n, j) not in vec_cache:
-                    blk = B[st_ : st_ + n, st_ : st_ + n]
-                    vec_cache[n, j] = _hessenberg_forward(blk, lam, np.zeros(n), 1.0)[0]
-                cols.append(perm.inverse_apply(_prolong_permuted(perm, B, t, lam, vec_cache[n, j])))
+            for lam in (L.value for L in spec.lines if L.family_m == n):
+                cols.append(perm.inverse_apply(_prolong_permuted(perm.blocks[t:], B, lam)))
                 lams.append(lam)
         R = np.column_stack(cols)
         Lam = np.array(lams)
@@ -337,7 +324,7 @@ def full_eigendecomposition(state: MomentState) -> Spectrum:
                 f"closed-form residual {residual:.3e} or condition {cond:.3e} out of range"
             )
         lines, method = spec.lines, "closed-form"
-    except ProlongationError as err:
+    except (ProlongationError, ValueError) as err:
         warnings.warn(f"falling back to numerical eigensolve: {err}")
         lam, V = np.linalg.eig(Atil)
         order_ = np.argsort(lam.real)

@@ -616,16 +616,17 @@ def state_to_json(state: MomentState) -> str:
 
 def state_from_json(text: str) -> MomentState:
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and isinstance(doc.get("f", {}), dict)):
+        raise ValueError("state JSON and its field 'f' must be objects")
     try:
         D = int(doc["D"])
         M = int(doc["M"])
         rho = float(doc["rho"])
         u = doc["u"]
         p = doc["p"]
+        f = {tuple(int(t) for t in k.split(",")): float(v) for k, v in doc.get("f", {}).items()}
     except KeyError as e:
         raise ValueError(f"state JSON missing field {e.args[0]!r}") from None
-    f = {}
-    for key, val in doc.get("f", {}).items():
-        alpha = tuple(int(t) for t in key.split(","))
-        f[alpha] = float(val)
+    except TypeError as e:
+        raise ValueError(f"state JSON field has the wrong type: {e}") from None
     return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)

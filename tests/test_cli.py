@@ -574,3 +574,53 @@ class TestNumericalFailureExit:
         out = tmp_path / "s.csv"
         assert run(["spectrum", "--state", str(STATE), "--unregularized", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+
+
+class TestMalformedConfig:
+    """Non-finite or mistyped config and state JSON exits 1 before writing."""
+
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"t_end": float("inf")}, "t_end must be finite"),
+            ({"grid": {"nx": 16, "x_max": float("inf")}}, "domain bounds must be finite"),
+            ({"grid": {"nx": 16, "x_min": float("-inf")}}, "domain bounds must be finite"),
+            ({"grid": [16]}, "'grid' must be a JSON object"),
+            ({"collision": [0.0]}, "'collision' must be a JSON object"),
+            ({"kinetic": [48]}, "'kinetic' must be a JSON object"),
+        ],
+    )
+    def test_bad_config_exits_1(self, tmp_path, capsys, over, message):
+        cf = write_json(tmp_path, "sim.json", sim_config(**over))
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("K", [float("inf"), float("nan")])
+    def test_non_finite_oracle_span_exits_1(self, tmp_path, capsys, K):
+        cf = write_json(tmp_path, "sim.json", sim_config(kinetic={"n_v": 48, "K": K}))
+        out = tmp_path / "kin.csv"
+        assert run(["simulate", "--config", str(cf), "--oracle", "--out", str(out)]) == 1
+        assert "finite velocity span" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cf = write_json(tmp_path, "sim.json", [1, 2])
+        assert run(["simulate", "--config", str(cf)]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([1, 2], "state JSON and its field 'f' must be objects"),
+            ({**json.loads(STATE.read_text()), "f": [1]}, "state JSON and its field 'f' must be objects"),
+            ({**json.loads(STATE.read_text()), "rho": [1.0]}, "wrong type"),
+        ],
+    )
+    def test_bad_state_file_exits_1(self, tmp_path, capsys, doc, message):
+        sf = write_json(tmp_path, "s.json", doc)
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--state", str(sf), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -503,3 +503,56 @@ class TestRotation:
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
             assert rotation_spectrum_check(st, n) < 1e-8
+
+
+class TestOneSolve:
+    """Every eigenvector comes from one solve with fixed leading entries:
+    zero before its target block, exactly 1 at the target's leading entry
+    and 0 at the leading entry of each later block singular at lambda. With
+    the residual, these conditions fix the vector."""
+
+    @staticmethod
+    def _targets(perm):
+        # full_eigendecomposition orders its columns by block, then root
+        return [(start, size) for _, start, size in perm.blocks for _ in range(size)]
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+    def test_columns_fix_leading_entries(self, D, M):
+        st = random_state(np.random.default_rng(500 + 10 * D + M), D, M)
+        sp = full_eigendecomposition(st)
+        assert sp.method == "closed-form"
+        perm = block_permutation(st.index_set)
+        Rp = perm.apply(sp.R.T)
+        for col, lam, (start, size) in zip(Rp, sp.Lambda, self._targets(perm)):
+            assert np.all(col[:start] == 0.0)
+            assert col[start] == 1.0
+            for _, s, n in perm.blocks:
+                if s > start and (n == size or (lam == 0.0 and n % 2 == 1)):
+                    assert abs(col[s]) <= 1e-14
+        At = regularize(assemble(st, 1), st).entries
+        assert np.max(np.abs(At @ sp.R - sp.R * sp.Lambda[None, :])) <= 1e-8 * max(
+            np.max(np.abs(At)), 1.0
+        )
+
+    @pytest.mark.parametrize("D,M", [(1, 4), (2, 4), (3, 3)])
+    def test_field_eigenvector_is_scaled_column(self, D, M):
+        from hypermoment.riemann import _field_eigenvector, classify_field
+
+        st = random_state(np.random.default_rng(600 + 10 * D + M), D, M)
+        R = full_eigendecomposition(st).R
+        # the top family is the leading block, whose columns come first
+        top = [L.value for L in unit_spectrum(D, M) if L.family_m == M + 1]
+        for j, C in enumerate(top):
+            got = _field_eigenvector(st.w, D, M, classify_field(st, C), C)
+            expect = st.rho * R[:, j]
+            assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+    def test_unexpected_singular_block_raises_through_prolong(self):
+        # at a root of He_4 the size-4 block (1,) is singular, though the
+        # target block (0,) has size 5
+        st = random_state(np.random.default_rng(3), 2, 4)
+        sq = np.sqrt(st.theta_tensor[0, 0])
+        for C in he_roots(4):
+            with pytest.raises(ProlongationError, match=r"unexpected singular block \(1,\)"):
+                prolong(np.ones(5), (0,), float(C * sq), st)
