@@ -396,6 +396,17 @@ def _req(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _scalar(conv, doc: dict, key: str, where: str, default=None):
+    """conv (int or float) of doc[key], or of default when the field is
+    absent; no default makes the field required. A list or object there is
+    bad input, not a TypeError."""
+    val = _req(doc, key, where) if default is None else doc.get(key, default)
+    try:
+        return conv(val)
+    except TypeError:
+        raise ValueError(f"{where} field {key!r} must be a number, got {json.dumps(val)}") from None
+
+
 def _section(doc: dict, key: str, required: bool = False) -> dict:
     """Sub-object key of the config, {} when absent and optional."""
     val = _req(doc, key, "config") if required else doc.get(key, {})
@@ -410,7 +421,7 @@ def _state_from_doc(doc, D: int, M: int, name: str) -> MomentState:
     doc = dict(doc)
     doc.setdefault("D", D)
     doc.setdefault("M", M)
-    if (int(doc["D"]), int(doc["M"])) != (D, M):
+    if (_scalar(int, doc, "D", f"{name} state"), _scalar(int, doc, "M", f"{name} state")) != (D, M):
         raise ValueError(f"{name} state dimensions must match the config (D={D}, M={M})")
     return state_from_json(json.dumps(doc))
 
@@ -420,29 +431,29 @@ def _load_sim_config(path: str):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    D = int(_req(doc, "D", "config"))
-    M = int(_req(doc, "M", "config"))
+    D = _scalar(int, doc, "D", "config")
+    M = _scalar(int, doc, "M", "config")
     g = _section(doc, "grid", required=True)
     grid = Grid1D(
-        nx=int(_req(g, "nx", "grid")),
-        x_min=float(g.get("x_min", 0.0)),
-        x_max=float(g.get("x_max", 1.0)),
+        nx=_scalar(int, g, "nx", "grid"),
+        x_min=_scalar(float, g, "x_min", "grid", 0.0),
+        x_max=_scalar(float, g, "x_max", "grid", 1.0),
         boundary=g.get("boundary", "copy"),
     )
     c = _section(doc, "collision")
     model = CollisionModel(
-        nu=float(c.get("nu", 0.0)),
+        nu=_scalar(float, c, "nu", "collision", 0.0),
         kind=c.get("kind", "bgk"),
-        Pr=float(c.get("Pr", 1.0)),
+        Pr=_scalar(float, c, "Pr", "collision", 1.0),
     )
     config = SimulationConfig(
         D=D,
         M=M,
         grid=grid,
-        t_end=float(_req(doc, "t_end", "config")),
-        cfl=float(doc.get("cfl", 0.8)),
+        t_end=_scalar(float, doc, "t_end", "config"),
+        cfl=_scalar(float, doc, "cfl", "config", 0.8),
         collision=model,
-        n_snapshots=int(doc.get("n_snapshots", 2)),
+        n_snapshots=_scalar(int, doc, "n_snapshots", "config", 2),
     )
     left = _state_from_doc(_req(doc, "left", "config"), D, M, "left")
     right = _state_from_doc(_req(doc, "right", "config"), D, M, "right")
@@ -457,8 +468,8 @@ def cmd_simulate(args) -> int:
             config,
             left,
             right,
-            n_v=int(kin.get("n_v", 64)),
-            K=float(kin.get("K", 6.0)),
+            n_v=_scalar(int, kin, "n_v", "kinetic", 64),
+            K=_scalar(float, kin, "K", "kinetic", 6.0),
         )
     else:
         result = simulate(config, left, right)

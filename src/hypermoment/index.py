@@ -7,18 +7,18 @@ coefficient lookups built on top of this module map void to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import comb
 
 
 def _binom(n: int, k: int) -> int:
     if n < 0 or k < 0 or n < k:
         return 0
-    return int(comb(n, k, exact=True))
+    return math.comb(n, k)
 
 
 def is_void(alpha: Sequence[int]) -> bool:

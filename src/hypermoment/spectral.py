@@ -241,7 +241,11 @@ def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.n
     try:
         X = np.linalg.solve(A[rows][:, cols], rhs[rows])
     except np.linalg.LinAlgError:
-        raise ProlongationError(f"unexpected singular block at lambda={lam}") from None
+        # exactly singular in floating point: name the last later block that
+        # is singular on its own
+        bad = [h for h, s, size in free if np.linalg.cond(A[s : s + size, s : s + size]) >= 1e12]
+        name = f"{bad[-1]} " if bad else ""
+        raise ProlongationError(f"unexpected singular block {name}at lambda={lam}") from None
     big = np.flatnonzero(np.abs(X[:, 1:]).max(axis=0, initial=0.0) >= 1e12)
     if big.size:
         raise ProlongationError(f"unexpected singular block {free[big[-1]][0]} at lambda={lam}")
@@ -274,8 +278,9 @@ def block_eigenvector(n_hat: int, lam: float, state: MomentState, regularized: b
     leading entry determines the vector; the last-row residual vanishes
     exactly when lam is an eigenvalue of the block.
     """
-    if not 0 <= n_hat <= state.M:
-        raise ValueError(f"block order must be in 0..{state.M}, got {n_hat}")
+    top = state.M if state.D > 1 else 0  # a D=1 state has only the order-0 block
+    if not 0 <= n_hat <= top:
+        raise ValueError(f"block order must be in 0..{top}, got {n_hat}")
     perm, B = _permuted(state.w, state.D, state.M, regularized)
     t = next(k for k, (h, _, _) in enumerate(perm.blocks) if order(h) == n_hat)
     _, start, size = perm.blocks[t]

@@ -544,6 +544,8 @@ class CollisionModel:
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu >= 0):
             raise ValueError(f"collision frequency must be finite and >= 0, got {self.nu}")
+        if not isinstance(self.kind, str):
+            raise ValueError(f"collision kind must be a string, got {self.kind!r}")
         kind = self.kind.lower()
         object.__setattr__(self, "kind", kind)
         if kind not in ("bgk", "es-bgk"):
@@ -625,8 +627,8 @@ def state_from_json(text: str) -> MomentState:
         u = doc["u"]
         p = doc["p"]
         f = {tuple(int(t) for t in k.split(",")): float(v) for k, v in doc.get("f", {}).items()}
+        return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)
     except KeyError as e:
         raise ValueError(f"state JSON missing field {e.args[0]!r}") from None
     except TypeError as e:
         raise ValueError(f"state JSON field has the wrong type: {e}") from None
-    return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)

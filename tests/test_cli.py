@@ -597,6 +597,28 @@ class TestMalformedConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"grid": {"nx": [16]}}, "grid field 'nx' must be a number, got [16]"),
+            ({"D": [1]}, "config field 'D' must be a number, got [1]"),
+            ({"collision": {"kind": 1}}, "collision kind must be a string, got 1"),
+            (
+                {"left": {"rho": 1.0, "u": {"a": 1}, "p": [[1.0]], "f": {}}},
+                "state JSON field has the wrong type",
+            ),
+        ],
+        ids=["nx-list", "D-list", "kind-int", "u-object"],
+    )
+    def test_mistyped_scalar_exits_1(self, tmp_path, capsys, over, message):
+        cf = write_json(tmp_path, "sim.json", sim_config(**over))
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("K", [float("inf"), float("nan")])
     def test_non_finite_oracle_span_exits_1(self, tmp_path, capsys, K):
         cf = write_json(tmp_path, "sim.json", sim_config(kinetic={"n_v": 48, "K": K}))

@@ -136,6 +136,32 @@ class TestRootTable:
         assert np.array_equal(part, full[orders >= 25])
         assert np.array_equal(part_orders, orders[orders >= 25])
 
+    def test_rows_are_exactly_antisymmetric(self):
+        roots, orders = H._root_table(400)
+        for n in range(1, 401):
+            r = roots[orders == n]
+            assert np.array_equal(r, -r[::-1])
+
+    def test_rows_interlace_up_to_400(self):
+        roots, orders = H._root_table(400)
+        rows = np.split(roots, np.cumsum(np.arange(1, 400)))
+        for lo, hi in zip(rows[:-1], rows[1:]):
+            assert np.all(np.diff(hi) > 0)
+            assert np.all(hi[:-1] < lo) and np.all(lo < hi[1:])
+
+    def test_newton_step_is_round_off_up_to_400(self):
+        # He_n / (n He_{n-1}) at every entry from the unit-scale recurrence,
+        # rescaled by the larger magnitude after every step to stay in range
+        roots, orders = H._root_table(400)
+        prev, cur = np.zeros_like(roots), np.ones_like(roots)
+        for k in range(400):
+            run = orders > k
+            p, q = cur[run], roots[run] * cur[run] - k * prev[run]
+            m = np.maximum(np.abs(p), np.abs(q))
+            prev[run], cur[run] = p / m, q / m
+        step = np.abs(cur / (orders * prev))
+        assert np.all(step <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(roots)))
+
 
 class TestAnisotropic:
     def setup_method(self):

@@ -313,6 +313,13 @@ class TestBlockEigenvector:
         with pytest.raises(ValueError, match="not an eigenvalue"):
             block_eigenvector(0, 0.1234, st)
 
+    @pytest.mark.parametrize("D,n_hat,top", [(1, 1, 0), (1, 3, 0), (2, 5, 4), (3, -1, 4)])
+    def test_rejects_missing_block_order(self, D, n_hat, top):
+        # a D=1 state has only the order-0 block
+        st = equilibrium(D, 4, 1.0, [0.0] * D, np.eye(D))
+        with pytest.raises(ValueError, match=f"block order must be in 0..{top}, got {n_hat}"):
+            block_eigenvector(n_hat, 0.0, st)
+
     def test_unregularized_eigenvectors(self):
         # same closed form holds for the unregularized leading block at its
         # own (different) eigenvalues
