@@ -255,9 +255,10 @@ class BlockPermutation:
         return w
 
     def conjugate(self, A: np.ndarray) -> np.ndarray:
-        """Matrix of the same operator acting on the permuted vector."""
+        """Matrix of the same operator acting on the permuted vector; A may
+        carry leading batch axes (..., N, N)."""
         A = np.asarray(A)
-        return A[np.ix_(self.source, self.source)]
+        return A[..., self.source[:, None], self.source]
 
     def unconjugate(self, Ap: np.ndarray) -> np.ndarray:
         Ap = np.asarray(Ap)

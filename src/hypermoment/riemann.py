@@ -3,17 +3,24 @@ problem of the regularized moment system.
 
 Fields are labeled by the unit-variance Hermite root C with wave speed
 u1 + C sqrt(theta_11). Fields from the top family are genuinely nonlinear
-(except C = 0); all others are linearly degenerate. Rarefaction curves have
-closed forms in (rho, u1, p11); shocks satisfy a generalized jump condition
-whose top-order rows depend on a path. The path is linear in the packed
+(except C = 0); all others are linearly degenerate. The integral curve of
+a genuinely nonlinear field is closed form in every slot: after the
+velocity shear that decouples the first axis (Cai, Fan & Li, Comm. Math.
+Sci. 11 (2013)), the free coefficients solve a constant-coefficient affine
+system, one matrix exponential. Curves of linearly degenerate fields are
+integrated numerically. Shocks satisfy a generalized jump condition whose
+top-order rows depend on a path. The path is linear in the packed
 variables w, the one the finite-volume scheme integrates along
 (assembly.path_integral), so the scheme and the jump check agree.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,6 +33,7 @@ from .state import (
     MomentState,
     _check_cells,
     _moments_and_flux,
+    _pack,
     _packing,
     _unpack,
     from_conserved_batch,
@@ -131,37 +139,154 @@ def _density_entry(state: MomentState, field: CharField) -> float:
 
 
 def _field_eigenvector(w: np.ndarray, D: int, M: int, field: CharField, root: float) -> np.ndarray:
-    """Eigenvector of the field at the packed row w (N,); root is the field's
-    unit root. Raises AdmissibilityError if w is not an admissible state."""
-    rho, _, p = _unpack(w[None], D, M)
-    _check_cells(p, "pressure tensor", rho, np.isfinite(w)[None].all(axis=1))
+    """Eigenvector of the field at the packed row w (N,), or at each row of
+    a stack w (k, N) from one assembly and solve; the rows of a stack share
+    one wave speed (their theta_11). root is the field's unit root. Raises
+    AdmissibilityError if a row is not an admissible state."""
+    W = w.reshape(-1, w.shape[-1])
+    rho, _, p = _unpack(W, D, M)
+    _check_cells(p, "pressure tensor", rho, np.isfinite(W).all(axis=1))
     m, _ = field.family
     h = M + 1 - m
     lam = float(root * np.sqrt(p[0, 0, 0] / rho[0]))
-    perm, B = _permuted(w, D, M)
+    perm, B = _permuted(W, D, M)
     hat = (h,) + (0,) * max(D - 2, 0) if D > 1 else ()
     R = perm.inverse_apply(_prolong_permuted(perm.blocks[_block_index(perm, hat):], B, lam))
     if m == M + 1:
-        R = R * rho[0]  # density-entry-rho normalization for fan curves
-    return R
+        R = R * rho[:, None]  # density-entry-rho normalization for fan curves
+    return R.reshape(w.shape)
+
+
+@lru_cache(maxsize=None)
+def _shear_tables(D: int, M: int):
+    """The velocity shear eta_1 = xi_1, eta_j = xi_j - s_j xi_1 on the free
+    coefficients of one (D, M), compiled once.
+
+    The coefficients belong to derivatives of the Gaussian weight, and
+    d/dxi_1 = d/deta_1 - sum_j s_j d/deta_j, so the coefficient of alpha
+    moves to gamma = (k_1, alpha_2 + k_2, ..., alpha_D + k_D) for every
+    split k of alpha_1, weighted by the multinomial alpha_1! / k! and by
+    prod_j (-s_j)^(k_j). Per term: the free positions of alpha (src) and of
+    gamma (dst), the weight, and the powers k_2..k_D; a1 holds alpha_1 per
+    free slot.
+    """
+    t = _packing(D, M)
+    pos = {a: i for i, a in enumerate(t.free_alphas)}
+    terms = []
+    for i, a in enumerate(t.free_alphas):
+        for k in itertools.product(range(a[0] + 1), repeat=D - 1):
+            k1 = a[0] - sum(k)
+            if k1 >= 0:
+                gamma = (k1,) + tuple(x + y for x, y in zip(a[1:], k))
+                weight = math.factorial(a[0]) // math.prod(map(math.factorial, (k1,) + k))
+                terms.append((i, pos[gamma], weight, k))
+    src, dst, weight, powers = zip(*terms) if terms else ((), (), (), ())
+    return (
+        np.array(src, dtype=int),
+        np.array(dst, dtype=int),
+        np.array(weight, dtype=float),
+        np.array(powers, dtype=int).reshape(len(src), D - 1),
+        np.array([a[0] for a in t.free_alphas], dtype=float),
+    )
+
+
+def _shear_matrix(D: int, M: int, s: np.ndarray) -> np.ndarray:
+    """Matrix of the shear with slopes s (D - 1,) on the free coefficients;
+    the shear with slopes -s inverts it."""
+    src, dst, weight, powers, a1 = _shear_tables(D, M)
+    T = np.zeros((a1.size, a1.size))
+    T[dst, src] = weight * np.prod((-s) ** powers, axis=1)
+    return T
+
+
+def _expm(Z: np.ndarray) -> np.ndarray:
+    """exp(Z) by scaling and squaring (Moler & Van Loan, SIAM Rev. 45
+    (2003)): Z is halved until its 1-norm is at most 1/2, where the Taylor
+    series of degree 14 is exact to below 2^-53, and the result squared back."""
+    squarings = max(0, math.frexp(float(np.abs(Z).sum(axis=0).max(initial=0.0)))[1] + 1)
+    Z = Z / 2.0**squarings
+    E = term = np.eye(len(Z))
+    for j in range(1, 15):
+        term = term @ Z / j
+        E = E + term
+    for _ in range(squarings):
+        E = E @ E
+    return E
+
+
+def _fan_curve(state0: MomentState, field: CharField, root: float, zeta: float) -> np.ndarray:
+    """Packed row at parameter zeta on the integral curve of a genuinely
+    nonlinear field, in closed form.
+
+    With s_j = theta_1j / theta_11 the slopes of the shear, which stay
+    constant, rho e^-zeta, the conditional pressure p_jk - p_1j p_1k / p_11
+    times e^-zeta and u_j - s_j u_1 are invariants, p_11 grows as
+    e^(C^2 zeta) and u_1 follows from the wave speed. In the sheared frame
+    (theta_1j = 0) each free coefficient scaled to
+    y_alpha = f_alpha / (rho theta_11^(alpha_1 / 2)) solves y' = K y + c
+    with K and c constant: c is the scaled eigenvector at f = 0, column
+    alpha of K its change at y = e_alpha, less the diagonal
+    1 + alpha_1 (C^2 - 1) / 2 of the scaling's own rate. All n + 1
+    eigenvectors come from one stacked solve, and y(zeta) from one
+    exponential of the augmented matrix [[K, c], [0, 0]].
+    """
+    D, M, C = state0.D, state0.M, field.C
+    t = _packing(D, M)
+    rho0, p0 = state0.rho, state0.p
+    th0 = p0[0, 0] / rho0
+    *_, a1 = _shear_tables(D, M)
+    n = a1.size
+    # the sheared frame: xi = lift @ eta; its pressure has p_1j = 0 and the
+    # conditional pressure in the transverse block
+    s = p0[0, 1:] / p0[0, 0]
+    lift = np.eye(D)
+    lift[1:, 0] = s
+    ps = p0.copy()
+    ps[1:, 1:] -= p0[1:, :1] * s
+    ps[0, 1:] = ps[1:, 0] = 0.0
+    scale = rho0 * th0 ** (a1 / 2)
+    W = np.tile(_pack(rho0, state0.u[None], ps[None], np.zeros((1, t.N)), D, M), (n + 1, 1))
+    W[np.arange(1, n + 1), t.free] = scale
+    R = _field_eigenvector(W, D, M, field, root)[:, t.free] / scale
+    Z = np.zeros((n + 1, n + 1))
+    Z[:n, :n] = (R[1:] - R[0]).T - np.diag(1.0 + a1 * (C * C - 1.0) / 2)
+    Z[:n, n] = R[0]
+    E = _expm(zeta * Z)
+    y = E[:n, :n] @ (_shear_matrix(D, M, s) @ state0.w[t.free] / scale) + E[:n, n]
+
+    rho = rho0 * np.exp(zeta)
+    eps = C * C - 1.0
+    if abs(eps) < 1e-12:
+        du1 = C * np.sqrt(th0) * zeta
+    else:
+        du1 = 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
+    ps *= np.exp(zeta)
+    ps[0, 0] = p0[0, 0] * np.exp(C * C * zeta)
+    fvec = np.zeros((1, t.N))
+    fvec[0, t.free] = _shear_matrix(D, M, -s) @ (rho * (ps[0, 0] / rho) ** (a1 / 2) * y)
+    u = state0.u + du1 * lift[:, 0]
+    return _pack(rho, u[None], (lift @ ps @ lift.T)[None], fvec, D, M)[0]
 
 
 def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> MomentState:
     """Point at parameter zeta on the integral curve of the field through
-    state0.
+    state0, with the eigenvector's density entry normalized to rho.
 
-    Density, first velocity, and first pressure follow closed exponential
-    forms; the remaining components solve dw/dzeta = R(w) numerically with
-    the same eigenvector normalization.
+    The curve of a genuinely nonlinear field is closed form in every slot
+    (_fan_curve); that of a linearly degenerate field solves
+    dw/dzeta = R(w) numerically. Raises ValueError for a non-finite zeta.
     """
+    if not math.isfinite(zeta):
+        raise ValueError(f"curve parameter must be finite, got {zeta}")
     if zeta == 0.0:
         return state0
-    C = field.C
-    if abs(C * C - 1.0) < 1e-8:
+    if abs(field.C * field.C - 1.0) < 1e-8:
         warnings.warn("unit-root magnitude 1: using the series limit")
     D, M = state0.D, state0.M
     root = next(L.value for L in unit_spectrum(D, M) if (L.family_m, L.root_index) == field.family)
-
+    if field.genuinely_nonlinear:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return MomentState.from_w(D, M, _fan_curve(state0, field, root, zeta))
     sol = solve_ivp(
         lambda z, w: _field_eigenvector(w, D, M, field, root),
         (0.0, zeta), state0.w, method="RK45", rtol=1e-11, atol=1e-12,
@@ -169,19 +294,7 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
     )
     if not sol.success:
         raise RuntimeError(f"integral-curve integration failed: {sol.message}")
-    w = sol.y[:, -1]
-    if field.genuinely_nonlinear:
-        th0 = float(state0.theta_tensor[0, 0])
-        eps = C * C - 1.0
-        if abs(eps) < 1e-12:
-            u1 = state0.u[0] + C * np.sqrt(th0) * zeta
-        else:
-            u1 = state0.u[0] + 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
-        t = _packing(D, M)
-        w[0] = state0.rho * np.exp(zeta)
-        w[t.vel[0]] = u1
-        w[t.pair[0, 0]] = float(state0.p[0, 0]) * np.exp(C * C * zeta) / 2  # the slot stores p11/2
-    return MomentState.from_w(D, M, w)
+    return MomentState.from_w(D, M, sol.y[:, -1])
 
 
 def contact_check(wL: MomentState, wR: MomentState, field: CharField) -> ContactVerdict:

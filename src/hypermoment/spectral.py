@@ -189,13 +189,14 @@ def spectrum_regularized(state: MomentState) -> Spectrum:
 
 def _permuted(w: np.ndarray, D: int, M: int, regularized: bool = True) -> tuple:
     """Block permutation of the first axis and the first-axis matrix of the
-    packed row w (N,) in permuted coordinates."""
-    W = w[None]
-    A = assemble_batch(W, D, M, 1)[0]
+    packed row w (N,) in permuted coordinates, or the stack (k, N, N) of
+    matrices of the rows of w (k, N) from one assembly."""
+    W = w.reshape(-1, w.shape[-1])
+    A = assemble_batch(W, D, M, 1)
     if regularized:
-        A = A + regularization_correction_batch(W, D, M, 1)[0]
+        A = A + regularization_correction_batch(W, D, M, 1)
     perm = block_permutation(IndexSet(D, M))
-    return perm, perm.conjugate(A)
+    return perm, perm.conjugate(A).reshape(w.shape[:-1] + A.shape[1:])
 
 
 def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.ndarray:
@@ -214,18 +215,21 @@ def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.n
     homogeneous solution r (leading entry 1, last-row residual res): above
     1e12 the block is singular at lam although its size says it is not. A
     column is zero above its own block, so the last such column names one.
+    A stack B (k, N, N) of matrices with the same eigenvalue lam gives the
+    stack (k, N) of their eigenvectors from one stacked solve; a check that
+    fails on any of them raises.
     """
     target, ts, tn = blocks[0]
     n = blocks[-1][1] + blocks[-1][2] - ts
-    A = B[ts : ts + n, ts : ts + n].copy()
-    A.flat[:: n + 1] -= lam
-    Rp = np.zeros(B.shape[0])
-    x = Rp[ts : ts + n]
+    A = B[..., ts : ts + n, ts : ts + n].copy()
+    A[..., range(n), range(n)] -= lam
+    Rp = np.zeros(B.shape[:-1])
+    x = Rp[..., ts : ts + n]
     if block_vec is None:
-        x[0] = 1.0
+        x[..., 0] = 1.0
         held, first = [(target, 0, tn)], 0
     else:
-        x[:tn] = block_vec
+        x[..., :tn] = block_vec
         held, first = [], tn
     free = []
     for h, s, size in blocks[1:]:
@@ -235,28 +239,35 @@ def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.n
     checks = [s + size - 1 for _, s, size in held]
     rows = [i for i in range(n - 1, first - 1, -1) if i not in checks]
     cols = [j for j in range(n - 1, first - 1, -1) if j not in leads]
-    rhs = np.zeros((n, 1 + len(free)))
-    rhs[:, 0] = -(A @ x)
-    rhs[[s + size - 1 for _, s, size in free], range(1, 1 + len(free))] = 1.0
+    rhs = np.zeros(B.shape[:-2] + (n, 1 + len(free)))
+    rhs[..., 0] = -(A @ x[..., None])[..., 0]
+    rhs[..., [s + size - 1 for _, s, size in free], range(1, 1 + len(free))] = 1.0
     try:
-        X = np.linalg.solve(A[rows][:, cols], rhs[rows])
+        X = np.linalg.solve(A[..., rows, :][..., cols], rhs[..., rows, :])
     except np.linalg.LinAlgError:
         # exactly singular in floating point: name the last later block that
         # is singular on its own
-        bad = [h for h, s, size in free if np.linalg.cond(A[s : s + size, s : s + size]) >= 1e12]
+        bad = [
+            h for h, s, size in free
+            if (np.linalg.cond(A[..., s : s + size, s : s + size]) >= 1e12).any()
+        ]
         name = f"{bad[-1]} " if bad else ""
         raise ProlongationError(f"unexpected singular block {name}at lambda={lam}") from None
-    big = np.flatnonzero(np.abs(X[:, 1:]).max(axis=0, initial=0.0) >= 1e12)
+    big = np.flatnonzero(np.abs(X[..., 1:]).max(axis=tuple(range(X.ndim - 1)), initial=0.0) >= 1e12)
     if big.size:
         raise ProlongationError(f"unexpected singular block {free[big[-1]][0]} at lambda={lam}")
-    x[cols] = X[:, 0]
-    terms = A[checks] * x
-    for (h, s, _), r, sc in zip(held, terms.sum(axis=1), np.abs(terms).sum(axis=1)):
-        if s == 0 and abs(r) > 1e-10 * max(sc, 1.0):
+    x[..., cols] = X[..., 0]
+    terms = A[..., checks, :] * x[..., None, :]
+    sums, scales = terms.sum(axis=-1), np.maximum(np.abs(terms).sum(axis=-1), 1.0)
+    for j, (h, s, _) in enumerate(held):
+        r, sc = sums[..., j].ravel(), scales[..., j].ravel()
+        i = np.argmax(np.abs(r) / sc)  # the worst matrix of a stack
+        r, sc = float(r[i]), float(sc[i])
+        if s == 0 and abs(r) > 1e-10 * sc:
             raise ValueError(
                 f"{lam} is not an eigenvalue of the order-{order(h)} block (residual {r:.3e})"
             )
-        if abs(r) > 1e-8 * max(sc, 1.0):
+        if abs(r) > 1e-8 * sc:
             raise ProlongationError(
                 f"singular block {h} inconsistent at lambda={lam} (residual {r:.3e})"
             )

@@ -5,13 +5,18 @@ independent adaptive ODE integration for the rarefaction closed forms, and
 classical monatomic-gas jump relations for the second-order Euler limit.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hypermoment import riemann as riemann_mod
 from hypermoment import state as state_mod
+from hypermoment.assembly import assemble, regularize
 from hypermoment.hermite import he_roots
-from hypermoment.index import IndexSet, order
+from hypermoment.index import IndexSet, factorial, order
 from hypermoment.riemann import (
     _MATCH_TOL,
     _field_eigenvector,
@@ -26,7 +31,13 @@ from hypermoment.riemann import (
     wave_table_check,
 )
 from hypermoment.spectral import full_eigendecomposition, unit_spectrum
-from hypermoment.state import AdmissibilityError, MomentState, equilibrium, to_conserved
+from hypermoment.state import (
+    AdmissibilityError,
+    MomentState,
+    equilibrium,
+    from_conserved,
+    to_conserved,
+)
 
 from helpers import random_state
 
@@ -178,6 +189,143 @@ class TestRarefaction:
         assert out.rho == pytest.approx(st.rho, abs=1e-9)
         assert out.u[0] == pytest.approx(st.u[0], abs=1e-9)
         assert out.p[0, 0] == pytest.approx(st.p[0, 0], abs=1e-9)
+
+
+def _skewed_state(rng, D, M):
+    """State with theta_1j != 0 and random free coefficients, |f| <= 0.02."""
+    A = rng.normal(size=(D, D))
+    Theta = A @ A.T / D + 0.5 * np.eye(D)
+    if D > 1:
+        Theta[0, 1:] = Theta[1:, 0] = 0.4 * np.sqrt(Theta[0, 0] * np.diag(Theta)[1:])
+    f = {a: rng.uniform(-0.02, 0.02) for a in IndexSet(D, M).indices if order(a) >= 3}
+    rho = rng.uniform(0.8, 1.3)
+    return MomentState(D=D, M=M, rho=rho, u=rng.uniform(-0.3, 0.3, D), p=rho * Theta, f=f)
+
+
+def _gn_roots(M):
+    return [float(c) for c in he_roots(M + 1) if abs(c) > 1e-12]
+
+
+def _lapack_rk45_curve(st, C, zeta):
+    """Integral curve from LAPACK eigenvectors of the regularized first-axis
+    matrix and an adaptive RK45 integration, no code of the module under
+    test beyond assembly."""
+    D, M = st.D, st.M
+
+    def rhs(_, w):
+        cur = MomentState.from_w(D, M, w)
+        lam, vec = np.linalg.eig(regularize(assemble(cur, 1), cur).entries)
+        k = int(np.argmin(np.abs(lam - C * np.sqrt(cur.theta_tensor[0, 0]))))
+        r = vec[:, k].real
+        return r * cur.rho / r[0]
+
+    sol = solve_ivp(rhs, (0.0, zeta), st.w, method="RK45", rtol=1e-10, atol=1e-12)
+    assert sol.success
+    return sol.y[:, -1]
+
+
+def _sheared(st, s):
+    """The state pushed through eta_1 = xi_1, eta_j = xi_j - s_j xi_1, from
+    its raw moments E[xi^beta] = beta! F_beta."""
+    D, M = st.D, st.M
+    idx = IndexSet(D, M).indices
+    E = {a: F * factorial(a) for a, F in zip(idx, to_conserved(st).F)}
+    G = []
+    for g in idx:
+        total = 0.0
+        for k in itertools.product(*(range(gj + 1) for gj in g[1:])):
+            weight = math.prod(math.comb(gj, kj) * (-sj) ** kj for gj, kj, sj in zip(g[1:], k, s))
+            beta = (g[0] + sum(k),) + tuple(gj - kj for gj, kj in zip(g[1:], k))
+            total += weight * E[beta]
+        G.append(total / factorial(g))
+    return from_conserved(np.array(G), D, M)
+
+
+class TestClosedFormCurve:
+    """Fan curves of genuinely nonlinear fields are closed form in every slot."""
+
+    @pytest.mark.parametrize("zeta", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_parameter(self, zeta):
+        st = equilibrium(1, 3, 1.0, [0.0], [[1.0]])
+        field = classify_field(st, float(he_roots(4)[-1]))
+        with pytest.raises(ValueError, match="must be finite"):
+            rarefaction_curve(st, field, zeta)
+
+    @pytest.mark.parametrize("D,M", [(1, 6), (2, 4), (2, 5), (3, 4)])
+    def test_matches_lapack_rk45_oracle(self, D, M):
+        st = _skewed_state(np.random.default_rng(40 + 10 * D + M), D, M)
+        for C in _gn_roots(M):
+            field = classify_field(st, C)
+            for zeta in (-0.15, 0.15):
+                oracle = _lapack_rk45_curve(st, C, zeta)
+                got = rarefaction_curve(st, field, zeta).w
+                assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle)), (C, zeta)
+
+    @pytest.mark.parametrize("D,M", [(2, 4), (3, 4), (3, 5)])
+    def test_invariants_along_curve(self, D, M):
+        st = _skewed_state(np.random.default_rng(7 * D + M), D, M)
+        th = st.theta_tensor
+        s0 = th[0, 1:] / th[0, 0]
+
+        def invariants(cur, zeta):
+            t = cur.theta_tensor
+            s = t[0, 1:] / t[0, 0]
+            return (
+                np.array([cur.rho * np.exp(-zeta)]),
+                s,
+                t[1:, 1:] - np.outer(t[0, 1:], s),
+                cur.u[1:] - s * cur.u[0],
+            )
+
+        start = invariants(st, 0.0)
+        assert np.abs(start[1]).min() > 0.1  # the shear is not the identity
+        for C in _gn_roots(M):
+            field = classify_field(st, C)
+            for zeta in (-0.4, 0.2, 0.5):
+                for got, want in zip(invariants(rarefaction_curve(st, field, zeta), zeta), start):
+                    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("D,M", [(2, 4), (3, 4)])
+    def test_shear_commutes_with_curve(self, D, M):
+        st = _skewed_state(np.random.default_rng(3 * D + M), D, M)
+        th = st.theta_tensor
+        for s in (th[0, 1:] / th[0, 0], np.linspace(-0.3, 0.5, D - 1)):
+            sheared = _sheared(st, s)
+            for C in _gn_roots(M):
+                field = classify_field(st, C)
+                for zeta in (-0.3, 0.4):
+                    a = _sheared(rarefaction_curve(st, field, zeta), s).w
+                    b = rarefaction_curve(sheared, field, zeta).w
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (s, C, zeta)
+
+    @pytest.mark.parametrize("D,M", [(1, 2), (1, 5), (2, 3), (3, 3)])
+    def test_no_ode_solve(self, D, M, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ODE solver called on a genuinely nonlinear curve")
+
+        monkeypatch.setattr(riemann_mod, "solve_ivp", refuse)
+        st = _skewed_state(np.random.default_rng(D + M), D, M)
+        for C in _gn_roots(M):
+            end = rarefaction_curve(st, classify_field(st, C), 0.3)
+            assert end.rho == pytest.approx(st.rho * np.exp(0.3), rel=1e-14)
+
+    def test_cost_independent_of_parameter(self, monkeypatch):
+        st = _skewed_state(np.random.default_rng(5), 2, 4)
+        field = classify_field(st, _gn_roots(4)[-1])
+        calls = []
+        real = riemann_mod._field_eigenvector
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(riemann_mod, "_field_eigenvector", counted)
+        counts = []
+        for zeta in (0.01, 0.5):
+            calls.clear()
+            rarefaction_curve(st, field, zeta)
+            counts.append(len(calls))
+        assert counts == [1, 1]
 
 
 class TestPackedRightHandSide:
