@@ -21,6 +21,12 @@ Gatteschi's Airy-zero expansion for the largest few (Gatteschi, J. Comput.
 Appl. Math. 144 (2002)). Then it runs flat Newton passes on the unit-scale
 recurrence, two at every order and three more at orders <= 24, and mirrors
 the result.
+
+The identity checks of ``hermite-check`` are array passes: ``parity_deviation``
+and ``differential_deviation`` build one table each on stacked points, and
+``gram_deviations`` reads one quadrature rule and one table through ``_gram``,
+the weighted products that ``quasi_orthogonality_check`` and
+``integral_relation_check`` also take their values from.
 """
 
 from __future__ import annotations
@@ -266,24 +272,26 @@ def ghf_eval(alpha: Sequence[int], basis: AnisotropicBasis, x):
     return weight(basis, x) * ghe_eval(alpha, basis, x)
 
 
-def gauss_hermite_rule(npts: int):
-    """1D nodes/weights integrating against the standard normal density."""
-    t, w = hermgauss(npts)
-    return t * math.sqrt(2.0), w / math.sqrt(math.pi)
-
-
 def gaussian_quadrature(basis: AnisotropicBasis, npts: int):
-    """Tensorized rule for the basis weight: points (K, D) and weights (K,)."""
-    z, w = gauss_hermite_rule(npts)
-    D = basis.D
-    grids = np.meshgrid(*([z] * D), indexing="ij")
-    wgrids = np.meshgrid(*([w] * D), indexing="ij")
-    zs = np.stack([g.ravel() for g in grids], axis=-1)
-    ws = np.ones(zs.shape[0])
-    for wg in wgrids:
-        ws *= wg.ravel()
-    pts = zs @ basis.chol.T
-    return pts, ws
+    """Tensorized Gauss-Hermite rule for the basis weight, npts nodes per
+    axis (exact to degree 2 npts - 1): points (K, D) and weights (K,)."""
+    t, w = hermgauss(npts)
+    nodes = np.indices((npts,) * basis.D).reshape(basis.D, -1).T  # last axis fastest
+    return (t * math.sqrt(2.0))[nodes] @ basis.chol.T, np.prod((w / math.sqrt(math.pi))[nodes], axis=1)
+
+
+def _gram(basis: AnisotropicBasis, top: int, npts: int, shift):
+    """The multi-indices of order <= top in rank order, and the quadrature
+    values of their basis polynomials against each other (G) and against
+    the monomials (x + shift)^beta (I). The rule has npts points per axis,
+    raised to the top + 1 that make every entry exact.
+    """
+    pts, ws = gaussian_quadrature(basis, max(npts, top + 1))
+    table = ghe_table(basis, pts, top)
+    idx = list(table)
+    V = np.stack(list(table.values()))
+    Vw = V * ws
+    return idx, Vw @ V.T, Vw @ np.prod((pts + shift) ** np.array(idx)[:, None, :], axis=-1).T
 
 
 def quasi_orthogonality_check(alpha, beta, basis: AnisotropicBasis, npts=None) -> float:
@@ -294,14 +302,9 @@ def quasi_orthogonality_check(alpha, beta, basis: AnisotropicBasis, npts=None) -
     """
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
-    deg = order(alpha) + order(beta)
-    if npts is None:
-        npts = max(order(alpha), order(beta)) + 4
-    if 2 * npts - 1 < deg:
-        npts = deg // 2 + 1
-    pts, ws = gaussian_quadrature(basis, npts)
-    table = ghe_table(basis, pts, max(order(alpha), order(beta)))
-    return float(np.sum(ws * table[alpha] * table[beta]))
+    top = max(order(alpha), order(beta))
+    idx, G, _ = _gram(basis, top, top + 4 if npts is None else npts, 0.0)
+    return float(G[idx.index(alpha), idx.index(beta)])
 
 
 def integral_relation_check(alpha, beta, basis: AnisotropicBasis, shift=None, npts=None) -> float:
@@ -313,15 +316,65 @@ def integral_relation_check(alpha, beta, basis: AnisotropicBasis, shift=None, np
     """
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
+    deg = order(alpha) + order(beta)
+    shift = 0.0 if shift is None else np.asarray(shift, dtype=float)
+    idx, _, I = _gram(basis, max(order(alpha), order(beta)), deg + 4 if npts is None else npts, shift)
+    return float(I[idx.index(alpha), idx.index(beta)])
+
+
+def parity_deviation(basis: AnisotropicBasis, x, max_order: int) -> float:
+    """Largest |He_alpha(-x) - (-1)^|alpha| He_alpha(x)| over points x of shape
+    (K, D) and orders <= max_order, relative to max(1, max |He_alpha(x)|) per
+    alpha. One table on the stacked points [x; -x]; NaN when it overflows.
+    """
+    x = np.asarray(x, dtype=float)
+    table = ghe_table(basis, np.concatenate([x, -x]), max_order)
+    T = np.stack(list(table.values()))
+    plus, minus = T[:, : len(x)], T[:, len(x) :] * (-1.0) ** np.sum(list(table), axis=1)[:, None]
+    scale = np.maximum(1.0, np.max(np.abs(plus), axis=1))
+    return float(np.max(np.max(np.abs(minus - plus), axis=1) / scale))
+
+
+def differential_deviation(basis: AnisotropicBasis, x, max_order: int) -> float:
+    """Largest deviation of the central difference (step 1e-5) along axis i
+    of the weighted function of alpha, |alpha| < max_order, from its
+    derivative: minus the weighted function of alpha + e_i. Relative to
+    max(1, max |target|) per (i, alpha), over points x of shape (K, D). One
+    table and one weight call on the stacked points x, x + h e_i, x - h e_i.
+    """
+    h = 1e-5
     D = basis.D
-    a = np.zeros(D) if shift is None else np.asarray(shift, dtype=float)
-    if npts is None:
-        npts = order(alpha) + order(beta) + 4
-    pts, ws = gaussian_quadrature(basis, npts)
-    shifted = pts + a  # integration variable; weight is centered at the shift
-    mono = np.prod(shifted ** np.array(beta), axis=-1)
-    he = ghe_eval(alpha, basis, pts)
-    return float(np.sum(ws * he * mono))
+    pts = x + np.concatenate([np.zeros((1, D)), h * np.eye(D), -h * np.eye(D)])[:, None]
+    w = weight(basis, pts)
+    T = np.stack(list(ghe_table(basis, pts, max_order).values()))  # (rank, 1 + 2D, K)
+    s, n = IndexSet(D, max_order), cardinality(D, max_order - 1)
+    up = np.array([[s.rank0(a[:i] + (a[i] + 1,) + a[i + 1 :]) for i in range(D)] for a in s.indices[:n]])
+    fd = (w[1 : D + 1] * T[:n, 1 : D + 1] - w[D + 1 :] * T[:n, D + 1 :]) / (2 * h)
+    target = -w[0] * T[up, 0]
+    scale = np.maximum(1.0, np.max(np.abs(target), axis=-1))
+    return float(np.max(np.max(np.abs(fd - target), axis=-1) / scale))
+
+
+def gram_deviations(basis: AnisotropicBasis, max_order: int, shift) -> tuple:
+    """(orthogonality, integral relation) deviations of the polynomials of
+    order <= max_order, from one rule exact to degree 2 max_order and one
+    table V of them on it.
+
+    Orthogonality: the largest |G_ab| / sqrt(G_aa G_bb) over |a| != |b|, for
+    the Gram matrix G = V diag(w) V^T. Integral relation: the largest
+    |I_ab - a! delta_ab| / a! over |b| <= |a|, for I = V diag(w) U^T against
+    the table U of monomials (x + shift)^b. NaN when the table overflows.
+    """
+    idx, G, I = _gram(basis, max_order, max_order + 4, shift)
+    orders = np.sum(idx, axis=1)
+    # alpha! in floating point: inf past 170!, where the integer one would not convert
+    fact = np.cumprod(np.r_[1.0, np.arange(1.0, max_order + 1)])[np.array(idx)].prod(axis=1)
+    ortho = np.abs(G) / np.sqrt(np.outer(np.diag(G), np.diag(G)))
+    integral = np.abs(I - np.diag(fact)) / fact[:, None]
+    return (
+        float(np.max(ortho, where=orders[:, None] != orders, initial=0.0)),
+        float(np.max(integral, where=orders[None, :] <= orders[:, None], initial=0.0)),
+    )
 
 
 def _nonzero_roots(n_max: int):

@@ -17,6 +17,7 @@ import pytest
 
 from hypermoment.assembly import assemble, regularize
 from hypermoment.cli import run
+from hypermoment import hermite
 from hypermoment.hermite import he_roots
 from hypermoment.riemann import classify_field, rarefaction_curve
 from hypermoment.spectral import spectrum_regularized
@@ -346,6 +347,50 @@ class TestHermiteCheck:
 
     def test_bad_dimension(self):
         assert run(["hermite-check", "--D", "4"]) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_deviation_fails(self, tmp_path):
+        # past order 170 the table overflows; a NaN deviation must not pass
+        dst = tmp_path / "herm.csv"
+        assert run(["hermite-check", "--D", "1", "--max-order", "400", "--out", str(dst)]) == 2
+        _, rows = read_rows(dst)
+        assert rows[0][0] == "parity" and rows[0][3] == "false"
+
+    def test_one_rule_and_three_tables(self, tmp_path, monkeypatch):
+        calls = {"gaussian_quadrature": 0, "ghe_table": 0}
+
+        def counted(name):
+            real = getattr(hermite, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(hermite, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        dst = tmp_path / "herm.csv"
+        assert run(["hermite-check", "--D", "3", "--max-order", "6", "--out", str(dst)]) == 0
+        assert calls["gaussian_quadrature"] == 1
+        assert calls["ghe_table"] <= 3
+
+    def test_perturbed_table_fails(self, tmp_path, monkeypatch):
+        # one order-2 value off by 1%, at the point nearest the origin (the
+        # heaviest node of a quadrature rule), must show in both Gram checks
+        real = hermite.ghe_table
+
+        def perturbed(basis, x, max_order):
+            table = real(basis, x, max_order)
+            vals = table[(2,) + (0,) * (basis.D - 1)]
+            vals[np.unravel_index(np.argmin(np.sum(np.square(x), axis=-1)), vals.shape)] *= 1.01
+            return table
+
+        monkeypatch.setattr(hermite, "ghe_table", perturbed)
+        dst = tmp_path / "herm.csv"
+        assert run(["hermite-check", "--D", "2", "--max-order", "4", "--out", str(dst)]) == 2
+        ok = {r[0]: r[3] for r in read_rows(dst)[1]}
+        assert ok["orthogonality"] == "false" and ok["integral_relation"] == "false"
 
 
 class TestExitCodes:

@@ -335,6 +335,12 @@ class TestQuadratureChecks:
             assert abs(H.integral_relation_check((2, 1), (1, 2), b, shift=shift)) <= 1e-9
             assert abs(H.integral_relation_check((2, 1), (1, 0), b, shift=shift)) <= 1e-9
 
+    def test_small_npts_raised_to_exact(self):
+        b = H.AnisotropicBasis(rand_spd(np.random.default_rng(47), 2))
+        for check in (H.quasi_orthogonality_check, H.integral_relation_check):
+            assert check((2, 1), (2, 1), b, npts=1) == pytest.approx(check((2, 1), (2, 1), b), rel=1e-12)
+        assert H.integral_relation_check((2, 1), (2, 1), b, npts=1) == pytest.approx(2.0, rel=1e-12)
+
     def test_shift_independence(self):
         b = H.AnisotropicBasis(rand_spd(np.random.default_rng(43), 2))
         v0 = H.integral_relation_check((1, 2), (1, 2), b, shift=None)
