@@ -20,7 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import assemble, path_integral, regularize, source_batch
+from .assembly import (
+    assemble_batch,
+    path_integral,
+    regularization_correction_batch,
+    source_batch,
+)
 from .hermite import AnisotropicBasis, ghe_table, weight
 from .index import IndexSet
 from .spectral import unit_spectrum
@@ -127,12 +132,22 @@ def grad_flux(state: MomentState) -> np.ndarray:
     return _moments_and_flux(state.w[None], state.D, state.M)[1][0]
 
 
-def _spectral_bound_check(state: MomentState):
-    """Closed-form speed bound must dominate the numerical spectrum."""
-    A = regularize(assemble(state, 1), state).entries
-    A = A + float(state.u[0]) * np.eye(A.shape[0])
+def _spectral_bound_check(packed):
+    """Closed-form speed bound must dominate the numerical spectrum.
+
+    packed is a (D, M, row) tuple with row one packed state (1, N), the
+    fastest cell of a step, already checked admissible. The numerical
+    spectrum is that of u_1 I + A^(1) + its regularization correction,
+    assembled on the row; the bound is the row's |u_1| + C_max sqrt(theta_11).
+    Raises RuntimeError when the bound falls short of the largest
+    eigenvalue modulus.
+    """
+    D, M, row = packed
+    u1 = float(_unpack(row, D, M)[1][0, 0])
+    A = (assemble_batch(row, D, M, 1) + regularization_correction_batch(row, D, M, 1))[0]
+    A = A + u1 * np.eye(A.shape[0])
     numeric = float(np.max(np.abs(np.linalg.eigvals(A))))
-    bound = max_signal_speed(state)
+    bound = float(_signal_speeds(row, D, M)[0])
     if numeric > bound * (1.0 + 1e-8) + 1e-12:
         raise RuntimeError(
             f"speed bound {bound} underestimates the numerical spectrum {numeric}"
@@ -162,16 +177,20 @@ def _relax(W: np.ndarray, dt: float, D: int, M: int, model: CollisionModel) -> n
 
 
 def _packed_cells(cells, D: int, M: int, nx: int) -> np.ndarray:
+    """The (nx, N) packed rows of cells. A packed array is checked where it
+    enters: AdmissibilityLoss names its lowest row that is not finite or has
+    rho <= 0 or a pressure tensor that is not positive definite."""
     if len(cells) != nx:
         raise ValueError(f"expected {nx} cells, got {len(cells)}")
     if isinstance(cells, np.ndarray):
         N = IndexSet(D, M).N
         if cells.shape != (nx, N):
             raise ValueError(f"packed cells must have shape {(nx, N)}, got {cells.shape}")
-        bad = ~np.isfinite(cells).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise AdmissibilityLoss(f"cell {i} has non-finite entries", cell=i)
+        rho, _, p = _unpack(cells, D, M)
+        try:
+            _check_cells(p, "pressure tensor", rho, np.isfinite(cells).all(axis=1))
+        except AdmissibilityError as e:
+            raise AdmissibilityLoss(f"cell {e.cell} is not admissible: {e}", cell=e.cell) from e
         return cells
     for c in cells:
         if (c.D, c.M) != (D, M):
@@ -184,6 +203,12 @@ def step(cells, dt: float, config: SimulationConfig):
 
     cells is either an (nx, N) array of packed states, which is advanced
     and returned as such, or a sequence of MomentState, returned as a list.
+    Non-finite or inadmissible input is rejected where it enters, as an
+    AdmissibilityLoss naming the lowest bad cell. dt must respect the CFL
+    bound of the closed-form signal speeds, and _spectral_bound_check checks
+    that bound against the numerical spectrum of the fastest cell's packed
+    row. A cell that leaves the admissible set in transport or relaxation
+    raises AdmissibilityLoss.
     """
     grid = config.grid
     D, M = config.D, config.M
@@ -196,13 +221,14 @@ def step(cells, dt: float, config: SimulationConfig):
     bound = config.cfl * dx / float(speeds[fastest])
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt} exceeds the stable bound {bound}")
-    _spectral_bound_check(MomentState.from_w(D, M, W[fastest]))
+    _spectral_bound_check((D, M, W[fastest : fastest + 1]))
 
     F, G = _moments_and_flux(W, D, M)
 
     # ghost cells by boundary kind; padded index g is cell g-1
     lg, rg = (nx - 1, 0) if grid.boundary == "periodic" else (0, nx - 1)
-    pad = np.r_[lg, np.arange(nx), rg]
+    pad = np.arange(-1, nx + 1)
+    pad[0], pad[-1] = lg, rg
     Fp, Gp, Wp, sp = F[pad], G[pad], W[pad], speeds[pad]
 
     a_if = np.maximum(sp[:-1], sp[1:])  # (nx+1,) interface dissipation speeds
@@ -266,7 +292,8 @@ class _Snapshots:
 
 @dataclass(frozen=True)
 class SimulationResult(_Snapshots):
-    """Snapshot series of the primary observables on the grid."""
+    """Snapshot series of the primary observables on the grid, and the
+    packed rows final_w (nx, N) of the last step."""
 
     config: SimulationConfig
     times: np.ndarray
@@ -276,7 +303,13 @@ class SimulationResult(_Snapshots):
     p11: np.ndarray
     theta: np.ndarray
     q1: np.ndarray
-    final_states: tuple
+    final_w: np.ndarray
+
+    @cached_property
+    def final_states(self) -> tuple:
+        """The final cells as MomentState, built on first access."""
+        D, M = self.config.D, self.config.M
+        return tuple(MomentState.from_w(D, M, w) for w in self.final_w)
 
 
 def _snapshot(W: np.ndarray, D: int, M: int):
@@ -319,7 +352,7 @@ def simulate(config: SimulationConfig, left: MomentState, right: MomentState) ->
         p11=stack[2],
         theta=stack[3],
         q1=stack[4],
-        final_states=tuple(MomentState.from_w(D, M, w) for w in W),
+        final_w=W,
     )
 
 

@@ -110,6 +110,7 @@ class _Packing:
 
     vel: ranks of e_i; pair: (D, D) ranks of e_i + e_j; upper: the i <= j
     pairs as (rows, cols) and their slot ranks; norm: 1 + delta_ij per slot;
+    scale: the (D, D) matrix 1 + delta_ij that turns slots into p_ij;
     free / free_alphas: ranks and indices of order >= 3; low: ranks of order
     1 and 2 (constrained to zero as coefficients); span[k]: rank range of
     order k; fact: alpha! per rank.
@@ -121,6 +122,7 @@ class _Packing:
     upper: tuple
     upper_slots: np.ndarray
     norm: np.ndarray
+    scale: np.ndarray
     free: np.ndarray
     free_alphas: tuple
     low: np.ndarray
@@ -148,6 +150,7 @@ def _packing(D: int, M: int) -> _Packing:
         upper=upper,
         upper_slots=pair[upper],
         norm=np.where(upper[0] == upper[1], 2.0, 1.0),
+        scale=1.0 + np.eye(D),
         free=np.flatnonzero(orders >= 3),
         free_alphas=tuple(a for a in idx if order(a) >= 3),
         low=np.flatnonzero((orders == 1) | (orders == 2)),
@@ -160,7 +163,7 @@ def _unpack(W: np.ndarray, D: int, M: int):
     """Density (n,), velocity (n, D) and pressure tensor (n, D, D) of the
     packed rows W (n, N)."""
     t = _packing(D, M)
-    return W[:, 0], W[:, t.vel], W[:, t.pair] * (1.0 + np.eye(D))
+    return W[:, 0], W[:, t.vel], W[:, t.pair] * t.scale
 
 
 def _pack(rho, u, p, fvec: np.ndarray, D: int, M: int) -> np.ndarray:
@@ -496,7 +499,7 @@ def from_conserved_batch(F: np.ndarray, D: int, M: int) -> np.ndarray:
     rho = F[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = F[:, t.vel] / rho[:, None]
-        p = (1.0 + np.eye(D)) * F[:, t.pair] - u[:, :, None] * u[:, None, :] * rho[:, None, None]
+        p = t.scale * F[:, t.pair] - u[:, :, None] * u[:, None, :] * rho[:, None, None]
         Theta = p / rho[:, None, None]
     _check_cells(Theta, "scale tensor", rho, np.isfinite(F).all(axis=1), "implied ")
     g = gaussian_raw_moments(Theta, IndexSet(D, M), u) / t.fact
@@ -580,12 +583,21 @@ def collision_coeffs_batch(W: np.ndarray, D: int, M: int, model: CollisionModel)
     """Relaxation-target coefficients (n, N) of the packed rows W (n, N):
     rho mu_alpha(Lambda - Theta) / alpha!, with Lambda the target covariance.
 
-    Raises AdmissibilityError, naming the lowest failing row in .cell, when
+    Lambda = b Theta + (1 - b) theta I keeps the trace of Theta, and its
+    eigenvalues are b lambda_i + (1 - b) theta. For b in [0, 1] the smallest
+    is a weighted mean of lambda_min and theta; for b < 0 it is
+    b lambda_max + (1 - b) theta, linear in b, which is theta at b = 0 and
+    the mean of the other eigenvalues of Theta at b = -1/(D - 1). Either way
+    it is at least lambda_min for b >= -1/(D - 1). The model admits
+    b >= -1/2, so for D <= 3 an admissible row has an admissible target and
+    is not checked again. Only where b < -1/(D - 1), at D >= 4, does this
+    raise AdmissibilityError, naming the lowest failing row in .cell, when
     a target covariance is not positive definite.
     """
     rho, _, p = _unpack(W, D, M)
     Lam = _target_covariance(rho, p, D, model)
-    _check_cells(Lam, "collision target covariance")
+    if model.b * (D - 1) < -1.0:
+        _check_cells(Lam, "collision target covariance")
     mu = gaussian_raw_moments(Lam - p / rho[:, None, None], IndexSet(D, M))
     return rho[:, None] * mu / _packing(D, M).fact
 

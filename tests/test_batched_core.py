@@ -168,6 +168,21 @@ class TestNonFiniteInput:
             step(W, 1e-3, cfg)
         assert err.value.cell == 3
 
+    @pytest.mark.parametrize(
+        "rank,value,message", [(2, -0.25, "pressure tensor"), (0, -1.0, "density")]
+    )
+    def test_step_names_inadmissible_cell(self, rank, value, message):
+        # p_11 = -0.5 (the slot stores p_11 / 2) or rho = -1 in cell 3, and a
+        # non-finite cell 5 above it: the lowest bad cell is named on entry
+        cfg = SimulationConfig(D=1, M=3, grid=Grid1D(nx=6), t_end=1.0)
+        W = np.array([equilibrium(1, 3, 1.0, [0.0], [[1.0]]).w] * 6)
+        W[3, rank] = value
+        W[5, 3] = math.nan
+        with pytest.raises(AdmissibilityLoss, match=message) as err:
+            step(W, 1e-3, cfg)
+        assert err.value.cell == 3
+        assert "cell 3" in str(err.value)
+
 
 def test_step_array_and_list_forms_agree():
     cfg = SimulationConfig(

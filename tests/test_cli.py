@@ -621,6 +621,39 @@ class TestNumericalFailureExit:
         assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
 
+class TestSpeedBoundGuard:
+    """The packed guard itself, not a stand-in, catches a closed-form speed
+    that is too low."""
+
+    @pytest.fixture
+    def low_c_max(self, monkeypatch):
+        import dataclasses
+
+        import hypermoment.solver as solver
+
+        real = solver.unit_spectrum
+
+        def low(D, M):
+            lines = real(D, M)
+            top = dataclasses.replace(lines[-1], value=0.9 * lines[-1].value)
+            return lines[:-1] + (top,)
+
+        monkeypatch.setattr(solver, "unit_spectrum", low)
+        return solver
+
+    def test_guard_raises_on_the_packed_row(self, low_c_max):
+        row = equilibrium(1, 6, 1.0, [0.3], [[1.0]]).w[None]
+        with pytest.raises(RuntimeError, match="speed bound .* underestimates"):
+            low_c_max._spectral_bound_check((1, 6, row))
+
+    def test_simulate_exits_2(self, tmp_path, low_c_max, capsys):
+        cfg = GOLDEN / "simulate_d1m6_tube.json"
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: speed bound ") and "underestimates" in err
+
+
 class TestMalformedConfig:
     """Non-finite or mistyped config and state JSON exits 1 before writing."""
 

@@ -9,6 +9,7 @@ import euler_exact
 from helpers import random_state
 
 from hypermoment.assembly import assemble, regularize
+from hypermoment.cli import _load_sim_config
 from hypermoment.index import order
 from hypermoment.solver import (
     AdmissibilityLoss,
@@ -31,6 +32,8 @@ from hypermoment.state import (
     heat_flux,
     to_conserved,
 )
+
+from test_cli import GOLDEN
 
 
 def euler_pair(rho_l, u_l, p_l, rho_r, u_r, p_r, M=2):
@@ -294,6 +297,21 @@ class TestStep:
                 assert numeric <= max_signal_speed(st) * (1 + 1e-10) + 1e-12
 
 
+    def test_bgk_step_makes_three_eigensolves(self, monkeypatch):
+        # entry check, implied scale tensor, one relaxation sub-step; the
+        # target covariance of a D = 1 row needs no check
+        cfg = SimulationConfig(
+            D=1, M=6, grid=Grid1D(nx=8), t_end=1.0, collision=CollisionModel(nu=1.0)
+        )
+        L, R = equilibrium(1, 6, 1.0, [0.0], [[1.0]]), equilibrium(1, 6, 0.5, [0.0], [[1.0]])
+        W = np.array([c.w for c in riemann_cells(cfg, L, R)])
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda T: calls.append(1) or real(T))
+        step(W, 0.5 * cfg.grid.dx / max_signal_speed(L), cfg)
+        assert 1 <= len(calls) <= 3
+
+
 class TestSimulate:
     def test_zero_jump_constant(self):
         st = MomentState(D=1, M=3, rho=1.1, u=[0.2], p=[[0.9]], f={(3,): 0.1})
@@ -319,6 +337,22 @@ class TestSimulate:
         assert len(rows) == 4 * 6
         assert all(len(r) == 7 for r in rows)
         assert len(res.final_states) == 6
+
+    def test_final_states_built_on_first_access(self, monkeypatch):
+        cfg, L, R, _ = _load_sim_config(str(GOLDEN / "simulate_d1m6_tube.json"))
+        calls = []
+        real = MomentState.from_w.__func__
+        counted = classmethod(lambda cls, D, M, w: calls.append(1) or real(cls, D, M, w))
+        monkeypatch.setattr(MomentState, "from_w", counted)
+        res = simulate(cfg, L, R)
+        assert calls == []
+        states = res.final_states
+        assert len(calls) == cfg.grid.nx and res.final_states is states
+        for st, w in zip(states, res.final_w):
+            want = real(MomentState, cfg.D, cfg.M, w)
+            assert st.w.tobytes() == want.w.tobytes()
+            assert (st.rho, st.f) == (want.rho, want.f)
+            np.testing.assert_array_equal(st.p, want.p)
 
     def test_riemann_cells_split_at_midpoint(self):
         g = Grid1D(nx=6, x_min=0.0, x_max=1.2)

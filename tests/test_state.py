@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermoment.hermite import AnisotropicBasis, gaussian_quadrature, ghe_table
@@ -20,7 +20,9 @@ from hypermoment.state import (
     CollisionModel,
     ConservedMoments,
     MomentState,
+    _target_covariance,
     collision_coeffs,
+    collision_coeffs_batch,
     collision_target_covariance,
     equilibrium,
     from_conserved,
@@ -397,6 +399,41 @@ class TestCollision:
             mod = CollisionModel(nu=1.0, kind="es-bgk", Pr=Pr)
             Lam = collision_target_covariance(st_, mod)
             assert np.linalg.eigvalsh(Lam)[0] > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        D=st.integers(min_value=1, max_value=3),
+        Pr=st.one_of(st.sampled_from([2.0 / 3.0, 1.0, 1e12]), st.floats(2.0 / 3.0, 1e6)),
+        exps=st.lists(st.floats(-6.0, 0.0), min_size=3, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # b = -1/2 at D = 3 with the two smaller eigenvalues equal is the case
+    # of equality, lambda_min(Lambda) = lambda_min(Theta)
+    @example(D=3, Pr=2.0 / 3.0, exps=[0.0, -6.0, -6.0], seed=0)
+    def test_target_keeps_trace_and_smallest_eigenvalue(self, D, Pr, exps, seed):
+        # the reason collision_coeffs_batch does not check the target at
+        # D <= 3: Lambda = b Theta + (1 - b) theta I has the trace of Theta
+        # and, for b in [-1/2, 1], no smaller eigenvalue. eigvalsh itself
+        # errs by about eps |Theta|, 1e-10 of a smallest eigenvalue at 1e-6
+        # of the trace, hence the 4 eps tr(Theta) allowance
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(D, D)))
+        Theta = (Q * 10.0 ** np.array(exps[:D])) @ Q.T
+        Theta = 0.5 * (Theta + Theta.T)
+        model = CollisionModel(kind="es-bgk", Pr=Pr)
+        Lam = _target_covariance(np.ones(1), Theta[None], D, model)[0]
+        tr = np.trace(Theta)
+        assert np.trace(Lam) == pytest.approx(tr, rel=1e-12)
+        lo = np.linalg.eigvalsh(Theta)[0]
+        assert np.linalg.eigvalsh(Lam)[0] >= lo * (1.0 - 1e-12) - 4.0 * np.finfo(float).eps * tr
+
+    def test_target_checked_where_the_bound_fails(self):
+        # D = 4 and b = -1/2 < -1/(D - 1): Lambda_11 = -5 + 1.5 * 2.575 < 0
+        st_ = equilibrium(4, 3, 1.0, np.zeros(4), np.diag([10.0, 0.1, 0.1, 0.1]))
+        mod = CollisionModel(nu=1.0, kind="es-bgk", Pr=2.0 / 3.0)
+        assert np.linalg.eigvalsh(_target_covariance(np.ones(1), st_.p[None], 4, mod)[0])[0] < 0
+        with pytest.raises(AdmissibilityError, match="collision target covariance") as err:
+            collision_coeffs_batch(st_.w[None], 4, 3, mod)
+        assert err.value.cell == 0
 
 
 class TestJson:
