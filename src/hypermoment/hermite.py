@@ -18,9 +18,10 @@ take their zeros from one root table, ``_root_table``. It seeds the positive
 zeros of every order at once from closed-form asymptotics, as in Townsend,
 Trogdon and Olver, IMA J. Numer. Anal. 36 (2016): Tricomi's formula inside,
 Gatteschi's Airy-zero expansion for the largest few (Gatteschi, J. Comput.
-Appl. Math. 144 (2002)). Then it runs flat Newton passes on the unit-scale
-recurrence, two at every order and three more at orders <= 24, and mirrors
-the result.
+Appl. Math. 144 (2002)), each formula only on the entries it seeds. Then it
+runs flat Newton passes on the unit-scale recurrence, rescaled every eight
+steps, two at every order and three more at orders <= 24, and mirrors the
+result.
 
 The identity checks of ``hermite-check`` are array passes: ``parity_deviation``
 and ``differential_deviation`` build one table each on stacked points, and
@@ -98,49 +99,88 @@ def _root_seeds(n, k):
     * Gatteschi, for the j with 4 j^2 <= n (about where the two cross): a
       series in nu and the j-th Airy zero a_j, tabulated for j <= 10 and
       from its asymptotic expansion beyond.
+
+    Each formula runs only on the entries that take it (at n_max = 200,
+    Gatteschi's on 847 of 10,000); both are elementwise, so an entry's seed
+    does not depend on which others are evaluated with it.
     """
     h = n // 2
-    nu = 2.0 * n + 1.0
-    rhs = np.pi * (4 * (h - k) + 3) / nu
+    j = h + 1 - k
+    top = 4 * j * j <= n
+    x2 = np.empty(n.shape)
+    x2[top] = _gatteschi(2.0 * n[top] + 1.0, j[top])
+    inner = ~top
+    x2[inner] = _tricomi(2.0 * n[inner] + 1.0, (h - k)[inner])
+    return np.sqrt(2.0 * x2)
+
+
+def _tricomi(nu, i):
+    """Tricomi's squared zero; i = h - k counts down from the top zero."""
+    rhs = np.pi * (4 * i + 3) / nu
     T = np.full(rhs.shape, np.pi / 2)
     for _ in range(7):
         T -= (T - np.sin(T) - rhs) / (1.0 - np.cos(T))
     s = np.sin(T / 2) ** 2
-    tricomi = nu * (1.0 - s) - (5.0 / (4.0 * s * s) - 1.0 / s - 0.25) / (3.0 * nu)
-    j = h + 1 - k
+    return nu * (1.0 - s) - (5.0 / (4.0 * s * s) - 1.0 / s - 0.25) / (3.0 * nu)
+
+
+def _gatteschi(nu, j):
+    """Gatteschi's squared zero; j >= 1 counts from the top zero."""
     t = 3.0 * np.pi / 8.0 * (4 * j - 1)
     a = -(t ** (2 / 3)) * (
         1 + 5 / 48 * t**-2 - 5 / 36 * t**-4 + 77125 / 82944 * t**-6
         - 108056875 / 6967296 * t**-8 + 162375596875 / 334430208 * t**-10
     )
     a = np.where(j <= _AIRY_ZEROS.size, _AIRY_ZEROS[np.minimum(j, _AIRY_ZEROS.size) - 1], a)
-    gatteschi = (
+    return (
         nu + 2 ** (2 / 3) * a * nu ** (1 / 3) + 2 ** (4 / 3) / 5 * a**2 * nu ** (-1 / 3)
         + (11 / 35 - 0.25 - 12 / 175 * a**3) / nu
         + (16 / 1575 * a + 92 / 7875 * a**4) * 2 ** (2 / 3) * nu ** (-5 / 3)
         - (15152 / 3031875 * a**5 + 1088 / 121275 * a**2) * 2 ** (1 / 3) * nu ** (-7 / 3)
     )
-    return np.sqrt(2.0 * np.where(4 * j * j <= n, gatteschi, tricomi))
+
+
+# Recurrence steps of _newton_step between two rescalings. A rescaling
+# leaves max(|P_{k-1}|, |P_k|) in [1/2, 1), and a step k < n at |x| <= 2 sqrt(n)
+# (every zero of order n) grows it by at most |x| + k <= n + 2 sqrt(n), so
+# eight steps stay below (n + 2 sqrt(n))^8, about 1e32 at n = 1e4.
+_RESCALE_EVERY = 8
 
 
 def _newton_step(x, orders):
     """P_n(x) / (n P_{n-1}(x)) at every entry, n its order (ascending).
 
     The derivative of the order-n polynomial is n times the order n-1 one.
-    The pair comes from the unit-scale recurrence, rescaled after every step
-    by the power of two that brings its larger magnitude into [1/2, 1): this
-    keeps orders of a few hundred inside double range, leaves the ratio
-    unchanged and adds no rounding of its own. An entry of order n stops
-    after n steps; as the orders ascend, the entries still running at step
-    k are the suffix from order k + 1, so each step updates a shrinking tail
-    in place and the finished head stays frozen.
+    The pair comes from the unit-scale recurrence run in place on two
+    buffers: step k overwrites P_{k-1} in buffer k % 2 with P_{k+1}, so an
+    entry of order n ends with P_n in buffer (n - 1) % 2. Every
+    ``_RESCALE_EVERY`` steps both buffers are rescaled by the power of two
+    that brings the larger magnitude into [1/2, 1), which keeps orders of
+    thousands inside double range. A power of two commutes exactly with
+    x P_k - k P_{k-1} and with the final ratio, so the result is bit for bit
+    that of a rescaling after every step, and the rescaling adds no rounding
+    of its own. An entry of order n stops after n steps; as the orders
+    ascend, the entries still running at step k are the suffix from order
+    k + 1, so each step updates a shrinking tail in place and the finished
+    head stays frozen.
     """
-    prev, cur = np.zeros_like(x), np.ones_like(x)
+    bufs = (np.zeros_like(x), np.ones_like(x))
+    tmp = np.empty_like(x)
+    exps = np.empty(x.shape, dtype=np.intc)
     for k, j in enumerate(np.searchsorted(orders, np.arange(orders.max(initial=0)), side="right")):
-        p, q = cur[j:], x[j:] * cur[j:] - k * prev[j:]
-        e = -np.frexp(np.maximum(np.abs(q), np.abs(p)))[1]
-        prev[j:], cur[j:] = np.ldexp(p, e), np.ldexp(q, e)
-    return cur / (orders * prev)
+        new, old, t = bufs[k % 2][j:], bufs[1 - k % 2][j:], tmp[j:]
+        np.multiply(x[j:], old, out=t)
+        new *= k
+        np.subtract(t, new, out=new)
+        if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+            e = exps[j:]
+            np.maximum(np.abs(new, out=t), np.abs(old), out=t)
+            np.frexp(t, out=(t, e))
+            np.negative(e, out=e)
+            np.ldexp(new, e, out=new)
+            np.ldexp(old, e, out=old)
+    odd = orders % 2 == 1
+    return np.where(odd, bufs[0], bufs[1]) / (orders * np.where(odd, bufs[1], bufs[0]))
 
 
 def _root_table(n_max: int, n_min: int = 1):
@@ -151,11 +191,14 @@ def _root_table(n_max: int, n_min: int = 1):
     Only the n // 2 positive zeros of each order are computed: seeded by
     ``_root_seeds`` (the asymptotic initial guesses of Townsend, Trogdon and
     Olver, IMA J. Numer. Anal. 36 (2016), from Tricomi's and Gatteschi's
-    formulas; see Gatteschi, J. Comput. Appl. Math. 144 (2002)), then
-    polished by two Newton steps (``_newton_step``) at every order and three
-    more at orders <= 24, whose seeds are the coarsest (up to 1.5e-3 off at
-    n <= 10, 8e-5 at 11..24, 2e-6 at n = 200). The pass count depends on the order
-    alone, so an entry's value depends only on its order and index. The
+    formulas, each evaluated only on the entries that use it; see Gatteschi,
+    J. Comput. Appl. Math. 144 (2002)), then polished by two Newton steps
+    (``_newton_step``, whose recurrence is rescaled by a power of two every
+    ``_RESCALE_EVERY`` = 8 steps and grows by at most (n + 2 sqrt(n))^8 in
+    between) at every order and three more at orders <= 24, whose seeds are
+    the coarsest (up to 1.5e-3 off at n <= 10, 8e-5 at 11..24, 2e-6 at
+    n = 200). The pass count depends on the order alone, so an entry's value
+    depends only on its order and index. The
     negative zeros mirror the positive ones exactly, and zero is the middle
     entry of every odd order.
     """

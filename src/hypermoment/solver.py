@@ -210,9 +210,21 @@ def step(cells, dt: float, config: SimulationConfig):
     row. A cell that leaves the admissible set in transport or relaxation
     raises AdmissibilityLoss.
     """
+    D, M = config.D, config.M
+    W = _advance(_packed_cells(cells, D, M, config.grid.nx), dt, config)
+    if isinstance(cells, np.ndarray):
+        return W
+    return [MomentState.from_w(D, M, w) for w in W]
+
+
+def _advance(W: np.ndarray, dt: float, config: SimulationConfig) -> np.ndarray:
+    """``step`` on packed rows W (nx, N) already checked admissible, without
+    the entry check. Every row it returns has passed ``from_conserved_batch``
+    (finite, rho > 0, positive definite implied Theta) and, when nu > 0, the
+    pressure-tensor check of ``_relax``, so ``simulate`` feeds it back as is.
+    """
     grid = config.grid
     D, M = config.D, config.M
-    W = _packed_cells(cells, D, M, grid.nx)
     dx = grid.dx
     nx = grid.nx
 
@@ -263,9 +275,7 @@ def step(cells, dt: float, config: SimulationConfig):
             raise AdmissibilityLoss(
                 f"cell {e.cell} left the admissible set during relaxation: {e}", cell=e.cell
             ) from e
-    if isinstance(cells, np.ndarray):
-        return W
-    return [MomentState.from_w(D, M, w) for w in W]
+    return W
 
 
 # -- driving and output --------------------------------------------------------
@@ -339,7 +349,7 @@ def simulate(config: SimulationConfig, left: MomentState, right: MomentState) ->
         while t < target - 1e-12 * config.t_end:
             amax = float(_signal_speeds(W, D, M).max())
             dt = min(config.cfl * config.grid.dx / amax, target - t)
-            W = step(W, dt, config)
+            W = _advance(W, dt, config)
             t += dt
         snaps.append(_snapshot(W, D, M))
     stack = [np.stack(arrs) for arrs in zip(*snaps)]

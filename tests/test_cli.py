@@ -8,8 +8,10 @@ last ulp across LAPACK builds.
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -724,3 +726,20 @@ class TestMalformedConfig:
         assert run(["spectrum", "--state", str(sf), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_module_entry_point_has_no_import_warning(tmp_path):
+    # the package does not import cli eagerly, so runpy finds no stale copy
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypermoment.cli", "conjecture", "--n-max", "4",
+         "--out", str(tmp_path / "conj.csv")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("orders 2..4: 0 violation(s)")

@@ -122,6 +122,75 @@ class TestRoots:
                 assert abs(float(x - x0)) <= 1e-14 * max(1.0, abs(x0))
 
 
+def _reference_root_seeds(n, k):
+    """Both asymptotic seeds on every entry, then a choice per entry."""
+    h = n // 2
+    nu = 2.0 * n + 1.0
+    rhs = np.pi * (4 * (h - k) + 3) / nu
+    T = np.full(rhs.shape, np.pi / 2)
+    for _ in range(7):
+        T -= (T - np.sin(T) - rhs) / (1.0 - np.cos(T))
+    s = np.sin(T / 2) ** 2
+    tricomi = nu * (1.0 - s) - (5.0 / (4.0 * s * s) - 1.0 / s - 0.25) / (3.0 * nu)
+    j = h + 1 - k
+    t = 3.0 * np.pi / 8.0 * (4 * j - 1)
+    a = -(t ** (2 / 3)) * (
+        1 + 5 / 48 * t**-2 - 5 / 36 * t**-4 + 77125 / 82944 * t**-6
+        - 108056875 / 6967296 * t**-8 + 162375596875 / 334430208 * t**-10
+    )
+    airy = H._AIRY_ZEROS
+    a = np.where(j <= airy.size, airy[np.minimum(j, airy.size) - 1], a)
+    gatteschi = (
+        nu + 2 ** (2 / 3) * a * nu ** (1 / 3) + 2 ** (4 / 3) / 5 * a**2 * nu ** (-1 / 3)
+        + (11 / 35 - 0.25 - 12 / 175 * a**3) / nu
+        + (16 / 1575 * a + 92 / 7875 * a**4) * 2 ** (2 / 3) * nu ** (-5 / 3)
+        - (15152 / 3031875 * a**5 + 1088 / 121275 * a**2) * 2 ** (1 / 3) * nu ** (-7 / 3)
+    )
+    return np.sqrt(2.0 * np.where(4 * j * j <= n, gatteschi, tricomi))
+
+
+def _reference_newton_step(x, orders):
+    """P_n / (n P_{n-1}) with the pair rescaled after every recurrence step."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k, j in enumerate(np.searchsorted(orders, np.arange(orders.max(initial=0)), side="right")):
+        p, q = cur[j:], x[j:] * cur[j:] - k * prev[j:]
+        e = -np.frexp(np.maximum(np.abs(q), np.abs(p)))[1]
+        prev[j:], cur[j:] = np.ldexp(p, e), np.ldexp(q, e)
+    return cur / (orders * prev)
+
+
+def _reference_root_table(monkeypatch, n_max, n_min=1):
+    """_root_table's roots on the reference seeds and Newton steps."""
+    with monkeypatch.context() as m:
+        m.setattr(H, "_root_seeds", _reference_root_seeds)
+        m.setattr(H, "_newton_step", _reference_newton_step)
+        return H._root_table(n_max, n_min)[0]
+
+
+class TestRootTableOracle:
+    """The root table is bit for bit that of per-step rescaling and of both
+    seed formulas evaluated on every entry."""
+
+    def test_seeds_and_newton_step_up_to_400(self):
+        ns = np.arange(1, 401)
+        h = ns // 2
+        orders = np.repeat(ns, h)
+        k = np.arange(orders.size) - np.repeat(np.cumsum(h) - h, h) + 1
+        seeds = H._root_seeds(orders, k)
+        assert np.array_equal(seeds, _reference_root_seeds(orders, k))
+        assert np.array_equal(H._newton_step(seeds, orders), _reference_newton_step(seeds, orders))
+
+    def test_table_up_to_400(self, monkeypatch):
+        assert np.array_equal(H._root_table(400)[0], _reference_root_table(monkeypatch, 400))
+
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    def test_high_orders(self, monkeypatch, n):
+        # eight unrescaled steps grow the pair by up to (n + 2 sqrt(n))^8
+        roots = H.he_roots(n)
+        assert np.isfinite(roots).all()
+        assert np.array_equal(roots, _reference_root_table(monkeypatch, n, n))
+
+
 class TestRootTable:
     def test_rows_are_he_roots(self):
         roots, orders = H._root_table(200)

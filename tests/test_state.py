@@ -262,8 +262,8 @@ class TestConversions:
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
-        D=st.integers(min_value=1, max_value=2),
-        M=st.integers(min_value=2, max_value=5),
+        D=st.integers(min_value=1, max_value=3),
+        M=st.integers(min_value=2, max_value=6),
     )
     def test_round_trip_property(self, data, D, M):
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
