@@ -44,32 +44,39 @@ class CoefficientMatrix:
         object.__setattr__(self, "entries", e)
 
 
+def _term_values(terms: tuple, X: np.ndarray) -> np.ndarray:
+    """Values (n, K) of compiled term groups (target, num, feat, den,
+    den_feat) on the feature rows X (n, F) of _features: entry k is
+    (num[k] X[feat[k]]) / (den[k] X[den_feat[k]]), the product and quotient
+    its term's own expression computes, in the same order."""
+    _, num, feat, den, den_feat = terms
+    return num * X[:, feat] / (den * X[:, den_feat])
+
+
 @dataclass(frozen=True)
 class _RowTables:
     """The row rules of A^(d) for one (D, M, d), compiled once.
 
     Per row alpha of order >= 3 (the ranks _Packing.free, in rank order):
-    mult, alpha_d + 1; up, the rank of alpha + e_d; down1[k], of alpha - e_k
-    when of order >= 3; down2[i, j] and down3[i, j, k], of alpha - e_i - e_j
-    and alpha - e_i - e_j - e_k; raised1[i] and raised2[i, j], of
-    alpha + e_d - e_i and alpha + e_d - e_i - e_j. Per pressure slot i <= j:
-    tri, the rank of e_i + e_j + e_d, and tri_fact, its factorial.
-    pair_scale[i] is 1 + delta_id; the order-M rows start at top. Rank N
-    stands for a void or out-of-set index: it reads a zero from free_values
-    and writes to a sink column that is dropped.
+    mult, alpha_d + 1; down2[i, j] and down3[i, j, k], the ranks of
+    alpha - e_i - e_j and alpha - e_i - e_j - e_k; raised2[i, j], of
+    alpha + e_d - e_i - e_j. The order-M rows start at top. Rank N stands
+    for a void or out-of-set index: it reads a zero from free_values and
+    writes to a sink column that is dropped.
+
+    terms holds the term groups of A^(d) compiled for _term_values, with
+    flat targets r (N + 1) + c, group after group; correction those of its
+    regularization correction, and regularized both, the correction last.
     """
 
     mult: np.ndarray
-    up: np.ndarray
-    down1: np.ndarray
     down2: np.ndarray
     down3: np.ndarray
-    raised1: np.ndarray
     raised2: np.ndarray
-    tri: np.ndarray
-    tri_fact: np.ndarray
-    pair_scale: np.ndarray
     top: int
+    terms: tuple
+    correction: tuple
+    regularized: tuple
 
 
 @lru_cache(maxsize=None)
@@ -88,72 +95,115 @@ def _row_tables(D: int, M: int, d: int) -> _RowTables:
 
     ones = free[:, None] - E
     pairs = free[:, None, None] - E[:, None] - E[None, :]
-    tri = E[t.upper[0]] + E[t.upper[1]] + ed
+    mult = free @ ed + 1.0
+    down1 = np.where(orders[:, None] > 3, ranks(ones), N)  # alpha - e_k, order >= 3
+    down2 = ranks(pairs)
+    raised1 = ranks(ones + ed)
+    raised2 = ranks(pairs + ed)
+    top = int(np.searchsorted(orders, M))
+    # per pressure slot i <= j: e_i + e_j + e_d, its rank and factorial
+    iu, ju = t.upper
+    tri_alphas = E[iu] + E[ju] + ed
+    tri = ranks(tri_alphas)
+    tri_fact = np.array([factorial(a) for a in tri_alphas.tolist()], dtype=float)
+    pair_scale = 1.0 + ed  # 1 + delta_id
+
+    # first feature column of each block of _features and assemble_batch
+    nf, ntop, DD = len(free), len(free) - top, D * D
+    ONE, RHO, P, TH, FX, CORR, C, ACC = np.cumsum([0, 1, 1, DD, DD, N + 1, ntop, nf * DD])
+
+    def group(rows, cols, num, feat, den=1.0, den_feat=ONE):
+        return [a.ravel() for a in np.broadcast_arrays(rows * (N + 1) + cols, num, feat, den, den_feat)]
+
+    def compile_(groups):
+        target, num, feat, den, den_feat = (np.concatenate(col) for col in zip(*groups))
+        return target, num.astype(float), feat, den.astype(float), den_feat
+
+    dx, rows, r, slots, vel = d - 1, t.free[:, None], np.arange(nf), t.upper_slots, t.vel
+    terms = [
+        # density row: rho d(u_d)
+        group(0, vel[dx], 1.0, RHO),
+        # velocity rows: (1/rho) d(p_id), with the slot storing p_id/(1+delta_id)
+        group(vel, t.pair[:, dx], pair_scale, ONE, 1.0, RHO),
+        # pressure rows, one per unordered pair, written for the slot p_ij/(1+d_ij)
+        group(slots, vel[dx], 1.0, P + iu * D + ju, t.norm),
+        group(slots, vel[ju], 1.0, P + iu * D + dx, t.norm),
+        group(slots, vel[iu], 1.0, P + ju * D + dx, t.norm),
+        group(slots, tri, tri_fact, ONE, t.norm),
+        # free coefficient rows: transport couplings that stay among free
+        # coefficients
+        group(rows, down1, 1.0, TH + dx * D + np.arange(D)),
+        group(t.free, ranks(free + ed), mult, ONE),
+        # scale-gradient couplings, ordered pairs for the density column
+        group(rows, slots, 1.0, C + r[:, None] * DD + iu * D + ju, 1.0, RHO),
+        group(t.free, 0, -1.0, ACC + r, 2.0, RHO),
+        # velocity-gradient couplings
+        group(rows, vel, mult[:, None], FX + raised1),
+        # scale-slot couplings from the basis advection
+        group(rows, t.pair[:, dx], -pair_scale, FX + down1, 1.0, RHO),
+        # heat-flux slot couplings
+        group(rows, tri, -tri_fact, FX + down2[:, iu, ju], t.norm, RHO),
+    ]
+    # the correction of the order-M rows: density, velocity and pressure
+    # columns, read from the raised columns alpha + e_d - e_i - e_j and
+    # alpha + e_d - e_i
+    correction = [
+        group(t.free[top:], 0, mult[top:], CORR + np.arange(ntop), 2.0, RHO),
+        group(rows[top:], vel, -mult[top:, None], FX + raised1[top:]),
+        group(rows[top:], slots, -mult[top:, None], FX + raised2[top:, iu, ju], 1.0, RHO),
+    ]
     return _RowTables(
-        mult=free @ ed + 1.0,
-        up=ranks(free + ed),
-        down1=np.where(orders[:, None] > 3, ranks(ones), N),
-        down2=ranks(pairs),
+        mult=mult,
+        down2=down2,
         down3=ranks(pairs[:, :, :, None] - E),
-        raised1=ranks(ones + ed),
-        raised2=ranks(pairs + ed),
-        tri=ranks(tri),
-        tri_fact=np.array([factorial(a) for a in tri.tolist()], dtype=float),
-        pair_scale=1.0 + ed,
-        top=int(np.searchsorted(orders, M)),
+        raised2=raised2,
+        top=top,
+        terms=compile_(terms),
+        correction=compile_(correction),
+        regularized=compile_(terms + correction),
     )
 
 
-def assemble_batch(W: np.ndarray, D: int, M: int, d: int) -> np.ndarray:
-    """Unregularized matrices A^(d) (n, N, N) of the packed rows W (n, N),
-    for 1 <= d <= D."""
-    if not 1 <= d <= D:
-        raise ValueError(f"direction must be in 1..{D}, got {d}")
-    t = _packing(D, M)
+def _features(W: np.ndarray, D: int, M: int, d: int):
+    """Theta (n, D, D), free_values (n, N + 1) and the leading feature
+    columns of the packed rows W (n, N): 1, rho, p, Theta, free_values and,
+    per order-M row alpha, sum_ij Theta_ij f_{alpha + e_d - e_i - e_j}."""
     g = _row_tables(D, M, d)
-    dx = d - 1
-    iu, ju = t.upper
     rho, _, p = _unpack(W, D, M)
     th = p / rho[:, None, None]
     fx = free_values(W, D, M)
-    R = rho[:, None, None]
-    rows = t.free[:, None]
-    A = np.zeros((W.shape[0], t.N, t.N + 1))
+    corr = (th[:, None] * fx[:, g.raised2[g.top :]]).sum(axis=(-2, -1))
+    n = W.shape[0]
+    return th, fx, [np.ones((n, 1)), rho[:, None], p.reshape(n, -1), th.reshape(n, -1), fx, corr]
 
-    # density row: rho d(u_d)
-    A[:, 0, t.vel[dx]] = rho
 
-    # velocity rows: (1/rho) d(p_id), with the slot storing p_id/(1+delta_id)
-    A[:, t.vel, t.pair[:, dx]] = g.pair_scale / R[:, 0]
+def assemble_batch(W: np.ndarray, D: int, M: int, d: int, regularized: bool = False) -> np.ndarray:
+    """Matrices A^(d) (n, N, N) of the packed rows W (n, N), for 1 <= d <= D,
+    plus their regularization correction when regularized.
 
-    # pressure rows, one per unordered pair, written for the slot p_ij/(1+d_ij)
-    slots = t.upper_slots
-    A[:, slots, t.vel[dx]] += p[:, iu, ju] / t.norm
-    A[:, slots, t.vel[ju]] += p[:, iu, dx] / t.norm
-    A[:, slots, t.vel[iu]] += p[:, ju, dx] / t.norm
-    A[:, slots, g.tri] += g.tri_fact / t.norm
-
-    # free coefficient rows: transport couplings that stay among free
-    # coefficients
-    A[:, rows, g.down1] += th[:, None, dx, :]
-    A[:, t.free, g.up] += g.mult
-
-    # scale-gradient couplings, ordered pairs for the density column
+    The scale-gradient sums are computed whole; every term value is then
+    gathered from one feature row per state (_term_values), and one
+    bincount over the flat targets of _row_tables sums them up. It
+    adds each entry's terms in the order of the groups, the correction
+    last, so the result is bitwise the sum of one scatter-add per group:
+    with the correction, A^(d) + regularization_correction_batch.
+    """
+    if not 1 <= d <= D:
+        raise ValueError(f"direction must be in 1..{D}, got {d}")
+    N = _packing(D, M).N
+    g = _row_tables(D, M, d)
+    dx = d - 1
+    n = W.shape[0]
+    th, fx, cols = _features(W, D, M, d)
     c = sum(th[:, k, dx, None, None, None] * fx[:, g.down3[..., k]] for k in range(D))
     c = c + g.mult[:, None, None] * fx[:, g.raised2]
-    A[:, rows, slots] += c[:, :, iu, ju] / R
     acc = sum(th[:, i, j, None] * c[:, :, i, j] for i in range(D) for j in range(D))
-    A[:, t.free, 0] += -acc / (2 * R[:, 0])
-
-    # velocity-gradient couplings
-    A[:, rows, t.vel] += g.mult[:, None] * fx[:, g.raised1]
-
-    # scale-slot couplings from the basis advection
-    A[:, rows, t.pair[:, dx]] += -fx[:, g.down1] * g.pair_scale / R
-
-    # heat-flux slot couplings
-    A[:, rows, g.tri] += -g.tri_fact * fx[:, g.down2[:, iu, ju]] / (t.norm * R)
-    return np.ascontiguousarray(A[:, :, : t.N])
+    X = np.concatenate(cols + [c.reshape(n, -1), acc], axis=1)
+    terms = g.regularized if regularized else g.terms
+    size = N * (N + 1)
+    flat = (np.arange(n)[:, None] * size + terms[0]).ravel()
+    A = np.bincount(flat, _term_values(terms, X).ravel(), n * size)
+    return np.ascontiguousarray(A.reshape(n, N, N + 1)[:, :, :N])
 
 
 def assemble(state: MomentState, d: int) -> CoefficientMatrix:
@@ -164,24 +214,13 @@ def assemble(state: MomentState, d: int) -> CoefficientMatrix:
 
 def regularization_correction_batch(W: np.ndarray, D: int, M: int, d: int) -> np.ndarray:
     """Correction matrices (n, N, N) of the packed rows W (n, N): nonzero
-    only in the order-M rows, at the density, velocity and pressure columns.
-
-    Per order-M row alpha it reads the raised columns of A^(d):
-    alpha + e_d - e_i - e_j and alpha + e_d - e_i.
-    """
-    t = _packing(D, M)
-    g = _row_tables(D, M, d)
-    rows, c = t.free[g.top :], g.mult[g.top :]
-    dens, vel = g.raised2[g.top :], g.raised1[g.top :]
-    pres = dens[:, t.upper[0], t.upper[1]]
-    rho, _, p = _unpack(W, D, M)
-    fx = free_values(W, D, M)
-    th = p / rho[:, None, None]
-    A = np.zeros(W.shape + (t.N,))
-    acc = (th[:, None] * fx[:, dens]).sum(axis=(-2, -1))
-    A[:, rows, 0] = c * acc / (2 * rho[:, None])
-    A[:, rows[:, None], t.vel] = -(c[:, None] * fx[:, vel])
-    A[:, rows[:, None], t.upper_slots] = -(c[:, None] * fx[:, pres] / rho[:, None, None])
+    only in the order-M rows, at the density, velocity and pressure columns
+    (the correction groups of _row_tables)."""
+    N = _packing(D, M).N
+    terms = _row_tables(D, M, d).correction
+    rows, cols = np.divmod(terms[0], N + 1)
+    A = np.zeros(W.shape + (N,))
+    A[:, rows, cols] = _term_values(terms, np.concatenate(_features(W, D, M, d)[2], axis=1))
     return A
 
 
@@ -256,8 +295,9 @@ def source_batch(W: np.ndarray, D: int, M: int, model: CollisionModel) -> np.nda
     S = np.zeros_like(W)
     S[:, t.upper_slots] = nu * G[:, t.upper_slots]
     val = G[:, rows] - fx[:, rows]
-    for k, slot in enumerate(slots):
-        val = val + G[:, slot][:, None] * fx[:, down[:, k]] / rho
+    coupling = G[:, None, slots] * fx[:, down] / rho[:, :, None]
+    for k in range(len(slots)):
+        val = val + coupling[:, :, k]
     S[:, rows] = nu * val
     return S
 

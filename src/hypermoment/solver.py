@@ -20,12 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import (
-    assemble_batch,
-    path_integral,
-    regularization_correction_batch,
-    source_batch,
-)
+from .assembly import assemble_batch, path_integral, source_batch
 from .hermite import AnisotropicBasis, ghe_table, weight
 from .index import IndexSet
 from .spectral import unit_spectrum
@@ -34,10 +29,10 @@ from .state import (
     CollisionModel,
     MomentState,
     _check_cells,
+    _from_conserved,
     _moments_and_flux,
     _packing,
     _unpack,
-    from_conserved_batch,
     heat_flux_batch,
 )
 
@@ -138,13 +133,13 @@ def _spectral_bound_check(packed):
     packed is a (D, M, row) tuple with row one packed state (1, N), the
     fastest cell of a step, already checked admissible. The numerical
     spectrum is that of u_1 I + A^(1) + its regularization correction,
-    assembled on the row; the bound is the row's |u_1| + C_max sqrt(theta_11).
-    Raises RuntimeError when the bound falls short of the largest
-    eigenvalue modulus.
+    assembled on the row in one pass; the bound is the row's
+    |u_1| + C_max sqrt(theta_11). Raises RuntimeError when the bound falls
+    short of the largest eigenvalue modulus.
     """
     D, M, row = packed
-    u1 = float(_unpack(row, D, M)[1][0, 0])
-    A = (assemble_batch(row, D, M, 1) + regularization_correction_batch(row, D, M, 1))[0]
+    u1 = float(row[0, _packing(D, M).vel[0]])
+    A = assemble_batch(row, D, M, 1, regularized=True)[0]
     A = A + u1 * np.eye(A.shape[0])
     numeric = float(np.max(np.abs(np.linalg.eigvals(A))))
     bound = float(_signal_speeds(row, D, M)[0])
@@ -211,31 +206,39 @@ def step(cells, dt: float, config: SimulationConfig):
     raises AdmissibilityLoss.
     """
     D, M = config.D, config.M
-    W = _advance(_packed_cells(cells, D, M, config.grid.nx), dt, config)
+    W = _advance(_packed_cells(cells, D, M, config.grid.nx), dt, config)[0]
     if isinstance(cells, np.ndarray):
         return W
     return [MomentState.from_w(D, M, w) for w in W]
 
 
-def _advance(W: np.ndarray, dt: float, config: SimulationConfig) -> np.ndarray:
+def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, table=None):
     """``step`` on packed rows W (nx, N) already checked admissible, without
-    the entry check. Every row it returns has passed ``from_conserved_batch``
-    (finite, rho > 0, positive definite implied Theta) and, when nu > 0, the
-    pressure-tensor check of ``_relax``, so ``simulate`` feeds it back as is.
+    the entry check. Every row it returns has passed the conversion from
+    conserved moments (finite, rho > 0, positive definite implied Theta)
+    and, when nu > 0, the pressure-tensor check of ``_relax``, so
+    ``simulate`` feeds it back as is.
+
+    Returns the new rows and their order-(M+1) Gaussian table, which the
+    conversion builds and the next step's ``_moments_and_flux`` reads
+    through ``table``. The table is None where relaxation moved a rank of
+    order <= 2 (rho, u or p), so that the next step recomputes it. speeds
+    are the rows' ``_signal_speeds``, when the caller has them already.
     """
     grid = config.grid
     D, M = config.D, config.M
     dx = grid.dx
     nx = grid.nx
 
-    speeds = _signal_speeds(W, D, M)
+    if speeds is None:
+        speeds = _signal_speeds(W, D, M)
     fastest = int(np.argmax(speeds))
     bound = config.cfl * dx / float(speeds[fastest])
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt} exceeds the stable bound {bound}")
     _spectral_bound_check((D, M, W[fastest : fastest + 1]))
 
-    F, G = _moments_and_flux(W, D, M)
+    F, G = _moments_and_flux(W, D, M, table)
 
     # ghost cells by boundary kind; padded index g is cell g-1
     lg, rg = (nx - 1, 0) if grid.boundary == "periodic" else (0, nx - 1)
@@ -252,8 +255,8 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig) -> np.ndarray:
     if M >= 3:
         total = dG + path_integral(Wp[:-1], Wp[1:], D, M, *_MIDPOINT)
 
-    H = 0.5 * (Gp[:-1] + Gp[1:] - a_if[:, None] * dF)
     diss = a_if[:, None] * dF
+    H = 0.5 * (Gp[:-1] + Gp[1:] - diss)
     fluct_minus = 0.5 * (total - diss)  # enters the cell left of the interface
     fluct_plus = 0.5 * (total + diss)  # enters the cell right of the interface
 
@@ -263,19 +266,23 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig) -> np.ndarray:
     Fn[:, top:] -= dt / dx * (fluct_plus[:-1][:, top:] + fluct_minus[1:][:, top:])
 
     try:
-        W = from_conserved_batch(Fn, D, M)
+        W, table = _from_conserved(Fn, D, M)
     except AdmissibilityError as e:
         raise AdmissibilityLoss(
             f"cell {e.cell} left the admissible set: {e}", cell=e.cell
         ) from e
     if config.collision.nu > 0.0:
         try:
-            W = _relax(W, dt, D, M, config.collision)
+            Wr = _relax(W, dt, D, M, config.collision)
         except AdmissibilityError as e:
             raise AdmissibilityLoss(
                 f"cell {e.cell} left the admissible set during relaxation: {e}", cell=e.cell
             ) from e
-    return W
+        low = _packing(D, M).span[2][1]
+        if not np.array_equal(Wr[:, :low], W[:, :low]):
+            table = None
+        W = Wr
+    return W, table
 
 
 # -- driving and output --------------------------------------------------------
@@ -345,11 +352,12 @@ def simulate(config: SimulationConfig, left: MomentState, right: MomentState) ->
     times = np.linspace(0.0, config.t_end, config.n_snapshots)
     snaps = [_snapshot(W, D, M)]
     t = 0.0
+    table = None
     for target in times[1:]:
         while t < target - 1e-12 * config.t_end:
-            amax = float(_signal_speeds(W, D, M).max())
-            dt = min(config.cfl * config.grid.dx / amax, target - t)
-            W = _advance(W, dt, config)
+            speeds = _signal_speeds(W, D, M)
+            dt = min(config.cfl * config.grid.dx / float(speeds.max()), target - t)
+            W, table = _advance(W, dt, config, speeds, table)
             t += dt
         snaps.append(_snapshot(W, D, M))
     stack = [np.stack(arrs) for arrs in zip(*snaps)]

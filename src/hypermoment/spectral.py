@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import assemble, assemble_batch, directional, regularization_correction_batch, regularize
+from .assembly import assemble, assemble_batch, directional, regularize
 from .hermite import _recurrence, he_roots
 from .index import IndexSet, block_permutation, order
 from .state import MomentState
@@ -192,9 +192,7 @@ def _permuted(w: np.ndarray, D: int, M: int, regularized: bool = True) -> tuple:
     packed row w (N,) in permuted coordinates, or the stack (k, N, N) of
     matrices of the rows of w (k, N) from one assembly."""
     W = w.reshape(-1, w.shape[-1])
-    A = assemble_batch(W, D, M, 1)
-    if regularized:
-        A = A + regularization_correction_batch(W, D, M, 1)
+    A = assemble_batch(W, D, M, 1, regularized)
     perm = block_permutation(IndexSet(D, M))
     return perm, perm.conjugate(A).reshape(w.shape[:-1] + A.shape[1:])
 

@@ -51,11 +51,14 @@ def _spd_margin(T: np.ndarray):
     the trace. Matrices with a non-finite entry fail, with a NaN margin."""
     T = np.asarray(T, dtype=float)
     finite = np.isfinite(T).all(axis=(-2, -1))
-    if not finite.all():
+    all_finite = finite.all()
+    if not all_finite:
         T = np.where(finite[..., None, None], T, np.eye(T.shape[-1]))
     lo = np.linalg.eigvalsh(T)[..., 0]
-    tol = _SPD_TOL * np.maximum(np.trace(T, axis1=-2, axis2=-1), 1e-300)
-    return np.where(finite, lo, np.nan), finite & (lo > tol)
+    ok = lo > _SPD_TOL * np.maximum(np.trace(T, axis1=-2, axis2=-1), 1e-300)
+    if all_finite:
+        return lo, ok
+    return np.where(finite, lo, np.nan), finite & ok
 
 
 def _check_spd(T: np.ndarray, what: str):
@@ -353,12 +356,21 @@ def heat_flux(state: MomentState) -> np.ndarray:
 # index and reads a zero.
 
 
+@lru_cache(maxsize=None)
+def _raising_coeffs(D: int, M: int):
+    """The axis and mult columns of every order of raising_tables(D, M),
+    stacked: rank r >= 1 is row r - 1."""
+    steps = raising_tables(D, M)
+    return np.concatenate([s.axis for s in steps]), np.concatenate([s.mult for s in steps])
+
+
 def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet, u: np.ndarray = None) -> np.ndarray:
     """Gaussian moments nu_beta = E[(x + u)^beta], x ~ N(0, Lambda), all |beta| <= M.
 
     One raising recurrence: nu_{beta+e_d} = u_d nu_beta + sum_j Lambda[d,j]
-    beta_j nu_{beta-e_j}. Without u these are the centered moments mu_beta,
-    whose odd orders are exactly zero. Lambda only enters polynomially, so
+    beta_j nu_{beta-e_j}, with every Lambda[d,j] beta_j gathered at once.
+    Without u these are the centered moments mu_beta, whose odd orders are
+    exactly zero and are not computed. Lambda only enters polynomially, so
     it need not be positive definite. Lambda (..., D, D) and u (..., D) may
     carry matching leading batch axes; the result is then (..., N).
     """
@@ -366,15 +378,23 @@ def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet, u: np.ndarray = Non
     D, N = set_.D, set_.N
     batch = Lambda.shape[:-2]
     L = Lambda.reshape(-1, D, D)
-    U = None if u is None else np.asarray(u, dtype=float).reshape(-1, D)
+    steps = raising_tables(D, set_.M)
+    axis, mult = _raising_coeffs(D, set_.M)
+    coef = L[:, axis] * mult
     mu = np.zeros((L.shape[0], N + 1))
     mu[:, 0] = 1.0
-    for step in raising_tables(D, set_.M):
-        acc = L[:, step.axis, 0] * step.mult[:, 0] * mu[:, step.down[:, 0]]
+    if u is None:
+        steps = steps[1::2]
+    else:
+        shift = np.asarray(u, dtype=float).reshape(-1, D)[:, axis]
+    for step in steps:
+        lo, hi = step.lo - 1, step.hi - 1
+        terms = coef[:, lo:hi] * mu[:, step.down]
+        acc = terms[:, :, 0]
         for j in range(1, D):
-            acc = acc + L[:, step.axis, j] * step.mult[:, j] * mu[:, step.down[:, j]]
-        if U is not None:
-            acc = acc + U[:, step.axis] * mu[:, step.base]
+            acc = acc + terms[:, :, j]
+        if u is not None:
+            acc = acc + shift[:, lo:hi] * mu[:, step.base]
         mu[:, step.lo : step.hi] = acc
     return mu[:, :N].reshape(batch + (N,))
 
@@ -444,13 +464,19 @@ class ConservedMoments:
         return float(self.F[self.index_set.rank0(alpha)])
 
 
+def _gaussian_table(Theta: np.ndarray, u: np.ndarray, D: int, M: int) -> np.ndarray:
+    """The rows nu_beta(u, Theta) / beta! (n, N) that the conversions
+    convolve with. Ranks are graded, so the first entries of the order-M
+    table are bitwise the table of any lower order."""
+    return gaussian_raw_moments(Theta, IndexSet(D, M), u) / _packing(D, M).fact
+
+
 def to_conserved_batch(W: np.ndarray, D: int, M: int) -> np.ndarray:
     """Raw moments F (n, N) of the packed rows W (n, N): the convolution
     F_beta = sum_{alpha <= beta} f_alpha nu_{beta-alpha}(u, Theta) / (beta-alpha)!."""
-    s = IndexSet(D, M)
     rho, u, p = _unpack(W, D, M)
-    g = gaussian_raw_moments(p / rho[:, None, None], s, u) / _packing(D, M).fact
-    return _convolve(free_values(W, D, M), g, D, M, 0, s.N)
+    g = _gaussian_table(p / rho[:, None, None], u, D, M)
+    return _convolve(free_values(W, D, M), g, D, M, 0, g.shape[1])
 
 
 @lru_cache(maxsize=None)
@@ -467,17 +493,23 @@ def _lift_ranks(D: int, M: int):
     )
 
 
-def _moments_and_flux(W: np.ndarray, D: int, M: int):
+def _moments_and_flux(W: np.ndarray, D: int, M: int, table: np.ndarray = None):
     """Conserved rows F and first-axis closure fluxes G of the packed rows W.
 
     Both read off the moments of the states lifted one order with their
     coefficients unchanged (the closure zeroes the new order), so row alpha
-    of G is (alpha_1+1) F_{alpha+e_1}.
+    of G is (alpha_1+1) F_{alpha+e_1}. table is the order-(M+1) Gaussian
+    table of W's (u, Theta), as _from_conserved returns it, or None to
+    compute it here.
     """
     same, up, mult = _lift_ranks(D, M)
-    lifted = np.zeros((W.shape[0], IndexSet(D, M + 1).N))
+    N1 = IndexSet(D, M + 1).N
+    lifted = np.zeros((W.shape[0], N1))
     lifted[:, same] = W
-    Fl = to_conserved_batch(lifted, D, M + 1)
+    if table is None:
+        rho, u, p = _unpack(lifted, D, M + 1)
+        table = _gaussian_table(p / rho[:, None, None], u, D, M + 1)
+    Fl = _convolve(free_values(lifted, D, M + 1), table, D, M + 1, 0, N1)
     return Fl[:, same], mult * Fl[:, up]
 
 
@@ -495,6 +527,13 @@ def from_conserved_batch(F: np.ndarray, D: int, M: int) -> np.ndarray:
     a row is not finite or its implied density or scale tensor is out of
     range.
     """
+    return _from_conserved(F, D, M)[0]
+
+
+def _from_conserved(F: np.ndarray, D: int, M: int):
+    """from_conserved_batch, and the order-(M+1) Gaussian table of the rows
+    it returns: the table _moments_and_flux reads, of which the solve uses
+    the first N entries."""
     t = _packing(D, M)
     rho = F[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -502,7 +541,7 @@ def from_conserved_batch(F: np.ndarray, D: int, M: int) -> np.ndarray:
         p = t.scale * F[:, t.pair] - u[:, :, None] * u[:, None, :] * rho[:, None, None]
         Theta = p / rho[:, None, None]
     _check_cells(Theta, "scale tensor", rho, np.isfinite(F).all(axis=1), "implied ")
-    g = gaussian_raw_moments(Theta, IndexSet(D, M), u) / t.fact
+    g = _gaussian_table(Theta, u, D, M + 1)
     # the alpha = beta term of the convolution is f_beta itself (nu_0 = 1):
     # each order is F less the terms of the orders below, still zero above
     fvec = np.zeros_like(F)
@@ -513,7 +552,7 @@ def from_conserved_batch(F: np.ndarray, D: int, M: int) -> np.ndarray:
     bad = ~np.isfinite(W).all(axis=1)
     if bad.any():
         raise AdmissibilityError("implied state has non-finite entries", cell=int(np.argmax(bad)))
-    return W
+    return W, g
 
 
 def from_conserved(F: ConservedMoments | Sequence[float], D: int = None, M: int = None) -> MomentState:
