@@ -276,10 +276,7 @@ def directional(state: MomentState, n, regularized: bool = True) -> CoefficientM
     A = np.zeros((state.index_set.N, state.index_set.N))
     for d in range(1, state.D + 1):
         if n[d - 1] != 0.0:
-            mat = assemble(state, d)
-            if regularized:
-                mat = regularize(mat, state)
-            A += n[d - 1] * mat.entries
+            A += n[d - 1] * assemble_batch(state.w[None], state.D, state.M, d, regularized)[0]
     return CoefficientMatrix(entries=A, direction=None, regularized=regularized, state=state)
 
 

@@ -67,6 +67,7 @@ from .spectral import rotation_spectrum_check, unit_spectrum
 from .state import (
     CollisionModel,
     MomentState,
+    _integer,
     equilibrium,
     state_from_json,
     to_conserved,
@@ -86,6 +87,21 @@ def _open_out(path):
             yield fh
         finally:
             fh.close()
+
+
+def _write_csv(out, header, rows) -> None:
+    """CSV of a header and rows to --out."""
+    with _open_out(out) as fh:
+        w = csv.writer(fh, lineterminator=CSV_EOL)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_json(out, doc) -> None:
+    """Indented JSON of doc to --out, newline-terminated."""
+    with _open_out(out) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_state(path: str) -> MomentState:
@@ -134,16 +150,11 @@ def cmd_assemble(args) -> int:
             "violations": list(rep.violations),
             "ok": rep.ok,
         }
-        with _open_out(args.out) as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, doc)
         return 0
     labels = [_label(a) for a in state.index_set.indices]
-    with _open_out(args.out) as fh:
-        w = csv.writer(fh, lineterminator=CSV_EOL)
-        w.writerow(["row"] + labels)
-        for lab, row in zip(labels, mat.entries):
-            w.writerow([lab] + [repr(float(v)) for v in row])
+    rows = ([lab] + [repr(float(v)) for v in row] for lab, row in zip(labels, mat.entries))
+    _write_csv(args.out, ["row"] + labels, rows)
     return 0
 
 
@@ -166,6 +177,9 @@ def _parse_direction(text: str, D: int) -> np.ndarray:
     return n / norm
 
 
+_SPECTRUM_HEADER = ["eigenvalue", "multiplicity", "family_m", "root_index"]
+
+
 def cmd_spectrum(args) -> int:
     state = _load_state(args.state)
     if args.dir is not None:
@@ -178,11 +192,7 @@ def cmd_spectrum(args) -> int:
     if args.unregularized:
         A = directional(state, n, regularized=False).entries
         vals = np.sort_complex(np.linalg.eigvals(A) + drift)
-        with _open_out(args.out) as fh:
-            w = csv.writer(fh, lineterminator=CSV_EOL)
-            w.writerow(["eigenvalue", "multiplicity", "family_m", "root_index"])
-            for v in vals:
-                w.writerow([str(complex(v)).strip("()"), 1, -1, -1])
+        _write_csv(args.out, _SPECTRUM_HEADER, ([str(complex(v)).strip("()"), 1, -1, -1] for v in vals))
         return 0
 
     scale = float(np.sqrt(n @ state.theta_tensor @ n))
@@ -191,11 +201,7 @@ def cmd_spectrum(args) -> int:
         for L in unit_spectrum(state.D, state.M)
     ]
     rows.sort(key=lambda r: (r[0], r[2]))
-    with _open_out(args.out) as fh:
-        w = csv.writer(fh, lineterminator=CSV_EOL)
-        w.writerow(["eigenvalue", "multiplicity", "family_m", "root_index"])
-        for val, mult, m, j in rows:
-            w.writerow([repr(float(val)), mult, m, j])
+    _write_csv(args.out, _SPECTRUM_HEADER, ([repr(float(val)), mult, m, j] for val, mult, m, j in rows))
 
     # cross-check the closed form against a numerical eigensolve
     dev = rotation_spectrum_check(state, n)
@@ -241,11 +247,8 @@ def cmd_hyperbolicity(args) -> int:
     W[:, s.rank0((3,) + (0,) * (D - 1))] = values
     lam = np.linalg.eigvals(assemble_batch(W, D, M, 1))
     ims = np.abs(lam.imag).max(axis=1)
-    with _open_out(args.out) as fh:
-        w = csv.writer(fh, lineterminator=CSV_EOL)
-        w.writerow(["f3", "max_abs_imag"])
-        for v, im in zip(values, ims):
-            w.writerow([repr(float(v)), repr(float(im))])
+    rows = ([repr(float(v)), repr(float(im))] for v, im in zip(values, ims))
+    _write_csv(args.out, ["f3", "max_abs_imag"], rows)
     return 0
 
 
@@ -273,7 +276,15 @@ def _field_rows(fields, left: MomentState, right: MomentState):
     ]
 
 
-def _contact_rows(fields, left: MomentState, right: MomentState):
+def _table_entry(kind: str, left: MomentState, right: MomentState, fld, speed) -> dict:
+    """Sign-table verdict of the elementary wave of one field."""
+    verdict = wave_table_check(ElementaryWave(kind, left, right, fld, speed))
+    return {"C": fld.C, "ok": verdict.ok, "relations": verdict.relations}
+
+
+def _contact_rows(fields, left: MomentState, right: MomentState, table: list):
+    """Contact probes of the linearly degenerate fields, one per distinct C;
+    the table entry of each one that passes goes to table."""
     rows = []
     seen = set()
     for _, C, fld in fields:
@@ -290,12 +301,15 @@ def _contact_rows(fields, left: MomentState, right: MomentState):
                 "eigenvalue_jump": v.eigenvalue_jump,
             }
         )
+        if v.ok:
+            table.append(_table_entry("contact", left, right, fld, wave_speed(left, C)))
     return rows
 
 
-def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float):
+def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float, table: list):
     # integral-curve probe: a fan endpoint must sit on the curve through the
-    # left state at the parameter fixed by the density ratio
+    # left state at the parameter fixed by the density ratio; the table
+    # entry of each one that passes goes to table
     rows = []
     zeta = float(np.log(right.rho / left.rho))
     scale = max(1.0, float(np.max(np.abs(right.w))))
@@ -312,6 +326,9 @@ def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float)
             row["ok"] = False
             row["error"] = str(e)
         rows.append(row)
+        if row["ok"]:
+            speeds = (wave_speed(left, C), wave_speed(right, C))
+            table.append(_table_entry("rarefaction", left, right, fld, speeds))
     return rows
 
 
@@ -325,16 +342,16 @@ def cmd_riemann(args) -> int:
     FL, FR = to_conserved(left), to_conserved(right)
     tol = args.tol
     fields = _fields(left)
-    field_of = {C: fld for _, C, fld in fields}
+    table = {"shock": [], "contact": [], "rarefaction": []}
     report = {
         "D": left.D,
         "M": left.M,
         "fields": _field_rows(fields, left, right),
-        "contacts": _contact_rows(fields, left, right),
-        "rarefactions": _rarefaction_rows(fields, left, right, tol),
+        "contacts": _contact_rows(fields, left, right, table["contact"]),
+        "rarefactions": _rarefaction_rows(fields, left, right, tol, table["rarefaction"]),
         "mass_flux_speed": None,
         "shock": None,
-        "table": {"shock": [], "contact": [], "rarefaction": []},
+        "table": table,
     }
 
     S = shock_speed_from_mass(FL, FR)
@@ -353,36 +370,10 @@ def cmd_riemann(args) -> int:
         if report["shock"]["residual_ok"]:
             top = [fld for line, _, fld in fields if line.family_m == left.M + 1]
             for fld, passed in zip(top, rep.lax_per_root):
-                if not passed:
-                    continue
-                verdict = wave_table_check(ElementaryWave("shock", left, right, fld, S))
-                report["table"]["shock"].append(
-                    {"C": fld.C, "ok": verdict.ok, "relations": verdict.relations}
-                )
+                if passed:
+                    table["shock"].append(_table_entry("shock", left, right, fld, S))
 
-    for row in report["contacts"]:
-        if not row["ok"]:
-            continue
-        fld = field_of[row["C"]]
-        speed = wave_speed(left, fld.C)
-        verdict = wave_table_check(ElementaryWave("contact", left, right, fld, speed))
-        report["table"]["contact"].append(
-            {"C": row["C"], "ok": verdict.ok, "relations": verdict.relations}
-        )
-
-    for row in report["rarefactions"]:
-        if not row.get("ok"):
-            continue
-        fld = field_of[row["C"]]
-        speeds = (wave_speed(left, fld.C), wave_speed(right, fld.C))
-        verdict = wave_table_check(ElementaryWave("rarefaction", left, right, fld, speeds))
-        report["table"]["rarefaction"].append(
-            {"C": row["C"], "ok": verdict.ok, "relations": verdict.relations}
-        )
-
-    with _open_out(args.out) as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, report)
     return 0
 
 
@@ -398,10 +389,10 @@ def _req(doc: dict, key: str, where: str):
 def _scalar(conv, doc: dict, key: str, where: str, default=None):
     """conv (int or float) of doc[key], or of default when the field is
     absent; no default makes the field required. A list or object there is
-    bad input, not a TypeError."""
+    bad input, not a TypeError, and so is a float that is not whole for int."""
     val = _req(doc, key, where) if default is None else doc.get(key, default)
     try:
-        return conv(val)
+        return _integer(val, f"{where} field {key!r}") if conv is int else conv(val)
     except TypeError:
         raise ValueError(f"{where} field {key!r} must be a number, got {json.dumps(val)}") from None
 
@@ -472,11 +463,8 @@ def cmd_simulate(args) -> int:
         )
     else:
         result = simulate(config, left, right)
-    with _open_out(args.out) as fh:
-        w = csv.writer(fh, lineterminator=CSV_EOL)
-        w.writerow(["t", "x", "rho", "u1", "p11", "theta", "q1"])
-        for row in result.rows():
-            w.writerow([repr(float(v)) for v in row])
+    rows = ([repr(float(v)) for v in row] for row in result.rows())
+    _write_csv(args.out, ["t", "x", "rho", "u1", "p11", "theta", "q1"], rows)
     return 0
 
 
@@ -485,11 +473,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_conjecture(args) -> int:
     violations, best = root_gap_scan(args.n_max, args.tol)
-    with _open_out(args.out) as fh:
-        w = csv.writer(fh, lineterminator=CSV_EOL)
-        w.writerow(["m", "n", "root", "distance"])
-        for m, n, r, d in violations:
-            w.writerow([m, n, repr(float(r)), repr(float(d))])
+    rows = ([m, n, repr(float(r)), repr(float(d))] for m, n, r, d in violations)
+    _write_csv(args.out, ["m", "n", "root", "distance"], rows)
     if best is not None:
         bm, bn, br, bd = best
         print(
@@ -528,11 +513,8 @@ def cmd_hermite_check(args) -> int:
         ("orthogonality", ortho, args.tol),
         ("integral_relation", integral, args.tol),
     ]
-    with _open_out(args.out) as fh:
-        w = csv.writer(fh, lineterminator=CSV_EOL)
-        w.writerow(["check", "deviation", "tolerance", "ok"])
-        for name, dev, tol in checks:
-            w.writerow([name, repr(float(dev)), repr(float(tol)), str(dev <= tol).lower()])
+    rows = ([name, repr(float(dev)), repr(float(tol)), str(dev <= tol).lower()] for name, dev, tol in checks)
+    _write_csv(args.out, ["check", "deviation", "tolerance", "ok"], rows)
     bad = [name for name, dev, tol in checks if not dev <= tol]  # a NaN deviation fails
     if bad:
         print(f"identity checks out of tolerance: {', '.join(bad)}", file=sys.stderr)

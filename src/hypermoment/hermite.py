@@ -23,6 +23,12 @@ runs flat Newton passes on the unit-scale recurrence, rescaled every eight
 steps, two at every order and three more at orders <= 24, and mirrors the
 result.
 
+The anisotropic polynomials He_alpha of a scale tensor Theta and the
+Gaussian moments that ``state`` converts with obey one multi-index raising
+recurrence, run by one kernel, ``gaussian_raw_moments``: He_alpha(x) is the
+moment of index alpha with shift ThetaInv x and covariance -ThetaInv, and
+``ghe_table`` reads it so.
+
 The identity checks of ``hermite-check`` are array passes: ``parity_deviation``
 and ``differential_deviation`` build one table each on stacked points, and
 ``gram_deviations`` reads one quadrature rule and one table through ``_gram``,
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -229,6 +235,52 @@ def he_roots(n: int) -> np.ndarray:
     return _root_table(n, n)[0]
 
 
+@lru_cache(maxsize=None)
+def _raising_coeffs(D: int, M: int):
+    """The axis and mult columns of every order of raising_tables(D, M),
+    stacked: rank r >= 1 is row r - 1."""
+    steps = raising_tables(D, M)
+    return np.concatenate([s.axis for s in steps]), np.concatenate([s.mult for s in steps])
+
+
+def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet, u: np.ndarray = None) -> np.ndarray:
+    """Gaussian moments nu_beta = E[(x + u)^beta], x ~ N(0, Lambda), all |beta| <= M.
+
+    One raising recurrence: nu_{beta+e_d} = u_d nu_beta + sum_j Lambda[d,j]
+    beta_j nu_{beta-e_j}, with every Lambda[d,j] beta_j gathered at once.
+    Without u these are the centered moments mu_beta, whose odd orders are
+    exactly zero and are not computed. Lambda only enters polynomially, so
+    it need not be positive definite. Lambda (..., D, D) and u (..., D) may
+    carry leading batch axes, the same on both or on one of them only (one
+    Lambda for a stack of shifts); the result is then (..., N).
+    """
+    Lambda = np.asarray(Lambda, dtype=float)
+    D, N = set_.D, set_.N
+    batch = Lambda.shape[:-2]
+    L = Lambda.reshape(-1, D, D)
+    steps = raising_tables(D, set_.M)
+    axis, mult = _raising_coeffs(D, set_.M)
+    coef = L[:, axis] * mult
+    if u is None:
+        steps = steps[1::2]
+    else:
+        u = np.asarray(u, dtype=float)
+        batch = batch or u.shape[:-1]
+        shift = u.reshape(-1, D)[:, axis]
+    mu = np.zeros((math.prod(batch), N + 1))
+    mu[:, 0] = 1.0
+    for step in steps:
+        lo, hi = step.lo - 1, step.hi - 1
+        terms = coef[:, lo:hi] * mu[:, step.down]
+        acc = terms[:, :, 0]
+        for j in range(1, D):
+            acc = acc + terms[:, :, j]
+        if u is not None:
+            acc = acc + shift[:, lo:hi] * mu[:, step.base]
+        mu[:, step.lo : step.hi] = acc
+    return mu[:, :N].reshape(batch + (N,))
+
+
 @dataclass(frozen=True)
 class AnisotropicBasis:
     """Gaussian weight data for a symmetric positive definite scale tensor."""
@@ -276,29 +328,16 @@ def weight(basis: AnisotropicBasis, x) -> np.ndarray:
 def ghe_table(basis: AnisotropicBasis, x, max_order: int) -> dict:
     """Values of every polynomial of order <= max_order at points x.
 
-    Returns {multi-index: array of values}. Built order by order by the
-    raising recurrence on the first nonzero axis (index.raising_tables),
-    from X = ThetaInv @ x and the lower-order values.
+    Returns {multi-index: array of values}: the moments of the Gaussian
+    with shift ThetaInv @ x and covariance -ThetaInv (gaussian_raw_moments).
     """
     x = np.asarray(x, dtype=float)
     D = basis.D
     if x.shape[-1] != D:
         raise ValueError(f"points must have last axis {D}")
-    X = np.moveaxis(x @ basis.ThetaInv, -1, 0)  # symmetric, so no transpose needed
-    Tinv = basis.ThetaInv
-    n = cardinality(D, max_order)
     s = IndexSet(D, max(max_order, 2))
-    cols = (-1,) + (1,) * (x.ndim - 1)  # per-column factors against the points
-    vals = np.zeros((s.N + 1,) + x.shape[:-1])  # rank N reads 0
-    vals[0] = 1.0
-    for step in raising_tables(D, s.M):
-        if step.lo >= n:
-            break
-        val = X[step.axis] * vals[step.base]
-        for j in range(D):
-            val = val - (Tinv[step.axis, j] * step.mult[:, j]).reshape(cols) * vals[step.down[:, j]]
-        vals[step.lo : step.hi] = val
-    return {a: vals[k, ...] for k, a in enumerate(s.indices[:n])}
+    vals = gaussian_raw_moments(-basis.ThetaInv, s, x @ basis.ThetaInv)  # symmetric: no transpose
+    return {a: vals[..., k] for k, a in enumerate(s.indices[: cardinality(D, max_order)])}
 
 
 def ghe_eval(alpha: Sequence[int], basis: AnisotropicBasis, x):

@@ -186,10 +186,11 @@ class RaisingStep:
 @lru_cache(maxsize=None)
 def raising_tables(D: int, M: int) -> tuple:
     """The raising recurrence of IndexSet(D, M), compiled once: one
-    RaisingStep per order 1..M. Every table built by raising one axis at a
-    time reads it: the Gaussian moments (state.gaussian_raw_moments, from
+    RaisingStep per order 1..M. Its one reader is the moment kernel
+    hermite.gaussian_raw_moments, which gives the Gaussian moments (from
     which the conversions, the relaxation target and state.moment_table
-    follow) and the basis polynomials (hermite.ghe_table).
+    follow) and, with shift ThetaInv x and covariance -ThetaInv, the basis
+    polynomials of hermite.ghe_table.
     """
     idx = _enumerate(D, M)
     rank = _rank_table(D, M)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import assemble, assemble_batch, directional, regularize
+from .assembly import assemble_batch, directional
 from .hermite import _recurrence, he_roots
 from .index import IndexSet, block_permutation, order
 from .state import MomentState
@@ -102,10 +102,7 @@ def charpoly_1d_unregularized(state: MomentState) -> np.ndarray:
 
 
 def hyperbolicity_verdict(state: MomentState, d: int = 1, regularized: bool = False) -> HyperbolicityVerdict:
-    mat = assemble(state, d)
-    if regularized:
-        mat = regularize(mat, state)
-    lam, V = np.linalg.eig(mat.entries)
+    lam, V = np.linalg.eig(assemble_batch(state.w[None], state.D, state.M, d, regularized)[0])
     scale = 1.0 + np.abs(lam)
     rel_imag = np.abs(lam.imag) / scale
     worst = None
@@ -122,7 +119,7 @@ def hyperbolicity_verdict(state: MomentState, d: int = 1, regularized: bool = Fa
 
 
 def unregularized_eigenvalues(state: MomentState, d: int = 1) -> np.ndarray:
-    return np.linalg.eig(assemble(state, d).entries)[0]
+    return np.linalg.eig(assemble_batch(state.w[None], state.D, state.M, d)[0])[0]
 
 
 def find_nonhyperbolic_state(D: int, M: int, max_doublings: int = 60):

@@ -18,14 +18,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hermite import AnisotropicBasis
+from .hermite import AnisotropicBasis, gaussian_raw_moments
 from .index import (
     IndexSet,
     add,
     factorial,
     is_void,
     order,
-    raising_tables,
     sub,
     unit,
 )
@@ -350,53 +349,12 @@ def heat_flux(state: MomentState) -> np.ndarray:
 # -- conversion machinery ----------------------------------------------------
 #
 # The expansion is built around a local Gaussian, so every moment the
-# conversions and the relaxation target need is a Gaussian moment. Every
-# kernel below works on a stack of states at once from integer gather tables
-# compiled once per (D, M), in which rank N stands for a void or out-of-set
-# index and reads a zero.
-
-
-@lru_cache(maxsize=None)
-def _raising_coeffs(D: int, M: int):
-    """The axis and mult columns of every order of raising_tables(D, M),
-    stacked: rank r >= 1 is row r - 1."""
-    steps = raising_tables(D, M)
-    return np.concatenate([s.axis for s in steps]), np.concatenate([s.mult for s in steps])
-
-
-def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet, u: np.ndarray = None) -> np.ndarray:
-    """Gaussian moments nu_beta = E[(x + u)^beta], x ~ N(0, Lambda), all |beta| <= M.
-
-    One raising recurrence: nu_{beta+e_d} = u_d nu_beta + sum_j Lambda[d,j]
-    beta_j nu_{beta-e_j}, with every Lambda[d,j] beta_j gathered at once.
-    Without u these are the centered moments mu_beta, whose odd orders are
-    exactly zero and are not computed. Lambda only enters polynomially, so
-    it need not be positive definite. Lambda (..., D, D) and u (..., D) may
-    carry matching leading batch axes; the result is then (..., N).
-    """
-    Lambda = np.asarray(Lambda, dtype=float)
-    D, N = set_.D, set_.N
-    batch = Lambda.shape[:-2]
-    L = Lambda.reshape(-1, D, D)
-    steps = raising_tables(D, set_.M)
-    axis, mult = _raising_coeffs(D, set_.M)
-    coef = L[:, axis] * mult
-    mu = np.zeros((L.shape[0], N + 1))
-    mu[:, 0] = 1.0
-    if u is None:
-        steps = steps[1::2]
-    else:
-        shift = np.asarray(u, dtype=float).reshape(-1, D)[:, axis]
-    for step in steps:
-        lo, hi = step.lo - 1, step.hi - 1
-        terms = coef[:, lo:hi] * mu[:, step.down]
-        acc = terms[:, :, 0]
-        for j in range(1, D):
-            acc = acc + terms[:, :, j]
-        if u is not None:
-            acc = acc + shift[:, lo:hi] * mu[:, step.base]
-        mu[:, step.lo : step.hi] = acc
-    return mu[:, :N].reshape(batch + (N,))
+# conversions and the relaxation target need is a Gaussian moment. They come
+# from hermite.gaussian_raw_moments (re-exported here), the one raising
+# recurrence, which also gives the basis polynomials. Every kernel below
+# works on a stack of states at once from integer gather tables compiled
+# once per (D, M), in which rank N stands for a void or out-of-set index and
+# reads a zero.
 
 
 @lru_cache(maxsize=None)
@@ -473,21 +431,20 @@ def _gaussian_table(Theta: np.ndarray, u: np.ndarray, D: int, M: int) -> np.ndar
 
 def to_conserved_batch(W: np.ndarray, D: int, M: int) -> np.ndarray:
     """Raw moments F (n, N) of the packed rows W (n, N): the convolution
-    F_beta = sum_{alpha <= beta} f_alpha nu_{beta-alpha}(u, Theta) / (beta-alpha)!."""
-    rho, u, p = _unpack(W, D, M)
-    g = _gaussian_table(p / rho[:, None, None], u, D, M)
-    return _convolve(free_values(W, D, M), g, D, M, 0, g.shape[1])
+    F_beta = sum_{alpha <= beta} f_alpha nu_{beta-alpha}(u, Theta) / (beta-alpha)!,
+    the rows F of _moments_and_flux."""
+    return _moments_and_flux(W, D, M)[0]
 
 
 @lru_cache(maxsize=None)
 def _lift_ranks(D: int, M: int):
-    """Ranks in the order-(M+1) set of each index alpha of the order-M set
-    and of alpha + e_1, and the flux multipliers alpha_1 + 1."""
+    """Ranks in the order-(M+1) set of alpha + e_1 for each index alpha of
+    the order-M set, and the flux multipliers alpha_1 + 1. Ranks are graded,
+    so alpha itself keeps its rank in the larger set."""
     lifted = IndexSet(D, M + 1)
     e1 = unit(D, 1)
     idx = IndexSet(D, M).indices
     return (
-        np.array([lifted.rank0(a) for a in idx]),
         np.array([lifted.rank0(add(a, e1)) for a in idx]),
         np.array([a[0] + 1 for a in idx], dtype=float),
     )
@@ -502,15 +459,16 @@ def _moments_and_flux(W: np.ndarray, D: int, M: int, table: np.ndarray = None):
     table of W's (u, Theta), as _from_conserved returns it, or None to
     compute it here.
     """
-    same, up, mult = _lift_ranks(D, M)
+    up, mult = _lift_ranks(D, M)
+    n, N = W.shape
     N1 = IndexSet(D, M + 1).N
-    lifted = np.zeros((W.shape[0], N1))
-    lifted[:, same] = W
+    lifted = np.zeros((n, N1))
+    lifted[:, :N] = W
     if table is None:
         rho, u, p = _unpack(lifted, D, M + 1)
         table = _gaussian_table(p / rho[:, None, None], u, D, M + 1)
     Fl = _convolve(free_values(lifted, D, M + 1), table, D, M + 1, 0, N1)
-    return Fl[:, same], mult * Fl[:, up]
+    return Fl[:, :N], mult * Fl[:, up]
 
 
 def to_conserved(state: MomentState) -> ConservedMoments:
@@ -667,13 +625,21 @@ def state_to_json(state: MomentState) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _integer(val, what: str) -> int:
+    """int(val) of a JSON field; a float must be whole, which rules out
+    inf and NaN."""
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"{what} must be an integer, got {json.dumps(val)}")
+    return int(val)
+
+
 def state_from_json(text: str) -> MomentState:
     doc = json.loads(text)
     if not (isinstance(doc, dict) and isinstance(doc.get("f", {}), dict)):
         raise ValueError("state JSON and its field 'f' must be objects")
     try:
-        D = int(doc["D"])
-        M = int(doc["M"])
+        D = _integer(doc["D"], "state JSON field 'D'")
+        M = _integer(doc["M"], "state JSON field 'M'")
         rho = float(doc["rho"])
         u = doc["u"]
         p = doc["p"]

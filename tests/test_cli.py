@@ -743,3 +743,68 @@ def test_module_entry_point_has_no_import_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("orders 2..4: 0 violation(s)")
+
+
+class TestIntegerFields:
+    """Integer fields of a config or state file must be whole numbers: a
+    non-finite or fractional value exits 1 with one error line, and an
+    integral float such as 16.0 reads as the integer."""
+
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"D": float("inf")}, "config field 'D' must be an integer, got Infinity"),
+            ({"M": 2.5}, "config field 'M' must be an integer, got 2.5"),
+            ({"grid": {"nx": float("inf")}}, "grid field 'nx' must be an integer, got Infinity"),
+            ({"grid": {"nx": 24.7}}, "grid field 'nx' must be an integer, got 24.7"),
+            ({"n_snapshots": float("nan")}, "config field 'n_snapshots' must be an integer, got NaN"),
+            (
+                {"left": {"D": 1.5, "rho": 1.0, "u": [0.0], "p": [[1.0]], "f": {}}},
+                "left state field 'D' must be an integer, got 1.5",
+            ),
+        ],
+        ids=["D-inf", "M-frac", "nx-inf", "nx-frac", "snapshots-nan", "left-D-frac"],
+    )
+    def test_config_exits_1(self, tmp_path, capsys, over, message):
+        cf = write_json(tmp_path, "sim.json", sim_config(**over))
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_v", [float("inf"), 47.5])
+    def test_oracle_velocity_count_exits_1(self, tmp_path, capsys, n_v):
+        cf = write_json(tmp_path, "sim.json", sim_config(kinetic={"n_v": n_v, "K": 6.0}))
+        out = tmp_path / "kin.csv"
+        assert run(["simulate", "--config", str(cf), "--oracle", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kinetic field 'n_v' must be an integer, got ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "over,shown",
+        [({"D": float("inf")}, "'D' must be an integer, got Infinity"),
+         ({"D": 1.5}, "'D' must be an integer, got 1.5"),
+         ({"M": float("-inf")}, "'M' must be an integer, got -Infinity")],
+        ids=["D-inf", "D-frac", "M-inf"],
+    )
+    def test_state_file_exits_1(self, tmp_path, capsys, over, shown):
+        sf = write_json(tmp_path, "s.json", {**json.loads(STATE.read_text()), **over})
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--state", str(sf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: state JSON field {shown}\n"
+        assert not out.exists()
+
+    def test_integral_floats_are_accepted(self, tmp_path):
+        plain, whole = tmp_path / "plain.csv", tmp_path / "whole.csv"
+        over = {"D": 1.0, "M": 2.0, "n_snapshots": 2.0, "grid": {"nx": 16.0, "x_min": 0.0, "x_max": 1.0}}
+        for doc, out in ((sim_config(), plain), (sim_config(**over), whole)):
+            cf = write_json(tmp_path, "sim.json", doc)
+            assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 0
+        assert whole.read_text() == plain.read_text()
+        sf = write_json(tmp_path, "s.json", {**json.loads(STATE.read_text()), "D": 1.0, "M": 3.0})
+        for src, out in ((STATE, plain), (sf, whole)):
+            assert run(["spectrum", "--state", str(src), "--out", str(out)]) == 0
+        assert whole.read_text() == plain.read_text()
