@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .index import _rank_table, block_permutation, factorial, order
+from .index import block_permutation, factorial, order, rank_array
 from .state import (
     CollisionModel,
     MomentState,
@@ -83,28 +83,22 @@ class _RowTables:
 def _row_tables(D: int, M: int, d: int) -> _RowTables:
     t = _packing(D, M)
     N = t.N
-    rank = _rank_table(D, M)
     free = np.array(t.free_alphas, dtype=int).reshape(-1, D)
     orders = free.sum(axis=1)
     E = np.eye(D, dtype=int)
     ed = E[d - 1]
-
-    def ranks(alphas):
-        flat = alphas.reshape(-1, D).tolist()
-        return np.array([rank.get(tuple(a), N) for a in flat], dtype=int).reshape(alphas.shape[:-1])
-
     ones = free[:, None] - E
     pairs = free[:, None, None] - E[:, None] - E[None, :]
     mult = free @ ed + 1.0
-    down1 = np.where(orders[:, None] > 3, ranks(ones), N)  # alpha - e_k, order >= 3
-    down2 = ranks(pairs)
-    raised1 = ranks(ones + ed)
-    raised2 = ranks(pairs + ed)
+    down1 = np.where(orders[:, None] > 3, rank_array(D, M, ones), N)  # alpha - e_k, order >= 3
+    down2 = rank_array(D, M, pairs)
+    raised1 = rank_array(D, M, ones + ed)
+    raised2 = rank_array(D, M, pairs + ed)
     top = int(np.searchsorted(orders, M))
     # per pressure slot i <= j: e_i + e_j + e_d, its rank and factorial
     iu, ju = t.upper
     tri_alphas = E[iu] + E[ju] + ed
-    tri = ranks(tri_alphas)
+    tri = rank_array(D, M, tri_alphas)
     tri_fact = np.array([factorial(a) for a in tri_alphas.tolist()], dtype=float)
     pair_scale = 1.0 + ed  # 1 + delta_id
 
@@ -133,7 +127,7 @@ def _row_tables(D: int, M: int, d: int) -> _RowTables:
         # free coefficient rows: transport couplings that stay among free
         # coefficients
         group(rows, down1, 1.0, TH + dx * D + np.arange(D)),
-        group(t.free, ranks(free + ed), mult, ONE),
+        group(t.free, rank_array(D, M, free + ed), mult, ONE),
         # scale-gradient couplings, ordered pairs for the density column
         group(rows, slots, 1.0, C + r[:, None] * DD + iu * D + ju, 1.0, RHO),
         group(t.free, 0, -1.0, ACC + r, 2.0, RHO),
@@ -155,7 +149,7 @@ def _row_tables(D: int, M: int, d: int) -> _RowTables:
     return _RowTables(
         mult=mult,
         down2=down2,
-        down3=ranks(pairs[:, :, :, None] - E),
+        down3=rank_array(D, M, pairs[:, :, :, None] - E),
         raised2=raised2,
         top=top,
         terms=compile_(terms),

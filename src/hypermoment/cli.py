@@ -63,13 +63,14 @@ from .solver import (
     kinetic_reference,
     simulate,
 )
-from .spectral import rotation_spectrum_check, unit_spectrum
+from .spectral import rotation_spectrum_check, spectrum_regularized, unit_spectrum
 from .state import (
     CollisionModel,
     MomentState,
     _integer,
+    _number,
     equilibrium,
-    state_from_json,
+    state_from_doc,
     to_conserved,
 )
 
@@ -106,7 +107,7 @@ def _write_json(out, doc) -> None:
 
 def _load_state(path: str) -> MomentState:
     with open(path) as fh:
-        return state_from_json(fh.read())
+        return state_from_doc(json.load(fh))
 
 
 def _label(alpha) -> str:
@@ -195,10 +196,9 @@ def cmd_spectrum(args) -> int:
         _write_csv(args.out, _SPECTRUM_HEADER, ([str(complex(v)).strip("()"), 1, -1, -1] for v in vals))
         return 0
 
-    scale = float(np.sqrt(n @ state.theta_tensor @ n))
     rows = [
-        (drift + L.value * scale, L.multiplicity, L.family_m, L.root_index)
-        for L in unit_spectrum(state.D, state.M)
+        (drift + L.value, L.multiplicity, L.family_m, L.root_index)
+        for L in spectrum_regularized(state, n).lines
     ]
     rows.sort(key=lambda r: (r[0], r[2]))
     _write_csv(args.out, _SPECTRUM_HEADER, ([repr(float(val)), mult, m, j] for val, mult, m, j in rows))
@@ -388,13 +388,13 @@ def _req(doc: dict, key: str, where: str):
 
 def _scalar(conv, doc: dict, key: str, where: str, default=None):
     """conv (int or float) of doc[key], or of default when the field is
-    absent; no default makes the field required. A list or object there is
-    bad input, not a TypeError, and so is a float that is not whole for int."""
+    absent; no default makes the field required. Anything but a JSON number
+    is bad input, not a TypeError, and so is a float that is not whole for int."""
     val = _req(doc, key, where) if default is None else doc.get(key, default)
     try:
-        return _integer(val, f"{where} field {key!r}") if conv is int else conv(val)
-    except TypeError:
-        raise ValueError(f"{where} field {key!r} must be a number, got {json.dumps(val)}") from None
+        return (_integer if conv is int else _number)(val, f"{where} field {key!r}")
+    except TypeError as e:
+        raise ValueError(str(e)) from None
 
 
 def _section(doc: dict, key: str, required: bool = False) -> dict:
@@ -408,12 +408,10 @@ def _section(doc: dict, key: str, required: bool = False) -> dict:
 def _state_from_doc(doc, D: int, M: int, name: str) -> MomentState:
     if not isinstance(doc, dict):
         raise ValueError(f"{name} state must be a JSON object")
-    doc = dict(doc)
-    doc.setdefault("D", D)
-    doc.setdefault("M", M)
+    doc = {"D": D, "M": M, **doc}
     if (_scalar(int, doc, "D", f"{name} state"), _scalar(int, doc, "M", f"{name} state")) != (D, M):
         raise ValueError(f"{name} state dimensions must match the config (D={D}, M={M})")
-    return state_from_json(json.dumps(doc))
+    return state_from_doc(doc)
 
 
 def _load_sim_config(path: str):

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .index import IndexSet, cardinality, is_void, order, raising_tables
+from .index import IndexSet, cardinality, is_void, order, raising_tables, rank_array
 
 
 def _recurrence(n: int, x, c: float, s: float):
@@ -429,8 +429,8 @@ def differential_deviation(basis: AnisotropicBasis, x, max_order: int) -> float:
     pts = x + np.concatenate([np.zeros((1, D)), h * np.eye(D), -h * np.eye(D)])[:, None]
     w = weight(basis, pts)
     T = np.stack(list(ghe_table(basis, pts, max_order).values()))  # (rank, 1 + 2D, K)
-    s, n = IndexSet(D, max_order), cardinality(D, max_order - 1)
-    up = np.array([[s.rank0(a[:i] + (a[i] + 1,) + a[i + 1 :]) for i in range(D)] for a in s.indices[:n]])
+    n = cardinality(D, max_order - 1)
+    up = rank_array(D, max_order, np.array(IndexSet(D, max_order).indices[:n])[:, None] + np.eye(D, dtype=int))
     fd = (w[1 : D + 1] * T[:n, 1 : D + 1] - w[D + 1 :] * T[:n, D + 1 :]) / (2 * h)
     target = -w[0] * T[up, 0]
     scale = np.maximum(1.0, np.max(np.abs(target), axis=-1))

@@ -3,6 +3,9 @@
 Multi-indices are plain tuples of nonnegative ints. A "void" index (any
 negative entry) is representable and compares unequal to every valid index;
 coefficient lookups built on top of this module map void to zero.
+
+Every compiled table that shifts indices reads its ranks from rank_array,
+which gives a void or out-of-set index rank N: its readers keep a zero there.
 """
 
 from __future__ import annotations
@@ -165,6 +168,16 @@ def _rank_table(D: int, M: int) -> dict:
     return {a: k for k, a in enumerate(_enumerate(D, M))}
 
 
+def rank_array(D: int, M: int, alphas) -> np.ndarray:
+    """0-based ranks in IndexSet(D, M) of the integer array alphas (..., D),
+    as an int array of shape alphas.shape[:-1]; a void or out-of-set index
+    gets rank N."""
+    alphas = np.asarray(alphas)
+    rank = _rank_table(D, M)
+    flat = alphas.reshape(-1, D).tolist()
+    return np.array([rank.get(tuple(a), len(rank)) for a in flat], dtype=int).reshape(alphas.shape[:-1])
+
+
 @dataclass(frozen=True)
 class RaisingStep:
     """One order k >= 1 of the raising recurrence, for the indices beta of
@@ -192,11 +205,8 @@ def raising_tables(D: int, M: int) -> tuple:
     follow) and, with shift ThetaInv x and covariance -ThetaInv, the basis
     polynomials of hermite.ghe_table.
     """
-    idx = _enumerate(D, M)
-    rank = _rank_table(D, M)
-    N = len(idx)
-    deg = np.array(idx)
-    low = np.array([[rank[sub(a, unit(D, j + 1))] if a[j] else N for j in range(D)] for a in idx])
+    deg = np.array(_enumerate(D, M))
+    low = rank_array(D, M, deg[:, None] - np.eye(D, dtype=int))
     bounds = np.searchsorted(deg.sum(axis=1), np.arange(M + 2))
     steps = []
     for lo, hi in zip(bounds[1:-1], bounds[2:]):

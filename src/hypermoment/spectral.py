@@ -168,10 +168,12 @@ def unit_spectrum(D: int, M: int) -> tuple:
     return tuple(sorted(lines, key=lambda L: (L.value, L.family_m)))
 
 
-def spectrum_regularized(state: MomentState) -> Spectrum:
-    """Eigenvalue multiset of the regularized first-axis matrix: the unit
-    spectrum scaled by sqrt(theta_11)."""
-    sq = float(np.sqrt(state.theta_tensor[0, 0]))
+def spectrum_regularized(state: MomentState, n=None) -> Spectrum:
+    """Eigenvalue multiset of the regularized matrix along the unit vector n,
+    less the drift u.n: the unit spectrum scaled by sqrt(n^T Theta n), or by
+    sqrt(theta_11) when n is None (the first axis)."""
+    T = state.theta_tensor
+    sq = float(np.sqrt(T[0, 0] if n is None else n @ T @ n))
     lines = tuple(replace(L, value=L.value * sq) for L in unit_spectrum(state.D, state.M))
     return Spectrum(
         D=state.D,
@@ -358,7 +360,5 @@ def rotation_spectrum_check(state: MomentState, n) -> float:
     lam = np.linalg.eigvals(A)
     got = np.sort(lam.real)
     imag = float(np.max(np.abs(lam.imag)))
-    sq = float(np.sqrt(n @ state.theta_tensor @ n))
-    table = unit_spectrum(state.D, state.M)
-    expect = sq * np.repeat([L.value for L in table], [L.multiplicity for L in table])
+    expect = spectrum_regularized(state, n).Lambda
     return float(max(np.max(np.abs(got - expect)), imag))

@@ -19,15 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hermite import AnisotropicBasis, gaussian_raw_moments
-from .index import (
-    IndexSet,
-    add,
-    factorial,
-    is_void,
-    order,
-    sub,
-    unit,
-)
+from .index import IndexSet, _rank_table, factorial, is_void, order, rank_array, sub
 
 _SPD_TOL = 1e-12
 
@@ -135,10 +127,9 @@ class _Packing:
 @lru_cache(maxsize=None)
 def _packing(D: int, M: int) -> _Packing:
     s = IndexSet(D, M)
-    r = s.rank0
     idx = s.indices
-    e = [unit(D, i + 1) for i in range(D)]
-    pair = np.array([[r(add(e[i], e[j])) for j in range(D)] for i in range(D)])
+    E = np.eye(D, dtype=int)
+    pair = rank_array(D, M, E[:, None] + E)
     upper = np.triu_indices(D)
     orders = np.array([order(a) for a in idx])
     span = tuple(
@@ -147,7 +138,7 @@ def _packing(D: int, M: int) -> _Packing:
     )
     return _Packing(
         N=s.N,
-        vel=np.array([r(a) for a in e]),
+        vel=rank_array(D, M, E),
         pair=pair,
         upper=upper,
         upper_slots=pair[upper],
@@ -258,22 +249,11 @@ class MomentState:
         return AnisotropicBasis(self.theta_tensor)
 
     def f_value(self, alpha) -> float:
-        """Expansion coefficient with the constraints resolved.
-
-        Void indices give 0, order 0 gives density, orders 1 and 2 give 0,
-        anything above order M gives 0 (closure).
-        """
-        alpha = tuple(alpha)
-        if is_void(alpha):
-            return 0.0
-        k = order(alpha)
-        if k == 0:
-            return self.rho
-        if k in (1, 2):
-            return 0.0
-        if k > self.M:
-            return 0.0
-        return self.f.get(alpha, 0.0)
+        """Expansion coefficient with the constraints resolved, read from
+        free_values: void indices give 0, order 0 gives density, orders 1
+        and 2 give 0, anything above order M gives 0 (closure)."""
+        rank = _rank_table(self.D, self.M).get(tuple(alpha), self.index_set.N)
+        return float(free_values(self.w[None], self.D, self.M)[0, rank])
 
     # -- packed vector form --------------------------------------------------
 
@@ -321,13 +301,8 @@ def equilibrium(D: int, M: int, rho: float, u, Theta) -> MomentState:
 @lru_cache(maxsize=None)
 def _heat_flux_ranks(D: int):
     """Ranks of 3 e_i (D,) and of e_i + 2 e_d (D, D)."""
-    s = IndexSet(D, 3)
-    e = [unit(D, i + 1) for i in range(D)]
-    three = np.array([s.rank0(tuple(3 * x for x in e[i])) for i in range(D)])
-    mixed = np.array(
-        [[s.rank0(add(e[i], add(e[d], e[d]))) for d in range(D)] for i in range(D)]
-    )
-    return three, mixed
+    E = np.eye(D, dtype=int)
+    return rank_array(D, 3, 3 * E), rank_array(D, 3, E[:, None] + 2 * E)
 
 
 def heat_flux_batch(W: np.ndarray, D: int, M: int) -> np.ndarray:
@@ -441,13 +416,8 @@ def _lift_ranks(D: int, M: int):
     """Ranks in the order-(M+1) set of alpha + e_1 for each index alpha of
     the order-M set, and the flux multipliers alpha_1 + 1. Ranks are graded,
     so alpha itself keeps its rank in the larger set."""
-    lifted = IndexSet(D, M + 1)
-    e1 = unit(D, 1)
-    idx = IndexSet(D, M).indices
-    return (
-        np.array([lifted.rank0(add(a, e1)) for a in idx]),
-        np.array([a[0] + 1 for a in idx], dtype=float),
-    )
+    idx = np.array(IndexSet(D, M).indices)
+    return rank_array(D, M + 1, idx + np.eye(D, dtype=int)[0]), idx[:, 0] + 1.0
 
 
 def _moments_and_flux(W: np.ndarray, D: int, M: int, table: np.ndarray = None):
@@ -625,27 +595,52 @@ def state_to_json(state: MomentState) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _number(val, what: str) -> float:
+    """float(val) of a JSON number field. Anything but an int or a float (a
+    bool, a string, a list, an object) and an int past the float range raise
+    TypeError."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeError(f"{what} must be a number, got {json.dumps(val)}")
+    try:
+        return float(val)
+    except OverflowError:
+        raise TypeError(f"{what} must fit a float, got an integer of {val.bit_length()} bits") from None
+
+
 def _integer(val, what: str) -> int:
-    """int(val) of a JSON field; a float must be whole, which rules out
-    inf and NaN."""
-    if isinstance(val, float) and not val.is_integer():
+    """int(val) of a JSON number field (see _number); a float must be whole,
+    which rules out inf and NaN."""
+    if not _number(val, what).is_integer():
         raise ValueError(f"{what} must be an integer, got {json.dumps(val)}")
     return int(val)
 
 
-def state_from_json(text: str) -> MomentState:
-    doc = json.loads(text)
+def _numbers(val, what: str):
+    """_number of every entry of the nested lists val (u, p)."""
+    return [_numbers(v, what) for v in val] if isinstance(val, list) else _number(val, what)
+
+
+def state_from_doc(doc) -> MomentState:
+    """State of a parsed state JSON document; every numeric field and every
+    entry of u, p and f must be a JSON number."""
     if not (isinstance(doc, dict) and isinstance(doc.get("f", {}), dict)):
         raise ValueError("state JSON and its field 'f' must be objects")
     try:
         D = _integer(doc["D"], "state JSON field 'D'")
         M = _integer(doc["M"], "state JSON field 'M'")
-        rho = float(doc["rho"])
-        u = doc["u"]
-        p = doc["p"]
-        f = {tuple(int(t) for t in k.split(",")): float(v) for k, v in doc.get("f", {}).items()}
+        rho = _number(doc["rho"], "'rho'")
+        u = _numbers(doc["u"], "'u' entry")
+        p = _numbers(doc["p"], "'p' entry")
+        f = {
+            tuple(int(t) for t in k.split(",")): _number(v, f"'f' entry {k!r}")
+            for k, v in doc.get("f", {}).items()
+        }
         return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)
     except KeyError as e:
         raise ValueError(f"state JSON missing field {e.args[0]!r}") from None
     except TypeError as e:
         raise ValueError(f"state JSON field has the wrong type: {e}") from None
+
+
+def state_from_json(text: str) -> MomentState:
+    return state_from_doc(json.loads(text))

@@ -808,3 +808,57 @@ class TestIntegerFields:
         for src, out in ((STATE, plain), (sf, whole)):
             assert run(["spectrum", "--state", str(src), "--out", str(out)]) == 0
         assert whole.read_text() == plain.read_text()
+
+
+class TestNumberFields:
+    """Every numeric field of a config or state file, and every entry of u, p
+    and f, must be a JSON number: a string or a bool exits 1 with one error
+    line, and so does an integer too large for a float."""
+
+    BIG = 10**400
+
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"grid": {"nx": "16"}}, "grid field 'nx' must be a number, got \"16\""),
+            ({"t_end": "0.02"}, "config field 't_end' must be a number, got \"0.02\""),
+            ({"left": {"rho": "1.0", "u": [0.0], "p": [[1.0]]}}, "'rho' must be a number, got \"1.0\""),
+            (
+                {"M": 3, "right": {"rho": 0.5, "u": [0.0], "p": [[0.5]], "f": {"3": "0.01"}}},
+                "'f' entry '3' must be a number, got \"0.01\"",
+            ),
+            ({"n_snapshots": True}, "config field 'n_snapshots' must be a number, got true"),
+            ({"t_end": BIG}, "config field 't_end' must fit a float, got an integer of 1329 bits"),
+        ],
+        ids=["nx-str", "t_end-str", "left-rho-str", "right-f-str", "snapshots-bool", "t_end-big"],
+    )
+    def test_config_exits_1(self, tmp_path, capsys, over, message):
+        cf = write_json(tmp_path, "sim.json", sim_config(**over))
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"D": "1"}, "'D' must be a number, got \"1\""),
+            ({"rho": "1.0"}, "'rho' must be a number, got \"1.0\""),
+            ({"u": [True]}, "'u' entry must be a number, got true"),
+            ({"p": [["1.0"]]}, "'p' entry must be a number, got \"1.0\""),
+            ({"f": {"3": "0.1"}}, "'f' entry '3' must be a number, got \"0.1\""),
+            ({"rho": BIG}, "'rho' must fit a float"),
+            ({"u": [BIG]}, "'u' entry must fit a float"),
+        ],
+        ids=["D-str", "rho-str", "u-bool", "p-str", "f-str", "rho-big", "u-big"],
+    )
+    def test_state_file_exits_1(self, tmp_path, capsys, over, message):
+        sf = write_json(tmp_path, "s.json", {**json.loads(STATE.read_text()), **over})
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--state", str(sf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: state JSON field has the wrong type: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()

@@ -193,6 +193,20 @@ class TestRankLookup:
                 assert s.rank0(a) == index.ordinal(a, s) - 1
                 assert s.rank0(list(a)) == s.rank0(a)
 
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+    def test_rank_array_matches_rank0(self, D, M):
+        s = index.IndexSet(D, M)
+        alphas = list(itertools.product(range(-1, M + 2), repeat=D))
+        want = [s.rank0(a) if a in s.indices else s.N for a in alphas]
+        got = index.rank_array(D, M, np.array(alphas))
+        assert got.dtype.kind == "i" and got.tolist() == want
+        k = len(alphas) // 3 * 3
+        stacked = np.array(alphas[:k]).reshape(k // 3, 3, D)
+        got = index.rank_array(D, M, stacked)
+        assert got.shape == (k // 3, 3) and got.dtype.kind == "i"
+        assert got.ravel().tolist() == want[:k]
+
     @pytest.mark.parametrize("alpha", [(-1, 2), (2, 2), (1,), (0, 0, 0)])
     def test_miss_raises_like_ordinal(self, alpha):
         s = index.IndexSet(2, 3)

@@ -13,21 +13,49 @@ separate constructions it replaced.
   convolution.
 - ``directional`` and ``hyperbolicity_verdict`` read the regularized
   ``assemble_batch`` pass, bitwise ``assemble`` plus ``regularize``.
+- Every compiled rank table reads ``rank_array``: the same ranks, dtype and
+  shape as a comprehension over ``IndexSet.rank0`` or the rank dict.
+- ``MomentState.f_value`` reads ``free_values``, bit for bit the branch
+  over void indices, order 0, orders 1 and 2 and orders above M.
+- ``rotation_spectrum_check`` and the spectrum command read
+  ``spectrum_regularized(state, n)``, bitwise the unit spectrum scaled by
+  sqrt(n^T Theta n) and repeated by multiplicity.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from helpers import random_state
 
-from hypermoment.assembly import assemble, directional, regularize
-from hypermoment.hermite import AnisotropicBasis, ghe_table
-from hypermoment.index import IndexSet, cardinality, raising_tables
-from hypermoment.spectral import HyperbolicityVerdict, hyperbolicity_verdict
+from hypermoment.assembly import _row_tables, assemble, directional, regularize
+from hypermoment.hermite import AnisotropicBasis, differential_deviation, ghe_table, weight
+from hypermoment.index import (
+    IndexSet,
+    _rank_table,
+    add,
+    cardinality,
+    is_void,
+    order,
+    raising_tables,
+    sub,
+    unit,
+)
+from hypermoment.spectral import (
+    HyperbolicityVerdict,
+    hyperbolicity_verdict,
+    spectrum_regularized,
+    unit_spectrum,
+)
 from hypermoment.state import (
     _convolve,
     _gaussian_table,
+    _heat_flux_ranks,
+    _lift_ranks,
+    _packing,
     _unpack,
+    equilibrium,
     free_values,
     gaussian_raw_moments,
     to_conserved_batch,
@@ -150,3 +178,122 @@ def test_directional_and_verdict_are_the_regularized_pass(D, M):
         for d in range(1, D + 1):
             for regularized in (True, False):
                 assert hyperbolicity_verdict(st, d, regularized) == _reference_verdict(st, d, regularized)
+
+
+def _reference_raising_low(D, M):
+    """Rank of alpha - e_j per index and axis, N where alpha_j = 0."""
+    idx, rank = IndexSet(D, M).indices, _rank_table(D, M)
+    return np.array([[rank[sub(a, unit(D, j + 1))] if a[j] else len(idx) for j in range(D)] for a in idx])
+
+
+def _reference_row_ranks(D, M, alphas):
+    """The rank closure of the row tables: N for a void or out-of-set index."""
+    rank = _rank_table(D, M)
+    flat = alphas.reshape(-1, D).tolist()
+    return np.array([rank.get(tuple(a), len(rank)) for a in flat], dtype=int).reshape(alphas.shape[:-1])
+
+
+def _reference_differential_deviation(basis, x, max_order):
+    """The differential identity check with its own rank0 comprehension for alpha + e_i."""
+    h = 1e-5
+    D = basis.D
+    pts = x + np.concatenate([np.zeros((1, D)), h * np.eye(D), -h * np.eye(D)])[:, None]
+    w = weight(basis, pts)
+    T = np.stack(list(ghe_table(basis, pts, max_order).values()))
+    s, n = IndexSet(D, max_order), cardinality(D, max_order - 1)
+    up = np.array([[s.rank0(a[:i] + (a[i] + 1,) + a[i + 1 :]) for i in range(D)] for a in s.indices[:n]])
+    fd = (w[1 : D + 1] * T[:n, 1 : D + 1] - w[D + 1 :] * T[:n, D + 1 :]) / (2 * h)
+    target = -w[0] * T[up, 0]
+    scale = np.maximum(1.0, np.max(np.abs(target), axis=-1))
+    return float(np.max(np.max(np.abs(fd - target), axis=-1) / scale))
+
+
+def _reference_f_value(state, alpha):
+    """The constraint resolution written out as a branch."""
+    alpha = tuple(alpha)
+    if is_void(alpha):
+        return 0.0
+    k = order(alpha)
+    if k == 0:
+        return state.rho
+    if k in (1, 2):
+        return 0.0
+    if k > state.M:
+        return 0.0
+    return state.f.get(alpha, 0.0)
+
+
+def _equal(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+def test_rank_tables_read_rank_array(D, M):
+    s = IndexSet(D, M)
+    e = [unit(D, i + 1) for i in range(D)]
+    low = _reference_raising_low(D, M)
+    for step in raising_tables(D, M):
+        base = low[np.arange(step.lo, step.hi), step.axis]
+        _equal(step.base, base)
+        _equal(step.down, low[base])
+    t = _packing(D, M)
+    _equal(t.vel, np.array([s.rank0(a) for a in e]))
+    _equal(t.pair, np.array([[s.rank0(add(e[i], e[j])) for j in range(D)] for i in range(D)]))
+    lifted = IndexSet(D, M + 1)
+    up, mult = _lift_ranks(D, M)
+    _equal(up, np.array([lifted.rank0(add(a, e[0])) for a in s.indices]))
+    _equal(mult, np.array([a[0] + 1 for a in s.indices], dtype=float))
+    E = np.eye(D, dtype=int)
+    free = np.array(t.free_alphas, dtype=int).reshape(-1, D)
+    pairs = free[:, None, None] - E[:, None] - E[None, :]
+    for d in range(1, D + 1):
+        g = _row_tables(D, M, d)
+        _equal(g.down2, _reference_row_ranks(D, M, pairs))
+        _equal(g.down3, _reference_row_ranks(D, M, pairs[:, :, :, None] - E))
+        _equal(g.raised2, _reference_row_ranks(D, M, pairs + E[d - 1]))
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_heat_flux_ranks_read_rank_array(D):
+    s = IndexSet(D, 3)
+    e = [unit(D, i + 1) for i in range(D)]
+    three, mixed = _heat_flux_ranks(D)
+    _equal(three, np.array([s.rank0(tuple(3 * x for x in e[i])) for i in range(D)]))
+    _equal(mixed, np.array([[s.rank0(add(e[i], add(e[d], e[d]))) for d in range(D)] for i in range(D)]))
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("max_order", [2, 4, 6])
+def test_differential_deviation_reads_rank_array(D, max_order):
+    rng = np.random.default_rng(10 * D + max_order)
+    basis = AnisotropicBasis(_random_theta(rng, D))
+    x = 1.5 * rng.standard_normal((8, D))
+    assert differential_deviation(basis, x, max_order) == _reference_differential_deviation(basis, x, max_order)
+
+
+@pytest.mark.parametrize("D,M", [(1, 3), (1, 6), (2, 4), (3, 3)])
+def test_f_value_reads_free_values(D, M):
+    rng = np.random.default_rng(D * 10 + M)
+    for st in (random_state(rng, D, M), equilibrium(D, M, 1.3, np.zeros(D), np.eye(D))):
+        for alpha in itertools.product(range(-1, M + 3), repeat=D):
+            got, want = st.f_value(alpha), _reference_f_value(st, alpha)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), alpha
+
+
+@pytest.mark.parametrize("D,M", [(1, 3), (1, 6), (2, 4), (3, 3)])
+def test_directional_spectrum_is_the_scaled_unit_spectrum(D, M):
+    rng = np.random.default_rng(D * 10 + M)
+    table = unit_spectrum(D, M)
+    for _ in range(5):
+        st = random_state(rng, D, M)
+        n = rng.normal(size=D)
+        n /= np.linalg.norm(n)
+        sq = float(np.sqrt(n @ st.theta_tensor @ n))
+        sp = spectrum_regularized(st, n)
+        _equal(sp.Lambda, sq * np.repeat([L.value for L in table], [L.multiplicity for L in table]))
+        assert [L.value for L in sp.lines] == [L.value * sq for L in table]
+        first, e1 = spectrum_regularized(st), spectrum_regularized(st, np.eye(D)[0])
+        _equal(first.Lambda, e1.Lambda)
+        assert first.lines == e1.lines
