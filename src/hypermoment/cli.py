@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assembly import assemble, assemble_batch, directional, regularize, structural_report
+from .assembly import CoefficientMatrix, assemble_batch, directional, structural_report
 from .hermite import (
     AnisotropicBasis,
     differential_deviation,
@@ -133,9 +133,8 @@ def _check_threads_env() -> None:
 
 def cmd_assemble(args) -> int:
     state = _load_state(args.state)
-    mat = assemble(state, args.dir)
-    if args.regularized:
-        mat = regularize(mat, state)
+    A = assemble_batch(state.w[None], state.D, state.M, args.dir, args.regularized)[0]
+    mat = CoefficientMatrix(entries=A, direction=args.dir, regularized=args.regularized, state=state)
     if args.report:
         rep = structural_report(mat)
         doc = {

@@ -31,7 +31,7 @@ from .spectral import _block_index, _permuted, _prolong_permuted, unit_spectrum
 from .state import (
     ConservedMoments,
     MomentState,
-    _check_cells,
+    _check_rows,
     _moments_and_flux,
     _pack,
     _packing,
@@ -144,8 +144,8 @@ def _field_eigenvector(w: np.ndarray, D: int, M: int, field: CharField, root: fl
     one wave speed (their theta_11). root is the field's unit root. Raises
     AdmissibilityError if a row is not an admissible state."""
     W = w.reshape(-1, w.shape[-1])
+    _check_rows(W, D, M)
     rho, _, p = _unpack(W, D, M)
-    _check_cells(p, "pressure tensor", rho, np.isfinite(W).all(axis=1))
     m, _ = field.family
     h = M + 1 - m
     lam = float(root * np.sqrt(p[0, 0, 0] / rho[0]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -52,28 +52,12 @@ def _spd_margin(T: np.ndarray):
     return np.where(finite, lo, np.nan), finite & ok
 
 
-def _check_spd(T: np.ndarray, what: str):
-    T = np.asarray(T, dtype=float)
-    if not np.isfinite(T).all():
-        raise AdmissibilityError(f"{what} has non-finite entries")
-    # np.allclose(T, T.T, rtol=1e-10, atol=1e-12), spelled out: it is called
-    # on every state construction and allclose costs more than the eigensolve
-    if not (np.abs(T - T.T) <= 1e-12 + 1e-10 * np.abs(T.T)).all():
-        raise AdmissibilityError(f"{what} must be symmetric")
-    lo, ok = _spd_margin(T)
-    if not ok:
-        raise AdmissibilityError(
-            f"{what} is not positive definite (min eigenvalue {lo:.3e})",
-            eigenvalue=float(lo),
-        )
-
-
 def _check_cells(T, tensor: str, rho=None, finite=None, prefix: str = ""):
     """Batched admissibility test, one eigvalsh call for the whole stack.
 
     Raises AdmissibilityError naming (in .cell) the lowest row that is
     flagged not finite, has a density rho <= 0, or a tensor T failing the
-    test of _check_spd.
+    test of _spd_margin.
     """
     lo, ok = _spd_margin(T)
     if finite is not None:
@@ -159,6 +143,14 @@ def _unpack(W: np.ndarray, D: int, M: int):
     return W[:, 0], W[:, t.vel], W[:, t.pair] * t.scale
 
 
+def _check_rows(W: np.ndarray, D: int, M: int):
+    """Admissibility of the packed rows W (n, N): every entry finite, rho > 0
+    and a positive definite pressure tensor. Raises AdmissibilityError
+    naming the lowest failing row in .cell."""
+    rho, _, p = _unpack(W, D, M)
+    _check_cells(p, "pressure tensor", rho, np.isfinite(W).all(axis=1))
+
+
 def _pack(rho, u, p, fvec: np.ndarray, D: int, M: int) -> np.ndarray:
     """Packed rows from density, velocity, pressure and the coefficient rows
     fvec (only their order >= 3 entries are read)."""
@@ -181,9 +173,31 @@ def free_values(W: np.ndarray, D: int, M: int) -> np.ndarray:
     return fx
 
 
+def _coefficients(items, D: int, M: int) -> dict:
+    """The (multi-index, value) pairs items as a dict of floats. An index is
+    D integers (comma-joined in a JSON key) of order 3..M, and appears once."""
+    f = {}
+    for key, val in items:
+        try:
+            alpha = tuple(int(a) for a in (key.split(",") if isinstance(key, str) else key))
+        except (TypeError, ValueError):
+            raise ValueError(f"'f' index {key!r} must be integers") from None
+        if len(alpha) != D or is_void(alpha):
+            raise ValueError(f"bad coefficient index {alpha}")
+        if not 3 <= order(alpha) <= M:
+            raise ValueError(f"free coefficients live at orders 3..{M}, got {alpha}")
+        if alpha in f:
+            raise ValueError(f"'f' index {alpha} is given twice")
+        f[alpha] = float(val)
+    return f
+
+
 @dataclass(frozen=True)
 class MomentState:
-    """Immutable moment state of dimension D and order M."""
+    """Immutable moment state of dimension D and order M: its packed vector
+    ``w``, packed and checked once. rho, u, p and f are read back from w,
+    so p is exactly symmetric (its upper triangle) and f holds the free
+    slots of w that compare nonzero; w keeps the sign of a zero."""
 
     D: int
     M: int
@@ -191,41 +205,45 @@ class MomentState:
     u: np.ndarray
     p: np.ndarray
     f: Mapping[tuple, float]
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).reshape(self.D)
-        p = np.asarray(self.p, dtype=float).reshape(self.D, self.D)
-        u.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "p", p)
-        f = {}
-        for alpha, val in dict(self.f).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.D or is_void(alpha):
-                raise ValueError(f"bad coefficient index {alpha}")
-            k = order(alpha)
-            if k < 3 or k > self.M:
-                raise ValueError(
-                    f"free coefficients live at orders 3..{self.M}, got {alpha}"
-                )
-            if val != 0.0:
-                f[alpha] = float(val)
-        object.__setattr__(self, "f", f)
-        self.validate()
-
-    def validate(self):
-        if not math.isfinite(self.rho):
-            raise AdmissibilityError(f"density must be finite, got {self.rho}")
-        if self.rho <= 0:
-            raise AdmissibilityError(f"density must be positive, got {self.rho}")
-        if not np.isfinite(self.u).all():
-            raise AdmissibilityError(f"velocity must be finite, got {self.u.tolist()}")
-        for alpha, val in self.f.items():
+        D, M = self.D, self.M
+        t = _packing(D, M)
+        rho = float(self.rho)
+        u = np.asarray(self.u, dtype=float)
+        p = np.asarray(self.p, dtype=float)
+        if u.size != D:
+            raise ValueError(f"velocity u must have {D} entries, got {u.size}")
+        if p.size != D * D:
+            raise ValueError(f"pressure tensor p must have {D}x{D} entries, got {p.size}")
+        p = p.reshape(D, D)
+        f = _coefficients(self.f.items(), D, M)
+        if not math.isfinite(rho):
+            raise AdmissibilityError(f"density must be finite, got {rho}")
+        if rho <= 0:
+            raise AdmissibilityError(f"density must be positive, got {rho}")
+        if not np.isfinite(u).all():
+            raise AdmissibilityError(f"velocity must be finite, got {u.ravel().tolist()}")
+        for alpha, val in f.items():
             if not math.isfinite(val):
                 raise AdmissibilityError(f"coefficient {alpha} must be finite, got {val}")
-        _check_spd(self.p, "pressure tensor")
+        if not np.isfinite(p).all():
+            raise AdmissibilityError("pressure tensor has non-finite entries")
+        # np.allclose(p, p.T, rtol=1e-10, atol=1e-12), spelled out for speed
+        if not (np.abs(p - p.T) <= 1e-12 + 1e-10 * np.abs(p.T)).all():
+            raise AdmissibilityError("pressure tensor must be symmetric")
+        ranks = _rank_table(D, M)
+        fvec = np.zeros((1, t.N))
+        fvec[0, [ranks[alpha] for alpha in f]] = list(f.values())
+        W = _pack(rho, u.reshape(1, D), p[None], fvec, D, M)
+        _check_rows(W, D, M)
+        rho, u, p = _unpack(W, D, M)
+        for name, val in (("w", W[0]), ("u", u[0]), ("p", p[0])):
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
+        object.__setattr__(self, "rho", float(rho[0]))
+        object.__setattr__(self, "f", {a: v for a, v in zip(t.free_alphas, W[0, t.free].tolist()) if v})
 
     # -- derived quantities ------------------------------------------------
 
@@ -257,31 +275,15 @@ class MomentState:
 
     # -- packed vector form --------------------------------------------------
 
-    @cached_property
-    def w(self) -> np.ndarray:
-        t = _packing(self.D, self.M)
-        fvec = np.zeros((1, t.N))
-        fvec[0, t.free] = [self.f.get(alpha, 0.0) for alpha in t.free_alphas]
-        w = _pack(self.rho, self.u, self.p[None], fvec, self.D, self.M)[0]
-        w.setflags(write=False)
-        return w
-
     @classmethod
     def from_w(cls, D: int, M: int, w: Sequence[float]) -> "MomentState":
-        """State of the packed vector w, which it keeps (a read-only copy)
-        as its ``w``."""
+        """State of the packed vector w; its ``w`` is a copy of the same bytes."""
         t = _packing(D, M)
-        w = np.array(w, dtype=float)
+        w = np.asarray(w, dtype=float)
         if w.shape != (t.N,):
             raise ValueError(f"state vector must have length {t.N}, got {w.shape}")
-        if not np.isfinite(w).all():
-            raise AdmissibilityError("state vector has non-finite entries")
-        rho, u, p = _unpack(w[None], D, M)
-        f = dict(zip(t.free_alphas, w[t.free].tolist()))
-        st = cls(D=D, M=M, rho=float(rho[0]), u=u[0], p=p[0], f=f)
-        w.setflags(write=False)
-        st.__dict__["w"] = w  # the cached_property slot
-        return st
+        _, u, p = _unpack(w[None], D, M)
+        return cls(D=D, M=M, rho=w[0], u=u[0], p=p[0], f=dict(zip(t.free_alphas, w[t.free].tolist())))
 
     def replace(self, **kw) -> "MomentState":
         cur = dict(D=self.D, M=self.M, rho=self.rho, u=self.u, p=self.p, f=self.f)
@@ -290,12 +292,8 @@ class MomentState:
 
 
 def equilibrium(D: int, M: int, rho: float, u, Theta) -> MomentState:
-    """State whose free coefficients all vanish (local Gaussian)."""
-    Theta = np.asarray(Theta, dtype=float).reshape(D, D)
-    _check_spd(Theta, "scale tensor")
-    if rho <= 0:
-        raise AdmissibilityError(f"density must be positive, got {rho}")
-    return MomentState(D=D, M=M, rho=rho, u=u, p=rho * Theta, f={})
+    """State of pressure rho Theta whose free coefficients vanish (Gaussian)."""
+    return MomentState(D=D, M=M, rho=rho, u=u, p=rho * np.asarray(Theta, dtype=float), f={})
 
 
 @lru_cache(maxsize=None)
@@ -541,9 +539,9 @@ def _target_covariance(rho, p, D: int, model: CollisionModel) -> np.ndarray:
 
 def collision_target_covariance(state: MomentState, model: CollisionModel) -> np.ndarray:
     """Covariance of the relaxation target Gaussian."""
-    Lam = _target_covariance(np.array([state.rho]), state.p[None], state.D, model)[0]
-    _check_spd(Lam, "collision target covariance")
-    return Lam
+    Lam = _target_covariance(np.array([state.rho]), state.p[None], state.D, model)
+    _check_cells(Lam, "collision target covariance")
+    return Lam[0]
 
 
 def collision_coeffs_batch(W: np.ndarray, D: int, M: int, model: CollisionModel) -> np.ndarray:
@@ -583,7 +581,11 @@ def collision_coeffs(state: MomentState, model: CollisionModel) -> np.ndarray:
 
 
 def state_to_json(state: MomentState) -> str:
-    f = {",".join(map(str, a)): v for a, v in sorted(state.f.items())}
+    """JSON document of the state. Its f lists the free slots of w other
+    than +0.0, so a signed zero survives the round trip."""
+    t = _packing(state.D, state.M)
+    free = sorted(zip(t.free_alphas, state.w[t.free].tolist()))
+    f = {",".join(map(str, a)): v for a, v in free if v or math.copysign(1.0, v) < 0}
     doc = {
         "D": state.D,
         "M": state.M,
@@ -631,10 +633,9 @@ def state_from_doc(doc) -> MomentState:
         rho = _number(doc["rho"], "'rho'")
         u = _numbers(doc["u"], "'u' entry")
         p = _numbers(doc["p"], "'p' entry")
-        f = {
-            tuple(int(t) for t in k.split(",")): _number(v, f"'f' entry {k!r}")
-            for k, v in doc.get("f", {}).items()
-        }
+        f = _coefficients(
+            ((k, _number(v, f"'f' entry {k!r}")) for k, v in doc.get("f", {}).items()), D, M
+        )
         return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)
     except KeyError as e:
         raise ValueError(f"state JSON missing field {e.args[0]!r}") from None
