@@ -48,6 +48,7 @@ from .hermite import (
 from .index import IndexSet
 from .riemann import (
     ElementaryWave,
+    _fan_curves,
     classify_field,
     contact_check,
     rarefaction_curve,
@@ -67,6 +68,7 @@ from .spectral import rotation_spectrum_check, spectrum_regularized, unit_spectr
 from .state import (
     CollisionModel,
     MomentState,
+    _check_rows,
     _integer,
     _number,
     equilibrium,
@@ -305,6 +307,23 @@ def _contact_rows(fields, left: MomentState, right: MomentState, table: list):
     return rows
 
 
+def _fan_ends(left: MomentState, flds, zeta: float):
+    """Endpoints (k, N) of the fan curves of the genuinely nonlinear fields
+    flds through left at zeta, from one batch (riemann._fan_curves). None
+    where rarefaction_curve computes no curve (zeta = 0 gives left itself, a
+    non-finite zeta an error) and where the batch fails: each field then
+    goes through rarefaction_curve for its own endpoint or error."""
+    if zeta == 0.0 or not math.isfinite(zeta):
+        return None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = _fan_curves(left, flds, zeta)
+            _check_rows(ends, left.D, left.M)
+    except (ValueError, RuntimeError):
+        return None
+    return ends
+
+
 def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float, table: list):
     # integral-curve probe: a fan endpoint must sit on the curve through the
     # left state at the parameter fixed by the density ratio; the table
@@ -312,13 +331,13 @@ def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float,
     rows = []
     zeta = float(np.log(right.rho / left.rho))
     scale = max(1.0, float(np.max(np.abs(right.w))))
-    for _, C, fld in fields:
-        if not fld.genuinely_nonlinear:
-            continue
+    gn = [(C, fld) for _, C, fld in fields if fld.genuinely_nonlinear]
+    ends = _fan_ends(left, [fld for _, fld in gn], zeta)
+    for i, (C, fld) in enumerate(gn):
         row = {"C": C, "zeta": zeta}
         try:
-            end = rarefaction_curve(left, fld, zeta)
-            mismatch = float(np.max(np.abs(end.w - right.w))) / scale
+            end = rarefaction_curve(left, fld, zeta).w if ends is None else ends[i]
+            mismatch = float(np.max(np.abs(end - right.w))) / scale
             row["max_mismatch"] = mismatch
             row["ok"] = bool(mismatch <= tol)
         except (ValueError, RuntimeError) as e:

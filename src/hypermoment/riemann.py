@@ -138,23 +138,34 @@ def _density_entry(state: MomentState, field: CharField) -> float:
     return state.rho if field.family[0] == state.M + 1 else 0.0
 
 
-def _field_eigenvector(w: np.ndarray, D: int, M: int, field: CharField, root: float) -> np.ndarray:
+def _field_eigenvector(
+    w: np.ndarray, D: int, M: int, field: CharField, root: float | np.ndarray
+) -> np.ndarray:
     """Eigenvector of the field at the packed row w (N,), or at each row of
     a stack w (k, N) from one assembly and solve; the rows of a stack share
-    one wave speed (their theta_11). root is the field's unit root. Raises
-    AdmissibilityError if a row is not an admissible state."""
+    one wave speed (their theta_11). root is the field's unit root, or an
+    array of r unit roots of its family, which gives (r,) + w.shape from the
+    same assembly with one solve per root. Raises AdmissibilityError if a
+    row is not an admissible state."""
     W = w.reshape(-1, w.shape[-1])
     _check_rows(W, D, M)
     rho, _, p = _unpack(W, D, M)
     m, _ = field.family
     h = M + 1 - m
-    lam = float(root * np.sqrt(p[0, 0, 0] / rho[0]))
+    sq = np.sqrt(p[0, 0, 0] / rho[0])
     perm, B = _permuted(W, D, M)
     hat = (h,) + (0,) * max(D - 2, 0) if D > 1 else ()
-    R = perm.inverse_apply(_prolong_permuted(perm.blocks[_block_index(perm, hat):], B, lam))
+    blocks = perm.blocks[_block_index(perm, hat):]
+    R = np.stack([_prolong_permuted(blocks, B, float(r * sq)) for r in np.ravel(root)])
+    R = perm.inverse_apply(R)
     if m == M + 1:
         R = R * rho[:, None]  # density-entry-rho normalization for fan curves
-    return R.reshape(w.shape)
+    return R.reshape(np.shape(root) + w.shape)
+
+
+def _unit_root(D: int, M: int, field: CharField) -> float:
+    """The unit root of the field's (family, root index) in unit_spectrum."""
+    return next(L.value for L in unit_spectrum(D, M) if (L.family_m, L.root_index) == field.family)
 
 
 @lru_cache(maxsize=None)
@@ -214,9 +225,9 @@ def _expm(Z: np.ndarray) -> np.ndarray:
     return E
 
 
-def _fan_curve(state0: MomentState, field: CharField, root: float, zeta: float) -> np.ndarray:
-    """Packed row at parameter zeta on the integral curve of a genuinely
-    nonlinear field, in closed form.
+def _fan_curves(state0: MomentState, fields, zeta: float) -> np.ndarray:
+    """Packed rows (k, N) at parameter zeta on the integral curves of the
+    k genuinely nonlinear fields through state0, in closed form.
 
     With s_j = theta_1j / theta_11 the slopes of the shear, which stay
     constant, rho e^-zeta, the conditional pressure p_jk - p_1j p_1k / p_11
@@ -226,11 +237,13 @@ def _fan_curve(state0: MomentState, field: CharField, root: float, zeta: float) 
     y_alpha = f_alpha / (rho theta_11^(alpha_1 / 2)) solves y' = K y + c
     with K and c constant: c is the scaled eigenvector at f = 0, column
     alpha of K its change at y = e_alpha, less the diagonal
-    1 + alpha_1 (C^2 - 1) / 2 of the scaling's own rate. All n + 1
-    eigenvectors come from one stacked solve, and y(zeta) from one
-    exponential of the augmented matrix [[K, c], [0, 0]].
+    1 + alpha_1 (C^2 - 1) / 2 of the scaling's own rate. The fields are
+    roots of one family, so they share the n + 1 sheared rows, their one
+    assembly and the shear matrices: all their eigenvectors come from one
+    _field_eigenvector call, one stacked solve per root. Each curve then
+    takes one exponential of its augmented matrix [[K, c], [0, 0]].
     """
-    D, M, C = state0.D, state0.M, field.C
+    D, M = state0.D, state0.M
     t = _packing(D, M)
     rho0, p0 = state0.rho, state0.p
     th0 = p0[0, 0] / rho0
@@ -247,25 +260,33 @@ def _fan_curve(state0: MomentState, field: CharField, root: float, zeta: float) 
     scale = rho0 * th0 ** (a1 / 2)
     W = np.tile(_pack(rho0, state0.u[None], ps[None], np.zeros((1, t.N)), D, M), (n + 1, 1))
     W[np.arange(1, n + 1), t.free] = scale
-    R = _field_eigenvector(W, D, M, field, root)[:, t.free] / scale
-    Z = np.zeros((n + 1, n + 1))
-    Z[:n, :n] = (R[1:] - R[0]).T - np.diag(1.0 + a1 * (C * C - 1.0) / 2)
-    Z[:n, n] = R[0]
-    E = _expm(zeta * Z)
-    y = E[:n, :n] @ (_shear_matrix(D, M, s) @ state0.w[t.free] / scale) + E[:n, n]
+    roots = np.array([_unit_root(D, M, field) for field in fields])
+    R = _field_eigenvector(W, D, M, fields[0], roots)[..., t.free] / scale
+    y0 = _shear_matrix(D, M, s) @ state0.w[t.free] / scale
+    unshear = _shear_matrix(D, M, -s)
 
-    rho = rho0 * np.exp(zeta)
-    eps = C * C - 1.0
-    if abs(eps) < 1e-12:
-        du1 = C * np.sqrt(th0) * zeta
-    else:
-        du1 = 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
-    ps *= np.exp(zeta)
-    ps[0, 0] = p0[0, 0] * np.exp(C * C * zeta)
-    fvec = np.zeros((1, t.N))
-    fvec[0, t.free] = _shear_matrix(D, M, -s) @ (rho * (ps[0, 0] / rho) ** (a1 / 2) * y)
-    u = state0.u + du1 * lift[:, 0]
-    return _pack(rho, u[None], (lift @ ps @ lift.T)[None], fvec, D, M)[0]
+    grow = np.exp(zeta)
+    rho = rho0 * grow
+    k = len(fields)
+    u, p, fvec = np.empty((k, D)), np.empty((k, D, D)), np.zeros((k, t.N))
+    for i, field in enumerate(fields):
+        C = field.C
+        Z = np.zeros((n + 1, n + 1))
+        Z[:n, :n] = (R[i, 1:] - R[i, 0]).T - np.diag(1.0 + a1 * (C * C - 1.0) / 2)
+        Z[:n, n] = R[i, 0]
+        E = _expm(zeta * Z)
+        y = E[:n, :n] @ y0 + E[:n, n]
+        eps = C * C - 1.0
+        if abs(eps) < 1e-12:
+            du1 = C * np.sqrt(th0) * zeta
+        else:
+            du1 = 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
+        pz = ps * grow
+        pz[0, 0] = p0[0, 0] * np.exp(C * C * zeta)
+        fvec[i, t.free] = unshear @ (rho * (pz[0, 0] / rho) ** (a1 / 2) * y)
+        u[i] = state0.u + du1 * lift[:, 0]
+        p[i] = lift @ pz @ lift.T
+    return _pack(rho, u, p, fvec, D, M)
 
 
 def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> MomentState:
@@ -273,7 +294,7 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
     state0, with the eigenvector's density entry normalized to rho.
 
     The curve of a genuinely nonlinear field is closed form in every slot
-    (_fan_curve); that of a linearly degenerate field solves
+    (_fan_curves); that of a linearly degenerate field solves
     dw/dzeta = R(w) numerically. Raises ValueError for a non-finite zeta.
     """
     if not math.isfinite(zeta):
@@ -283,10 +304,10 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
     if abs(field.C * field.C - 1.0) < 1e-8:
         warnings.warn("unit-root magnitude 1: using the series limit")
     D, M = state0.D, state0.M
-    root = next(L.value for L in unit_spectrum(D, M) if (L.family_m, L.root_index) == field.family)
     if field.genuinely_nonlinear:
         with np.errstate(over="ignore", invalid="ignore"):
-            return MomentState.from_w(D, M, _fan_curve(state0, field, root, zeta))
+            return MomentState.from_w(D, M, _fan_curves(state0, [field], zeta)[0])
+    root = _unit_root(D, M, field)
     sol = solve_ivp(
         lambda z, w: _field_eigenvector(w, D, M, field, root),
         (0.0, zeta), state0.w, method="RK45", rtol=1e-11, atol=1e-12,
@@ -329,6 +350,17 @@ def shock_speed_from_mass(FL: ConservedMoments, FR: ConservedMoments) -> Optiona
     return _mass_flux_speed(np.stack([FL.F, FR.F]), FL.D, FL.M)
 
 
+@lru_cache(maxsize=None)
+def _path_rule(steps: int):
+    """The steps-node Gauss-Legendre rule on [0, 1]: read-only nodes and
+    weights, built once per node count."""
+    nodes, weights = np.polynomial.legendre.leggauss(steps)
+    rule = (0.5 * (nodes + 1.0), 0.5 * weights)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def shock_check(
     FL: ConservedMoments, FR: ConservedMoments, S: float, path_steps: int = 32
 ) -> ShockReport:
@@ -346,8 +378,7 @@ def shock_check(
     dF = FR.F - FL.F
     residuals = S * dF - (G[1] - G[0])
 
-    nodes, weights = np.polynomial.legendre.leggauss(path_steps)
-    residuals -= path_integral(W[:1], W[1:], D, M, 0.5 * (nodes + 1.0), 0.5 * weights)[0]
+    residuals -= path_integral(W[:1], W[1:], D, M, *_path_rule(path_steps))[0]
 
     top = _packing(D, M).span[M][0]  # first rank of order M
     rho, u, p = _unpack(W, D, M)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -173,14 +174,30 @@ def free_values(W: np.ndarray, D: int, M: int) -> np.ndarray:
     return fx
 
 
+_DECIMAL = re.compile(r" *-?[0-9]+")
+
+
+def _index_part(a) -> int:
+    """One entry of a coefficient index: a whole number, or a plain decimal
+    integer string, which may follow a comma's space ("0, 3")."""
+    if isinstance(a, str):
+        if not _DECIMAL.fullmatch(a):
+            raise ValueError(a)
+        return int(a)
+    i = int(a)
+    if i != a:
+        raise ValueError(a)
+    return i
+
+
 def _coefficients(items, D: int, M: int) -> dict:
     """The (multi-index, value) pairs items as a dict of floats. An index is
     D integers (comma-joined in a JSON key) of order 3..M, and appears once."""
     f = {}
     for key, val in items:
         try:
-            alpha = tuple(int(a) for a in (key.split(",") if isinstance(key, str) else key))
-        except (TypeError, ValueError):
+            alpha = tuple(map(_index_part, key.split(",") if isinstance(key, str) else key))
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"'f' index {key!r} must be integers") from None
         if len(alpha) != D or is_void(alpha):
             raise ValueError(f"bad coefficient index {alpha}")
@@ -190,6 +207,15 @@ def _coefficients(items, D: int, M: int) -> dict:
             raise ValueError(f"'f' index {alpha} is given twice")
         f[alpha] = float(val)
     return f
+
+
+def _array(val, what: str) -> np.ndarray:
+    """val as a float array; nested lists of unequal lengths, or entries
+    that are not numbers, raise a ValueError naming what."""
+    try:
+        return np.asarray(val, dtype=float)
+    except ValueError:
+        raise ValueError(f"{what} must be numbers in rows of equal length") from None
 
 
 @dataclass(frozen=True)
@@ -211,8 +237,8 @@ class MomentState:
         D, M = self.D, self.M
         t = _packing(D, M)
         rho = float(self.rho)
-        u = np.asarray(self.u, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        u = _array(self.u, "velocity u")
+        p = _array(self.p, "pressure tensor p")
         if u.size != D:
             raise ValueError(f"velocity u must have {D} entries, got {u.size}")
         if p.size != D * D:

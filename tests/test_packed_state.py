@@ -4,6 +4,7 @@ coefficient input is rejected where it enters."""
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -174,3 +175,43 @@ def test_assemble_command_is_one_regularized_pass(tmp_path, regularized):
     mat = assemble(s, 2)
     want = regularize(mat, s).entries if regularized else mat.entries
     assert got.tobytes() == want.tobytes()
+
+
+class TestIndexAndShapeInput:
+    """Coefficient indices are whole numbers or plain decimal strings, and a
+    ragged u or p is reported by its field name."""
+
+    def test_non_whole_entry_is_rejected(self):
+        with pytest.raises(ValueError, match=r"'f' index \(3.5,\) must be integers"):
+            MomentState(D=1, M=3, rho=1.0, u=[0.0], p=[[1.0]], f={(3.5,): 0.1})
+
+    def test_whole_float_entry_keeps_its_meaning(self):
+        st = MomentState(D=1, M=3, rho=1.0, u=[0.0], p=[[1.0]], f={(3.0,): 0.1})
+        assert st.f == {(3,): 0.1}
+
+    @pytest.mark.parametrize("key", ["0_3", "3 ", "+3", "3\n"])
+    def test_loose_json_key_is_rejected(self, key):
+        with pytest.raises(ValueError, match=re.escape(f"'f' index {key!r} must be integers")):
+            state_from_doc(dict(_DOC, f={key: 0.1}))
+
+    def test_loose_json_key_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "loose.json"
+        src.write_text(json.dumps(dict(_DOC, f={"0_3": 0.1})))
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--state", str(src), "--out", str(out)]) == 1
+        assert "'0_3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_space_after_comma_is_read(self):
+        doc = dict(_DOC, D=2, u=[0.0, 0.0], p=[[1.0, 0.0], [0.0, 1.0]], f={"2, 1": 0.1})
+        assert state_from_doc(doc).f == {(2, 1): 0.1}
+
+    @pytest.mark.parametrize(
+        "field,value,name",
+        [("p", [[1.0, 0.0], [0.0]], "pressure tensor p"), ("u", [[0.0], 0.0], "velocity u")],
+    )
+    def test_ragged_input_names_the_field(self, field, value, name):
+        doc = dict(_DOC, D=2, u=[0.0, 0.0], p=[[1.0, 0.0], [0.0, 1.0]])
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"^{name} must be numbers in rows of equal length$"):
+            state_from_doc(doc)
