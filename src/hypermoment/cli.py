@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: argument dispatch and the output writers; every
+input is read by hypermoment.inputs.
 
 Subcommands:
 
@@ -30,13 +31,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 
+from . import inputs
 from .assembly import CoefficientMatrix, assemble_batch, directional, structural_report
 from .hermite import (
     AnisotropicBasis,
@@ -46,6 +47,7 @@ from .hermite import (
     root_gap_scan,
 )
 from .index import IndexSet
+from .inputs import load_sim_config as _load_sim_config  # kept importable from here
 from .riemann import (
     ElementaryWave,
     _fan_curves,
@@ -57,24 +59,9 @@ from .riemann import (
     wave_speed,
     wave_table_check,
 )
-from .solver import (
-    CFLViolation,
-    Grid1D,
-    SimulationConfig,
-    kinetic_reference,
-    simulate,
-)
+from .solver import CFLViolation, kinetic_reference, simulate
 from .spectral import rotation_spectrum_check, spectrum_regularized, unit_spectrum
-from .state import (
-    CollisionModel,
-    MomentState,
-    _check_rows,
-    _integer,
-    _number,
-    equilibrium,
-    state_from_doc,
-    to_conserved,
-)
+from .state import MomentState, _check_rows, equilibrium, to_conserved
 
 CSV_EOL = "\n"
 
@@ -107,34 +94,15 @@ def _write_json(out, doc) -> None:
         fh.write("\n")
 
 
-def _load_state(path: str) -> MomentState:
-    with open(path) as fh:
-        return state_from_doc(json.load(fh))
-
-
 def _label(alpha) -> str:
     return ",".join(str(a) for a in alpha)
-
-
-def _check_threads_env() -> None:
-    """Validate HYPERMOMENT_THREADS. The scan is one stacked eigensolve, so
-    the value sizes nothing; a malformed one is still bad input."""
-    raw = os.environ.get("HYPERMOMENT_THREADS")
-    if raw is None or not raw.strip():
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"HYPERMOMENT_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"HYPERMOMENT_THREADS must be >= 1, got {n}")
 
 
 # -- assemble ------------------------------------------------------------------
 
 
 def cmd_assemble(args) -> int:
-    state = _load_state(args.state)
+    state = inputs.load_state(args.state)
     A = assemble_batch(state.w[None], state.D, state.M, args.dir, args.regularized)[0]
     mat = CoefficientMatrix(entries=A, direction=args.dir, regularized=args.regularized, state=state)
     if args.report:
@@ -163,29 +131,13 @@ def cmd_assemble(args) -> int:
 # -- spectrum ------------------------------------------------------------------
 
 
-def _parse_direction(text: str, D: int) -> np.ndarray:
-    try:
-        n = np.array([float(t) for t in text.split(",")], dtype=float)
-    except ValueError:
-        raise ValueError(f"direction must be comma-separated numbers, got {text!r}") from None
-    if n.size != D:
-        raise ValueError(f"direction needs {D} components, got {n.size}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(n))
-    if not math.isfinite(norm):
-        raise ValueError(f"direction must be finite with a finite norm, got {text!r}")
-    if norm == 0.0:
-        raise ValueError("direction vector must be nonzero")
-    return n / norm
-
-
 _SPECTRUM_HEADER = ["eigenvalue", "multiplicity", "family_m", "root_index"]
 
 
 def cmd_spectrum(args) -> int:
-    state = _load_state(args.state)
+    state = inputs.load_state(args.state)
     if args.dir is not None:
-        n = _parse_direction(args.dir, state.D)
+        n = inputs.parse_direction(args.dir, state.D)
     else:
         n = np.zeros(state.D)
         n[0] = 1.0
@@ -220,29 +172,13 @@ def cmd_spectrum(args) -> int:
 # -- hyperbolicity scan ----------------------------------------------------------
 
 
-def _parse_scan(spec: str):
-    name, eq, rng = spec.partition("=")
-    parts = rng.split(":")
-    if name != "f3" or not eq or len(parts) != 3:
-        raise ValueError(f"scan must look like f3=start:stop:steps, got {spec!r}")
-    try:
-        a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ValueError(f"scan must look like f3=start:stop:steps, got {spec!r}") from None
-    if steps < 1:
-        raise ValueError(f"scan needs at least one step, got {steps}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"scan bounds must be finite, got {spec!r}")
-    return a, b, steps
-
-
 def cmd_hyperbolicity(args) -> int:
-    a, b, steps = _parse_scan(args.scan)
+    a, b, steps = inputs.parse_scan(args.scan)
     D, M = args.D, args.M
     s = IndexSet(D, M)
     if M < 3:
         raise ValueError(f"scan needs M >= 3 for a free cubic coefficient, got M={M}")
-    _check_threads_env()
+    inputs.check_threads_env()
     values = np.linspace(a, b, steps)
     W = np.tile(equilibrium(D, M, 1.0, np.zeros(D), np.eye(D)).w, (steps, 1))
     W[:, s.rank0((3,) + (0,) * (D - 1))] = values
@@ -316,7 +252,7 @@ def _fan_ends(left: MomentState, flds, zeta: float):
     if zeta == 0.0 or not math.isfinite(zeta):
         return None
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ends = _fan_curves(left, flds, zeta)
             _check_rows(ends, left.D, left.M)
     except (ValueError, RuntimeError):
@@ -329,7 +265,11 @@ def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float,
     # left state at the parameter fixed by the density ratio; the table
     # entry of each one that passes goes to table
     rows = []
-    zeta = float(np.log(right.rho / left.rho))
+    ratio = right.rho / left.rho
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        zeta = float(np.log(ratio))
+    else:  # the ratio underflowed or overflowed
+        zeta = math.log(right.rho) - math.log(left.rho)
     scale = max(1.0, float(np.max(np.abs(right.w))))
     gn = [(C, fld) for _, C, fld in fields if fld.genuinely_nonlinear]
     ends = _fan_ends(left, [fld for _, fld in gn], zeta)
@@ -351,8 +291,8 @@ def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float,
 
 
 def cmd_riemann(args) -> int:
-    left = _load_state(args.left)
-    right = _load_state(args.right)
+    left = inputs.load_state(args.left)
+    right = inputs.load_state(args.right)
     if (left.D, left.M) != (right.D, right.M):
         raise ValueError(
             f"left state is D={left.D}, M={left.M} but right is D={right.D}, M={right.M}"
@@ -398,75 +338,6 @@ def cmd_riemann(args) -> int:
 # -- simulate --------------------------------------------------------------------
 
 
-def _req(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ValueError(f"{where} is missing required field {key!r}")
-    return doc[key]
-
-
-def _scalar(conv, doc: dict, key: str, where: str, default=None):
-    """conv (int or float) of doc[key], or of default when the field is
-    absent; no default makes the field required. Anything but a JSON number
-    is bad input, not a TypeError, and so is a float that is not whole for int."""
-    val = _req(doc, key, where) if default is None else doc.get(key, default)
-    try:
-        return (_integer if conv is int else _number)(val, f"{where} field {key!r}")
-    except TypeError as e:
-        raise ValueError(str(e)) from None
-
-
-def _section(doc: dict, key: str, required: bool = False) -> dict:
-    """Sub-object key of the config, {} when absent and optional."""
-    val = _req(doc, key, "config") if required else doc.get(key, {})
-    if not isinstance(val, dict):
-        raise ValueError(f"config field {key!r} must be a JSON object")
-    return val
-
-
-def _state_from_doc(doc, D: int, M: int, name: str) -> MomentState:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{name} state must be a JSON object")
-    doc = {"D": D, "M": M, **doc}
-    if (_scalar(int, doc, "D", f"{name} state"), _scalar(int, doc, "M", f"{name} state")) != (D, M):
-        raise ValueError(f"{name} state dimensions must match the config (D={D}, M={M})")
-    return state_from_doc(doc)
-
-
-def _load_sim_config(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    D = _scalar(int, doc, "D", "config")
-    M = _scalar(int, doc, "M", "config")
-    g = _section(doc, "grid", required=True)
-    grid = Grid1D(
-        nx=_scalar(int, g, "nx", "grid"),
-        x_min=_scalar(float, g, "x_min", "grid", 0.0),
-        x_max=_scalar(float, g, "x_max", "grid", 1.0),
-        boundary=g.get("boundary", "copy"),
-    )
-    c = _section(doc, "collision")
-    model = CollisionModel(
-        nu=_scalar(float, c, "nu", "collision", 0.0),
-        kind=c.get("kind", "bgk"),
-        Pr=_scalar(float, c, "Pr", "collision", 1.0),
-    )
-    config = SimulationConfig(
-        D=D,
-        M=M,
-        grid=grid,
-        t_end=_scalar(float, doc, "t_end", "config"),
-        cfl=_scalar(float, doc, "cfl", "config", 0.8),
-        collision=model,
-        n_snapshots=_scalar(int, doc, "n_snapshots", "config", 2),
-    )
-    left = _state_from_doc(_req(doc, "left", "config"), D, M, "left")
-    right = _state_from_doc(_req(doc, "right", "config"), D, M, "right")
-    kin = _section(doc, "kinetic")
-    return config, left, right, kin
-
-
 def cmd_simulate(args) -> int:
     config, left, right, kin = _load_sim_config(args.config)
     if args.oracle:
@@ -474,8 +345,8 @@ def cmd_simulate(args) -> int:
             config,
             left,
             right,
-            n_v=_scalar(int, kin, "n_v", "kinetic", 64),
-            K=_scalar(float, kin, "K", "kinetic", 6.0),
+            n_v=inputs.field(kin, "n_v", "kinetic", int, 64),
+            K=inputs.field(kin, "K", "kinetic", float, 6.0),
         )
     else:
         result = simulate(config, left, right)
@@ -541,17 +412,6 @@ def cmd_hermite_check(args) -> int:
 # -- parser / dispatch --------------------------------------------------------------
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of a tolerance: a finite number >= 0."""
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
-    return tol
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it as it was."""
@@ -586,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("riemann", help="JSON wave report for a pair of states")
     r.add_argument("--left", required=True, help="left state JSON file")
     r.add_argument("--right", required=True, help="right state JSON file")
-    r.add_argument("--tol", type=_tolerance, default=1e-8, help="residual / probe tolerance")
+    r.add_argument("--tol", type=inputs.tolerance, default=1e-8, help="residual / probe tolerance")
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_riemann)
 
@@ -598,43 +458,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("conjecture", help="cross-order root coincidence scan")
     c.add_argument("--n-max", type=int, required=True)
-    c.add_argument("--tol", type=_tolerance, default=1e-9, help="relative coincidence tolerance")
+    c.add_argument("--tol", type=inputs.tolerance, default=1e-9, help="relative coincidence tolerance")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_conjecture)
 
     k = sub.add_parser("hermite-check", help="verify basis-function identities numerically")
     k.add_argument("--D", type=int, default=2)
     k.add_argument("--max-order", type=int, default=4)
-    k.add_argument("--tol", type=_tolerance, default=1e-9)
-    k.add_argument("--fd-tol", type=_tolerance, default=1e-6, help="finite-difference check tolerance")
+    k.add_argument("--tol", type=inputs.tolerance, default=1e-9)
+    k.add_argument("--fd-tol", type=inputs.tolerance, default=1e-6, help="finite-difference check tolerance")
     k.add_argument("--out", default=None)
     k.set_defaults(func=cmd_hermite_check)
 
     return p
 
 
-def _join_vector_values(argv):
-    """Rewrite '--dir -0.6,0.8' as '--dir=-0.6,0.8'. argparse takes a token
-    that starts with '-' and is not a plain number for an option, so a
-    direction with a negative first component needs the joined form."""
-    out = []
-    for tok in argv:
-        if out and out[-1] == "--dir" and tok.startswith("-"):
-            try:
-                [float(t) for t in tok.split(",")]
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"--dir={tok}"
-                continue
-        out.append(tok)
-    return out
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(inputs.join_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

@@ -305,7 +305,7 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
         warnings.warn("unit-root magnitude 1: using the series limit")
     D, M = state0.D, state0.M
     if field.genuinely_nonlinear:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return MomentState.from_w(D, M, _fan_curves(state0, [field], zeta)[0])
     root = _unit_root(D, M, field)
     sol = solve_ivp(
@@ -385,7 +385,8 @@ def shock_check(
     sq = np.sqrt(p[:, 0, 0] / rho)
     top_roots = [L.value for L in unit_spectrum(D, M) if L.family_m == M + 1]
     lax = tuple(bool(u[0, 0] + c * sq[0] > S > u[1, 0] + c * sq[1]) for c in top_roots)
-    prod = float((rho[0] - rho[1]) * (p[0, 0, 0] - p[1, 0, 0]))
+    with np.errstate(over="ignore"):
+        prod = float((rho[0] - rho[1]) * (p[0, 0, 0] - p[1, 0, 0]))
     return ShockReport(
         speed=float(S),
         residuals=residuals,

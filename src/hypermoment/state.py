@@ -5,6 +5,8 @@ velocities, the pressure entries p_ij stored as p_ij/(1+delta_ij) at the
 rank of e_i+e_j, and the free expansion coefficients f_alpha for
 3 <= |alpha| <= M. Coefficients of order 1 and 2 vanish identically
 (they are absorbed into u and the scale tensor), order 0 equals density.
+State JSON is written by state_to_json and read by hypermoment.inputs, whose
+state_from_doc and state_from_json are re-exported at the end of this module.
 """
 
 from __future__ import annotations
@@ -235,7 +237,6 @@ class MomentState:
 
     def __post_init__(self):
         D, M = self.D, self.M
-        t = _packing(D, M)
         rho = float(self.rho)
         u = _array(self.u, "velocity u")
         p = _array(self.p, "pressure tensor p")
@@ -259,6 +260,8 @@ class MomentState:
         # np.allclose(p, p.T, rtol=1e-10, atol=1e-12), spelled out for speed
         if not (np.abs(p - p.T) <= 1e-12 + 1e-10 * np.abs(p.T)).all():
             raise AdmissibilityError("pressure tensor must be symmetric")
+        # the tables come after the size checks: their size grows with D and M
+        t = _packing(D, M)
         ranks = _rank_table(D, M)
         fvec = np.zeros((1, t.N))
         fvec[0, [ranks[alpha] for alpha in f]] = list(f.values())
@@ -623,51 +626,4 @@ def state_to_json(state: MomentState) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _number(val, what: str) -> float:
-    """float(val) of a JSON number field. Anything but an int or a float (a
-    bool, a string, a list, an object) and an int past the float range raise
-    TypeError."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise TypeError(f"{what} must be a number, got {json.dumps(val)}")
-    try:
-        return float(val)
-    except OverflowError:
-        raise TypeError(f"{what} must fit a float, got an integer of {val.bit_length()} bits") from None
-
-
-def _integer(val, what: str) -> int:
-    """int(val) of a JSON number field (see _number); a float must be whole,
-    which rules out inf and NaN."""
-    if not _number(val, what).is_integer():
-        raise ValueError(f"{what} must be an integer, got {json.dumps(val)}")
-    return int(val)
-
-
-def _numbers(val, what: str):
-    """_number of every entry of the nested lists val (u, p)."""
-    return [_numbers(v, what) for v in val] if isinstance(val, list) else _number(val, what)
-
-
-def state_from_doc(doc) -> MomentState:
-    """State of a parsed state JSON document; every numeric field and every
-    entry of u, p and f must be a JSON number."""
-    if not (isinstance(doc, dict) and isinstance(doc.get("f", {}), dict)):
-        raise ValueError("state JSON and its field 'f' must be objects")
-    try:
-        D = _integer(doc["D"], "state JSON field 'D'")
-        M = _integer(doc["M"], "state JSON field 'M'")
-        rho = _number(doc["rho"], "'rho'")
-        u = _numbers(doc["u"], "'u' entry")
-        p = _numbers(doc["p"], "'p' entry")
-        f = _coefficients(
-            ((k, _number(v, f"'f' entry {k!r}")) for k, v in doc.get("f", {}).items()), D, M
-        )
-        return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)
-    except KeyError as e:
-        raise ValueError(f"state JSON missing field {e.args[0]!r}") from None
-    except TypeError as e:
-        raise ValueError(f"state JSON field has the wrong type: {e}") from None
-
-
-def state_from_json(text: str) -> MomentState:
-    return state_from_doc(json.loads(text))
+from .inputs import state_from_doc, state_from_json  # noqa: E402  (inputs imports this module)

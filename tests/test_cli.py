@@ -242,6 +242,29 @@ class TestRiemann:
         assert len(doc["table"]["rarefaction"]) == 1
         assert doc["table"]["rarefaction"][0]["ok"] is True
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rho_left,rho_right,error",
+        [(1e200, 1e-200, "density must be positive, got 0.0"),
+         (1e-200, 1e200, "density must be finite, got inf")],
+        ids=["ratio-underflows", "ratio-overflows"],
+    )
+    def test_extreme_density_ratio(self, tmp_path, rho_left, rho_right, error):
+        # the density ratio leaves the float range, its logarithm does not;
+        # the fan endpoints it sets are out of range and each row says so
+        def side(rho):
+            return {"D": 1, "M": 3, "rho": rho, "u": [0.3], "p": [[0.25 * rho]], "f": {"3": 0.05 * rho}}
+
+        lf = write_json(tmp_path, "l.json", side(rho_left))
+        rf = write_json(tmp_path, "r.json", side(rho_right))
+        dst = tmp_path / "wave.json"
+        assert run(["riemann", "--left", str(lf), "--right", str(rf), "--out", str(dst)]) == 0
+        rows = json.loads(dst.read_text())["rarefactions"]
+        assert len(rows) == 4
+        for row in rows:
+            assert row["zeta"] == pytest.approx(np.log(rho_right) - np.log(rho_left), rel=1e-15)
+            assert row["ok"] is False and row["error"] == error
+
     def test_dimension_mismatch_is_validation_error(self, tmp_path, capsys):
         lf = write_json(tmp_path, "l.json", HUGONIOT_LEFT)
         rf = write_json(
@@ -861,4 +884,40 @@ class TestNumberFields:
         err = capsys.readouterr().err
         assert err.startswith("error: state JSON field has the wrong type: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+
+class TestInputErrorLines:
+    """Malformed input of each reader exits 1 with exactly one error line and
+    writes nothing."""
+
+    D2_STATE = {"D": 2, "M": 3, "rho": 1.0, "u": [0.1, -0.2], "p": [[1.0, 0.1], [0.1, 0.8]], "f": {}}
+
+    @pytest.mark.parametrize(
+        "argv,doc,threads,message",
+        [
+            (["simulate"], {k: v for k, v in sim_config().items() if k != "left"}, None,
+             "config is missing required field 'left'"),
+            (["simulate"], sim_config(grid={"x_min": 0.0}), None, "grid is missing required field 'nx'"),
+            (["simulate"], sim_config(left=[1]), None, "left state must be a JSON object"),
+            (["simulate"], sim_config(right={"D": 2, "rho": 1.0, "u": [0.0], "p": [[1.0]]}), None,
+             "right state dimensions must match the config (D=1, M=2)"),
+            (["spectrum", "--dir", "1,0,0"], D2_STATE, None, "direction needs 2 components, got 3"),
+            (["hyperbolicity", "--scan", "f3=0:1:0"], None, None, "scan needs at least one step, got 0"),
+            (["hyperbolicity", "--scan", "f3=0:1:2"], None, "0", "HYPERMOMENT_THREADS must be >= 1, got 0"),
+            (["spectrum"], {"D": 1, "M": 3, "u": [0.3], "p": [[0.5]], "f": {}}, None,
+             "state JSON missing field 'rho'"),
+        ],
+        ids=["no-left", "no-nx", "left-list", "right-dims", "dir-size", "scan-steps", "threads-0", "no-rho"],
+    )
+    def test_exits_1(self, tmp_path, capsys, monkeypatch, argv, doc, threads, message):
+        monkeypatch.delenv("HYPERMOMENT_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("HYPERMOMENT_THREADS", threads)
+        if doc is not None:
+            flag = "--config" if argv[0] == "simulate" else "--state"
+            argv = argv + [flag, str(write_json(tmp_path, "in.json", doc))]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()

@@ -65,6 +65,23 @@ class TestMomentState:
         assert w[s.rank0((0, 2))] == 0.5
         assert w[s.rank0((3, 0))] == 0.7
 
+    @pytest.mark.parametrize(
+        "u,p,message",
+        [([0.0], np.eye(60), "velocity u must have 60 entries, got 1"),
+         (np.zeros(60), [[1.0]], "pressure tensor p must have 60x60 entries, got 1")],
+        ids=["u", "p"],
+    )
+    def test_sizes_are_checked_before_any_table(self, monkeypatch, u, p, message):
+        # the layout tables of D=60, M=8 would enumerate every index of the set
+        import hypermoment.state as state_mod
+
+        def no_tables(D, M):
+            raise AssertionError(f"layout tables built for D={D}, M={M}")
+
+        monkeypatch.setattr(state_mod, "_packing", no_tables)
+        with pytest.raises(ValueError, match=message):
+            MomentState(D=60, M=8, rho=1.0, u=u, p=p, f={})
+
     def test_w_round_trip(self):
         rng = np.random.default_rng(0)
         for D, M in [(1, 4), (2, 3), (3, 4)]:
