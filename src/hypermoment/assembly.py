@@ -309,13 +309,14 @@ class StructuralReport:
 
     N: int
     direction: int
+    regularized: bool
     max_abs_diagonal: float
     upper_violation_rows: tuple
     block_sizes: tuple
     expected_block_sizes: tuple
     max_upper_block_entry: float
-    violations: tuple
     nonzero_count: int
+    violations: tuple
 
     @property
     def ok(self) -> bool:
@@ -335,10 +336,7 @@ def structural_report(matrix: CoefficientMatrix) -> StructuralReport:
     if max_diag != 0.0:
         violations.append(f"diagonal not exactly zero (max {max_diag})")
 
-    upper_rows = []
-    for i in range(s.N):
-        if np.count_nonzero(A[i, i + 1 :]) > 1:
-            upper_rows.append(i + 1)
+    upper_rows = (np.flatnonzero(np.count_nonzero(np.triu(A, 1), axis=1) > 1) + 1).tolist()
     if upper_rows:
         violations.append(f"rows with more than one upper entry: {upper_rows}")
 
@@ -349,11 +347,8 @@ def structural_report(matrix: CoefficientMatrix) -> StructuralReport:
     if sizes != expected:
         violations.append(f"block sizes {sizes} != expected {expected}")
 
-    max_upper = 0.0
-    for bi, (_, si, ni) in enumerate(perm.blocks):
-        for _, sj, nj in perm.blocks[bi + 1 :]:
-            blk = B[si : si + ni, sj : sj + nj]
-            max_upper = max(max_upper, float(np.max(np.abs(blk))) if blk.size else 0.0)
+    block = np.repeat(np.arange(len(sizes)), sizes)  # the block of each permuted index
+    max_upper = float(np.max(np.abs(B[block[:, None] < block]), initial=0.0))
     if max_upper != 0.0:
         violations.append(f"permuted form not block lower triangular (max {max_upper})")
 
@@ -364,26 +359,25 @@ def structural_report(matrix: CoefficientMatrix) -> StructuralReport:
         if order(h) < 3:
             continue
         blk = B[si : si + ni, si : si + ni]
-        for a in range(ni):
-            for b in range(ni):
-                val = blk[a, b]
-                if b == a + 1:
-                    if val != a + 1:
-                        violations.append(f"block {h}: superdiagonal {val} != {a + 1}")
-                elif b == a - 1:
-                    if val != th_dd:
-                        violations.append(f"block {h}: subdiagonal {val} != {th_dd}")
-                elif val != 0.0:
-                    violations.append(f"block {h}: unexpected entry at {(a, b)}")
+        row, col = np.indices(blk.shape)
+        want = np.where(col == row + 1, col, np.where(col == row - 1, th_dd, 0.0))
+        for a, b in np.argwhere(blk != want).tolist():
+            if b == a + 1:
+                violations.append(f"block {h}: superdiagonal {blk[a, b]} != {a + 1}")
+            elif b == a - 1:
+                violations.append(f"block {h}: subdiagonal {blk[a, b]} != {th_dd}")
+            else:
+                violations.append(f"block {h}: unexpected entry at {(a, b)}")
 
     return StructuralReport(
         N=s.N,
         direction=d,
+        regularized=matrix.regularized,
         max_abs_diagonal=max_diag,
         upper_violation_rows=tuple(upper_rows),
         block_sizes=sizes,
         expected_block_sizes=expected,
         max_upper_block_entry=max_upper,
-        violations=tuple(violations),
         nonzero_count=int(np.count_nonzero(A)),
+        violations=tuple(violations),
     )

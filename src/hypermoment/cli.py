@@ -22,7 +22,8 @@ Data goes to --out (default stdout); diagnostics go to stderr. Exit status is
 0 on success, 1 on a validation error (bad arguments, malformed input, an
 inadmissible input state), and 2 on a numerical failure (admissibility loss
 during a run, a failed runtime guard or LAPACK call, a residual or identity
-check out of tolerance, scan violations).
+check out of tolerance, scan violations, a riemann shock check whose
+conversion fails, after the report is written).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
@@ -48,20 +48,10 @@ from .hermite import (
 )
 from .index import IndexSet
 from .inputs import load_sim_config as _load_sim_config  # kept importable from here
-from .riemann import (
-    ElementaryWave,
-    _fan_curves,
-    classify_field,
-    contact_check,
-    rarefaction_curve,
-    shock_check,
-    shock_speed_from_mass,
-    wave_speed,
-    wave_table_check,
-)
+from .riemann import wave_report
 from .solver import CFLViolation, kinetic_reference, simulate
-from .spectral import rotation_spectrum_check, spectrum_regularized, unit_spectrum
-from .state import MomentState, _check_rows, equilibrium, to_conserved
+from .spectral import rotation_spectrum_check, spectrum_regularized
+from .state import equilibrium
 
 CSV_EOL = "\n"
 
@@ -88,10 +78,11 @@ def _write_csv(out, header, rows) -> None:
 
 
 def _write_json(out, doc) -> None:
-    """Indented JSON of doc to --out, newline-terminated."""
+    """Indented strict JSON of doc to --out, newline-terminated; a NaN or an
+    infinity raises ValueError before anything is written."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with _open_out(out) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _label(alpha) -> str:
@@ -107,20 +98,7 @@ def cmd_assemble(args) -> int:
     mat = CoefficientMatrix(entries=A, direction=args.dir, regularized=args.regularized, state=state)
     if args.report:
         rep = structural_report(mat)
-        doc = {
-            "N": rep.N,
-            "direction": rep.direction,
-            "regularized": mat.regularized,
-            "max_abs_diagonal": rep.max_abs_diagonal,
-            "upper_violation_rows": list(rep.upper_violation_rows),
-            "block_sizes": list(rep.block_sizes),
-            "expected_block_sizes": list(rep.expected_block_sizes),
-            "max_upper_block_entry": rep.max_upper_block_entry,
-            "nonzero_count": rep.nonzero_count,
-            "violations": list(rep.violations),
-            "ok": rep.ok,
-        }
-        _write_json(args.out, doc)
+        _write_json(args.out, {**vars(rep), "ok": rep.ok})
         return 0
     labels = [_label(a) for a in state.index_set.indices]
     rows = ([lab] + [repr(float(v)) for v in row] for lab, row in zip(labels, mat.entries))
@@ -192,104 +170,6 @@ def cmd_hyperbolicity(args) -> int:
 # -- riemann report --------------------------------------------------------------
 
 
-def _fields(left: MomentState):
-    """(spectral line, unit root C, characteristic field) per line of the
-    left state's spectrum, shared by the report sections."""
-    return [(L, L.value, classify_field(left, L.value)) for L in unit_spectrum(left.D, left.M)]
-
-
-def _field_rows(fields, left: MomentState, right: MomentState):
-    return [
-        {
-            "C": C,
-            "family_m": line.family_m,
-            "root_index": line.root_index,
-            "multiplicity": line.multiplicity,
-            "nature": fld.nature,
-            "speed_left": wave_speed(left, C),
-            "speed_right": wave_speed(right, C),
-        }
-        for line, C, fld in fields
-    ]
-
-
-def _table_entry(kind: str, left: MomentState, right: MomentState, fld, speed) -> dict:
-    """Sign-table verdict of the elementary wave of one field."""
-    verdict = wave_table_check(ElementaryWave(kind, left, right, fld, speed))
-    return {"C": fld.C, "ok": verdict.ok, "relations": verdict.relations}
-
-
-def _contact_rows(fields, left: MomentState, right: MomentState, table: list):
-    """Contact probes of the linearly degenerate fields, one per distinct C;
-    the table entry of each one that passes goes to table."""
-    rows = []
-    seen = set()
-    for _, C, fld in fields:
-        if fld.genuinely_nonlinear or round(C, 12) in seen:
-            continue
-        seen.add(round(C, 12))
-        v = contact_check(left, right, fld)
-        rows.append(
-            {
-                "C": C,
-                "ok": v.ok,
-                "velocity_jump": v.velocity_jump,
-                "pressure_jump": v.pressure_jump,
-                "eigenvalue_jump": v.eigenvalue_jump,
-            }
-        )
-        if v.ok:
-            table.append(_table_entry("contact", left, right, fld, wave_speed(left, C)))
-    return rows
-
-
-def _fan_ends(left: MomentState, flds, zeta: float):
-    """Endpoints (k, N) of the fan curves of the genuinely nonlinear fields
-    flds through left at zeta, from one batch (riemann._fan_curves). None
-    where rarefaction_curve computes no curve (zeta = 0 gives left itself, a
-    non-finite zeta an error) and where the batch fails: each field then
-    goes through rarefaction_curve for its own endpoint or error."""
-    if zeta == 0.0 or not math.isfinite(zeta):
-        return None
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ends = _fan_curves(left, flds, zeta)
-            _check_rows(ends, left.D, left.M)
-    except (ValueError, RuntimeError):
-        return None
-    return ends
-
-
-def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float, table: list):
-    # integral-curve probe: a fan endpoint must sit on the curve through the
-    # left state at the parameter fixed by the density ratio; the table
-    # entry of each one that passes goes to table
-    rows = []
-    ratio = right.rho / left.rho
-    if sys.float_info.min <= ratio <= sys.float_info.max:
-        zeta = float(np.log(ratio))
-    else:  # the ratio underflowed or overflowed
-        zeta = math.log(right.rho) - math.log(left.rho)
-    scale = max(1.0, float(np.max(np.abs(right.w))))
-    gn = [(C, fld) for _, C, fld in fields if fld.genuinely_nonlinear]
-    ends = _fan_ends(left, [fld for _, fld in gn], zeta)
-    for i, (C, fld) in enumerate(gn):
-        row = {"C": C, "zeta": zeta}
-        try:
-            end = rarefaction_curve(left, fld, zeta).w if ends is None else ends[i]
-            mismatch = float(np.max(np.abs(end - right.w))) / scale
-            row["max_mismatch"] = mismatch
-            row["ok"] = bool(mismatch <= tol)
-        except (ValueError, RuntimeError) as e:
-            row["ok"] = False
-            row["error"] = str(e)
-        rows.append(row)
-        if row["ok"]:
-            speeds = (wave_speed(left, C), wave_speed(right, C))
-            table.append(_table_entry("rarefaction", left, right, fld, speeds))
-    return rows
-
-
 def cmd_riemann(args) -> int:
     left = inputs.load_state(args.left)
     right = inputs.load_state(args.right)
@@ -297,41 +177,12 @@ def cmd_riemann(args) -> int:
         raise ValueError(
             f"left state is D={left.D}, M={left.M} but right is D={right.D}, M={right.M}"
         )
-    FL, FR = to_conserved(left), to_conserved(right)
-    tol = args.tol
-    fields = _fields(left)
-    table = {"shock": [], "contact": [], "rarefaction": []}
-    report = {
-        "D": left.D,
-        "M": left.M,
-        "fields": _field_rows(fields, left, right),
-        "contacts": _contact_rows(fields, left, right, table["contact"]),
-        "rarefactions": _rarefaction_rows(fields, left, right, tol, table["rarefaction"]),
-        "mass_flux_speed": None,
-        "shock": None,
-        "table": table,
-    }
-
-    S = shock_speed_from_mass(FL, FR)
-    if S is not None:
-        rep = shock_check(FL, FR, S)
-        report["mass_flux_speed"] = rep.speed
-        report["shock"] = {
-            "speed": rep.speed,
-            "conservative_max": rep.conservative_max,
-            "top_max": rep.top_max,
-            "lax_per_root": [bool(x) for x in rep.lax_per_root],
-            "entropy": rep.entropy,
-            "density_pressure_product": rep.density_pressure_product,
-            "residual_ok": rep.conservative_max <= tol and rep.top_max <= tol,
-        }
-        if report["shock"]["residual_ok"]:
-            top = [fld for line, _, fld in fields if line.family_m == left.M + 1]
-            for fld, passed in zip(top, rep.lax_per_root):
-                if passed:
-                    table["shock"].append(_table_entry("shock", left, right, fld, S))
-
+    report = wave_report(left, right, args.tol)
     _write_json(args.out, report)
+    error = (report["shock"] or {}).get("error")
+    if error:
+        print(f"error: shock check failed: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -69,8 +69,10 @@ def state_from_doc(doc) -> MomentState:
     if not (isinstance(doc, dict) and isinstance(doc.get("f", {}), dict)):
         raise ValueError("state JSON and its field 'f' must be objects")
     try:
-        D = _integer(doc["D"], "state JSON field 'D'")
-        M = _integer(doc["M"], "state JSON field 'M'")
+        try:
+            D, M = _integer(doc["D"], "'D'"), _integer(doc["M"], "'M'")
+        except ValueError as e:  # not a whole number
+            raise ValueError(f"state JSON field {e}") from None
         rho = _number(doc["rho"], "'rho'")
         u = _numbers(doc["u"], "'u' entry")
         p = _numbers(doc["p"], "'p' entry")
@@ -86,9 +88,17 @@ def state_from_json(text: str) -> MomentState:
     return state_from_doc(json.loads(text))
 
 
-def load_state(path: str) -> MomentState:
+def _load_json(path: str):
+    """The parsed JSON file at path; a syntax error names the file."""
     with open(path) as fh:
-        return state_from_doc(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def load_state(path: str) -> MomentState:
+    return state_from_doc(_load_json(path))
 
 
 def _config_state(doc: dict, name: str, D: int, M: int) -> MomentState:
@@ -100,8 +110,7 @@ def _config_state(doc: dict, name: str, D: int, M: int) -> MomentState:
 
 
 def load_sim_config(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     D = field(doc, "D", "config", int)
     M = field(doc, "M", "config", int)
     g = field(doc, "grid", "config", dict)

@@ -12,12 +12,14 @@ integrated numerically. Shocks satisfy a generalized jump condition whose
 top-order rows depend on a path. The path is linear in the packed
 variables w, the one the finite-volume scheme integrates along
 (assembly.path_integral), so the scheme and the jump check agree.
+wave_report builds the riemann command's JSON report of a state pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +31,7 @@ from scipy.integrate import solve_ivp
 from .assembly import path_integral
 from .spectral import _block_index, _permuted, _prolong_permuted, unit_spectrum
 from .state import (
+    AdmissibilityError,
     ConservedMoments,
     MomentState,
     _check_rows,
@@ -37,6 +40,7 @@ from .state import (
     _packing,
     _unpack,
     from_conserved_batch,
+    to_conserved,
 )
 
 GENUINELY_NONLINEAR = "genuinely-nonlinear"
@@ -76,12 +80,13 @@ class ContactVerdict:
 @dataclass(frozen=True)
 class ShockReport:
     speed: float
-    residuals: np.ndarray  # per conserved row, index order
     conservative_max: float
     top_max: float
     lax_per_root: tuple  # bool per top-family root
     entropy: bool
-    density_pressure_product: float
+    density_pressure_product: Optional[float]  # None where not finite
+    # not in the report's shock section:
+    residuals: np.ndarray  # per conserved row, index order
     mass_flux_speed: Optional[float]
 
 
@@ -394,7 +399,7 @@ def shock_check(
         top_max=float(np.max(np.abs(residuals[top:]))),
         lax_per_root=lax,
         entropy=any(lax),
-        density_pressure_product=prod,
+        density_pressure_product=prod if math.isfinite(prod) else None,
         mass_flux_speed=_mass_flux_speed(F, D, M),
     )
 
@@ -424,3 +429,114 @@ def wave_table_check(wave: ElementaryWave) -> WaveTableVerdict:
     else:
         raise ValueError(f"unknown wave kind {wave.kind!r}")
     return WaveTableVerdict(ok=all(rel.values()), relations=rel)
+
+
+# -- the riemann command's report ------------------------------------------------
+
+
+def _table_entry(kind: str, left: MomentState, right: MomentState, fld: CharField, speed) -> dict:
+    """Sign-table row of the elementary wave of one field."""
+    return {"C": fld.C, **vars(wave_table_check(ElementaryWave(kind, left, right, fld, speed)))}
+
+
+def _contact_rows(fields, left: MomentState, right: MomentState, table: list) -> list:
+    """Contact probes of the linearly degenerate fields, one per distinct C;
+    the table row of each one that passes goes to table."""
+    rows, seen = [], set()
+    for _, fld in fields:
+        if fld.genuinely_nonlinear or round(fld.C, 12) in seen:
+            continue
+        seen.add(round(fld.C, 12))
+        v = contact_check(left, right, fld)
+        rows.append({"C": fld.C, **vars(v)})
+        if v.ok:
+            table.append(_table_entry("contact", left, right, fld, wave_speed(left, fld.C)))
+    return rows
+
+
+def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float, table: list) -> list:
+    """Integral-curve probes of the genuinely nonlinear fields: a fan
+    endpoint must sit on the curve through left at the parameter fixed by
+    the density ratio. The endpoints come from one _fan_curves batch; where
+    it fails, or at zeta = 0 (left itself), each field goes through
+    rarefaction_curve for its own endpoint or error. The table row of each
+    probe that passes goes to table."""
+    ratio = right.rho / left.rho
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        zeta = float(np.log(ratio))
+    else:  # the ratio underflowed or overflowed
+        zeta = math.log(right.rho) - math.log(left.rho)
+    scale = max(1.0, float(np.max(np.abs(right.w))))
+    gn = [fld for _, fld in fields if fld.genuinely_nonlinear]
+    ends = None
+    if zeta != 0.0:
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ends = _fan_curves(left, gn, zeta)
+                _check_rows(ends, left.D, left.M)
+        except (ValueError, RuntimeError):
+            ends = None
+    rows = []
+    for i, fld in enumerate(gn):
+        row = {"C": fld.C, "zeta": zeta}
+        try:
+            end = rarefaction_curve(left, fld, zeta).w if ends is None else ends[i]
+            row["max_mismatch"] = float(np.max(np.abs(end - right.w))) / scale
+            row["ok"] = bool(row["max_mismatch"] <= tol)
+        except (ValueError, RuntimeError) as e:
+            row["ok"] = False
+            row["error"] = str(e)
+        rows.append(row)
+        if row["ok"]:
+            speeds = (wave_speed(left, fld.C), wave_speed(right, fld.C))
+            table.append(_table_entry("rarefaction", left, right, fld, speeds))
+    return rows
+
+
+def wave_report(left: MomentState, right: MomentState, tol: float) -> dict:
+    """The wave report of the pair (left, right), as the riemann command
+    writes it: every field of the left state's spectrum, the contact and
+    rarefaction probes, the jump check at the mass-flux speed, and the
+    sign-table row of each wave that passes its probe. Where the pair's
+    conversion fails inside the jump check, the shock section holds the
+    speed and the error, and the rest of the report stands."""
+    fields = [(line, classify_field(left, line.value)) for line in unit_spectrum(left.D, left.M)]
+    table = {"shock": [], "contact": [], "rarefaction": []}
+    report = {
+        "D": left.D,
+        "M": left.M,
+        "fields": [
+            {
+                "C": fld.C,
+                "family_m": line.family_m,
+                "root_index": line.root_index,
+                "multiplicity": line.multiplicity,
+                "nature": fld.nature,
+                "speed_left": wave_speed(left, fld.C),
+                "speed_right": wave_speed(right, fld.C),
+            }
+            for line, fld in fields
+        ],
+        "contacts": _contact_rows(fields, left, right, table["contact"]),
+        "rarefactions": _rarefaction_rows(fields, left, right, tol, table["rarefaction"]),
+        "mass_flux_speed": None,
+        "shock": None,
+        "table": table,
+    }
+    FL, FR = to_conserved(left), to_conserved(right)
+    S = report["mass_flux_speed"] = shock_speed_from_mass(FL, FR)
+    if S is None:
+        return report
+    try:
+        rep = shock_check(FL, FR, S)
+    except AdmissibilityError as e:
+        report["shock"] = {"speed": S, "error": str(e)}
+        return report
+    shock = report["shock"] = {k: v for k, v in vars(rep).items() if k not in ("residuals", "mass_flux_speed")}
+    shock["residual_ok"] = rep.conservative_max <= tol and rep.top_max <= tol
+    if shock["residual_ok"]:
+        top = [fld for line, fld in fields if line.family_m == left.M + 1]
+        for fld, passed in zip(top, rep.lax_per_root):
+            if passed:
+                table["shock"].append(_table_entry("shock", left, right, fld, S))
+    return report

@@ -227,6 +227,80 @@ class TestStructure:
             assert (i, j) in allowed, (s.indices[i], s.indices[j])
 
 
+def _loop_structure(matrix):
+    """(upper_violation_rows, max_upper_block_entry, violations) of
+    structural_report, written entry by entry in plain Python loops."""
+    A, state, d = matrix.entries, matrix.state, matrix.direction
+    s = state.index_set
+    violations = []
+    max_diag = float(np.max(np.abs(np.diag(A))))
+    if max_diag != 0.0:
+        violations.append(f"diagonal not exactly zero (max {max_diag})")
+    upper_rows = []
+    for i in range(s.N):
+        if np.count_nonzero(A[i, i + 1 :]) > 1:
+            upper_rows.append(i + 1)
+    if upper_rows:
+        violations.append(f"rows with more than one upper entry: {upper_rows}")
+    perm = block_permutation(s, axis=d)
+    B = perm.conjugate(A)
+    max_upper = 0.0
+    for bi, (_, si, ni) in enumerate(perm.blocks):
+        for _, sj, nj in perm.blocks[bi + 1 :]:
+            blk = B[si : si + ni, sj : sj + nj]
+            max_upper = max(max_upper, float(np.max(np.abs(blk))) if blk.size else 0.0)
+    if max_upper != 0.0:
+        violations.append(f"permuted form not block lower triangular (max {max_upper})")
+    th_dd = state.theta_tensor[d - 1, d - 1]
+    for h, si, ni in perm.blocks:
+        if order(h) < 3:
+            continue
+        blk = B[si : si + ni, si : si + ni]
+        for a in range(ni):
+            for b in range(ni):
+                val = blk[a, b]
+                if b == a + 1:
+                    if val != a + 1:
+                        violations.append(f"block {h}: superdiagonal {val} != {a + 1}")
+                elif b == a - 1:
+                    if val != th_dd:
+                        violations.append(f"block {h}: subdiagonal {val} != {th_dd}")
+                elif val != 0.0:
+                    violations.append(f"block {h}: unexpected entry at {(a, b)}")
+    return tuple(upper_rows), max_upper, tuple(violations)
+
+
+class TestStructuralViolations:
+    @pytest.mark.parametrize("D,M,d", [(1, 6, 1), (2, 5, 1), (2, 5, 2), (3, 4, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_matrix_matches_entry_loops(self, D, M, d, seed):
+        rng = np.random.default_rng(100 * seed + 10 * D + M)
+        st = random_state(rng, D, M)
+        mat = assemble(st, d)
+        A = np.array(mat.entries)
+        perm = block_permutation(st.index_set, axis=d)
+        src = perm.source
+        # a few random entries and one on the diagonal, then in each
+        # diagonal block of hat order >= 3 one superdiagonal, subdiagonal
+        # and diagonal entry (permuted coordinates)
+        for i, j in rng.integers(0, len(A), size=(3, 2)):
+            A[i, j] += 0.5 + rng.random()
+        k = rng.integers(len(A))
+        A[k, k] = 0.25
+        for h, si, ni in perm.blocks:
+            if order(h) >= 3 and ni > 1:
+                a = int(rng.integers(ni - 1))
+                A[src[si + a], src[si + a + 1]] += 1.0
+                A[src[si + a + 1], src[si + a]] *= 1.5
+                A[src[si + a], src[si + a]] = -0.5
+        bad = CoefficientMatrix(entries=A, direction=d, regularized=False, state=st)
+        rep = structural_report(bad)
+        want = _loop_structure(bad)
+        assert (rep.upper_violation_rows, rep.max_upper_block_entry, rep.violations) == want
+        assert not rep.ok and rep.violations
+        assert _loop_structure(mat) == ((), 0.0, ())
+
+
 class TestRegularize:
     def test_low_rows_bit_identical(self):
         rng = np.random.default_rng(13)

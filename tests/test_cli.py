@@ -265,6 +265,32 @@ class TestRiemann:
             assert row["zeta"] == pytest.approx(np.log(rho_right) - np.log(rho_left), rel=1e-15)
             assert row["ok"] is False and row["error"] == error
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_report_is_strict_json(self, tmp_path):
+        # the shock section's density-pressure product overflows; it is
+        # written as null, never as Infinity
+        def side(rho):
+            return {"D": 1, "M": 3, "rho": rho, "u": [0.3], "p": [[0.25 * rho]], "f": {"3": 0.05 * rho}}
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        lf = write_json(tmp_path, "l.json", side(1e200))
+        rf = write_json(tmp_path, "r.json", side(1e-200))
+        dst = tmp_path / "wave.json"
+        assert run(["riemann", "--left", str(lf), "--right", str(rf), "--out", str(dst)]) == 0
+        doc = json.loads(dst.read_text(), parse_constant=reject)
+        assert doc["shock"]["density_pressure_product"] is None
+
+    def test_json_syntax_error_names_the_file(self, tmp_path, capsys):
+        rf = tmp_path / "broken.json"
+        rf.write_text('{"D": 1,')
+        dst = tmp_path / "wave.json"
+        assert run(["riemann", "--left", str(STATE), "--right", str(rf), "--out", str(dst)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {rf}: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)\n"
+        assert not dst.exists()
+
     def test_dimension_mismatch_is_validation_error(self, tmp_path, capsys):
         lf = write_json(tmp_path, "l.json", HUGONIOT_LEFT)
         rf = write_json(
@@ -818,6 +844,14 @@ class TestIntegerFields:
         assert run(["spectrum", "--state", str(sf), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: state JSON field {shown}\n"
+        assert not out.exists()
+
+    def test_state_file_bool_dimension_exits_1(self, tmp_path, capsys):
+        sf = write_json(tmp_path, "s.json", {**json.loads(STATE.read_text()), "D": True})
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--state", str(sf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: state JSON field has the wrong type: 'D' must be a number, got true\n"
         assert not out.exists()
 
     def test_integral_floats_are_accepted(self, tmp_path):

@@ -114,3 +114,24 @@ def test_report_endpoints_equal_per_field_curves(tmp_path):
     rows = _report(tmp_path, left, right)["rarefactions"]
     assert rows == json.loads(json.dumps(_expected_rows(left, right)))
     assert [r["ok"] for r in rows] == [False, False, False, True]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_failed_shock_section_keeps_the_report(tmp_path, capsys):
+    # at rho e^90 the pair's conversion loses p to round-off inside the shock
+    # check; the fields, contacts and rarefactions are still written
+    left = random_state(np.random.default_rng(0), 2, 4, scale=0.02)
+    right = left.replace(rho=left.rho * math.exp(90))
+    assert np.any(left.u != 0.0)
+    lf, rf, dst = tmp_path / "l.json", tmp_path / "r.json", tmp_path / "wave.json"
+    lf.write_text(state_to_json(left))
+    rf.write_text(state_to_json(right))
+    assert run(["riemann", "--left", str(lf), "--right", str(rf), "--out", str(dst)]) == 2
+    doc = json.loads(dst.read_text())
+    assert set(doc["shock"]) == {"speed", "error"}
+    assert doc["shock"]["error"].startswith("implied scale tensor is not positive definite")
+    assert doc["shock"]["speed"] == doc["mass_flux_speed"]
+    assert doc["rarefactions"] == json.loads(json.dumps(_expected_rows(left, right)))
+    assert len(doc["fields"]) == len(unit_spectrum(2, 4)) and doc["table"]["shock"] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: shock check failed: ") and err.count("\n") == 1
