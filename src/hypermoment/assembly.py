@@ -48,9 +48,15 @@ def _term_values(terms: tuple, X: np.ndarray) -> np.ndarray:
     """Values (n, K) of compiled term groups (target, num, feat, den,
     den_feat) on the feature rows X (n, F) of _features: entry k is
     (num[k] X[feat[k]]) / (den[k] X[den_feat[k]]), the product and quotient
-    its term's own expression computes, in the same order."""
+    its term's own expression computes, in the same order. A denominator
+    that overflows (or is otherwise not finite) raises RuntimeError, with no
+    overflow warning first."""
     _, num, feat, den, den_feat = terms
-    return num * X[:, feat] / (den * X[:, den_feat])
+    with np.errstate(over="ignore"):
+        q = den * X[:, den_feat]
+    if not np.isfinite(q).all():
+        raise RuntimeError("a coefficient-matrix term has a denominator that is not finite (overflow)")
+    return num * X[:, feat] / q
 
 
 @dataclass(frozen=True)

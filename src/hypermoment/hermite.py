@@ -13,15 +13,19 @@ what the closed-form eigenvector and characteristic-polynomial expressions
 are written in; the scaled family is the expansion basis normalization.
 ``he_eval``, ``he_monic_eval`` and the monic coefficients read by
 ``spectral`` run one recurrence kernel, ``_recurrence``. ``he_roots`` and
-the conjecture scan (``cross_order_root_distances`` and ``root_gap_scan``)
-take their zeros from one root table, ``_root_table``. It seeds the positive
-zeros of every order at once from closed-form asymptotics, as in Townsend,
-Trogdon and Olver, IMA J. Numer. Anal. 36 (2016): Tricomi's formula inside,
-Gatteschi's Airy-zero expansion for the largest few (Gatteschi, J. Comput.
-Appl. Math. 144 (2002)), each formula only on the entries it seeds. Then it
-runs flat Newton passes on the unit-scale recurrence, rescaled every eight
-steps, two at every order and three more at orders <= 24, and mirrors the
-result.
+the conjecture scan take their zeros from ``_positive_roots``. It seeds the
+positive zeros of every order at once from closed-form asymptotics, as in
+Townsend, Trogdon and Olver, IMA J. Numer. Anal. 36 (2016): Tricomi's
+formula inside, Gatteschi's Airy-zero expansion for the largest few
+(Gatteschi, J. Comput. Appl. Math. 144 (2002)), each formula only on the
+entries it seeds. Then it runs flat Newton passes on the unit-scale
+recurrence, two at every order and three more at orders <= 24. The
+recurrence is rescaled by a power of two every 32 steps, which leaves every
+bit of the roots as it is: in between, the pair stays below 1.9e128 and
+clear of the subnormal range up to order 10^4. ``_root_table`` mirrors the
+positive zeros for ``he_roots`` and the per-pair reference
+``cross_order_root_distances``; ``root_gap_scan`` sorts the positive half
+only, whose gaps mirror exactly those of the negative half.
 
 The anisotropic polynomials He_alpha of a scale tensor Theta and the
 Gaussian moments that ``state`` converts with obey one multi-index raising
@@ -148,9 +152,11 @@ def _gatteschi(nu, j):
 
 # Recurrence steps of _newton_step between two rescalings. A rescaling
 # leaves max(|P_{k-1}|, |P_k|) in [1/2, 1), and a step k < n at |x| <= 2 sqrt(n)
-# (every zero of order n) grows it by at most |x| + k <= n + 2 sqrt(n), so
-# eight steps stay below (n + 2 sqrt(n))^8, about 1e32 at n = 1e4.
-_RESCALE_EVERY = 8
+# (every zero of order n) grows it by at most |x| + k <= n + 2 sqrt(n) and
+# shrinks it by at most 2 max(1, |x|) <= 4 sqrt(n). So 32 steps stay below
+# (n + 2 sqrt(n))^32, about 1.9e128 at n = 1e4, and above (4 sqrt(n))^-32 / 2,
+# about 3e-84: the pair neither overflows nor goes subnormal in between.
+_RESCALE_EVERY = 32
 
 
 def _newton_step(x, orders):
@@ -160,15 +166,16 @@ def _newton_step(x, orders):
     The pair comes from the unit-scale recurrence run in place on two
     buffers: step k overwrites P_{k-1} in buffer k % 2 with P_{k+1}, so an
     entry of order n ends with P_n in buffer (n - 1) % 2. Every
-    ``_RESCALE_EVERY`` steps both buffers are rescaled by the power of two
-    that brings the larger magnitude into [1/2, 1), which keeps orders of
-    thousands inside double range. A power of two commutes exactly with
-    x P_k - k P_{k-1} and with the final ratio, so the result is bit for bit
-    that of a rescaling after every step, and the rescaling adds no rounding
-    of its own. An entry of order n stops after n steps; as the orders
-    ascend, the entries still running at step k are the suffix from order
-    k + 1, so each step updates a shrinking tail in place and the finished
-    head stays frozen.
+    ``_RESCALE_EVERY`` = 32 steps both buffers are rescaled by the power of
+    two that brings the larger magnitude into [1/2, 1); in between the pair
+    stays below 1.9e128 and above 3e-84 up to order 10^4. A power of two
+    commutes exactly with x P_k - k P_{k-1} and with the final ratio, so as
+    long as the pair neither overflows nor goes subnormal the result is bit
+    for bit that of a rescaling after every step, and the rescaling adds no
+    rounding of its own. An entry of order n stops after n steps; as the
+    orders ascend, the entries still running at step k are the suffix from
+    order k + 1, so each step updates a shrinking tail in place and the
+    finished head stays frozen.
     """
     bufs = (np.zeros_like(x), np.ones_like(x))
     tmp = np.empty_like(x)
@@ -189,39 +196,49 @@ def _newton_step(x, orders):
     return np.where(odd, bufs[0], bufs[1]) / (orders * np.where(odd, bufs[1], bufs[0]))
 
 
+def _positive_roots(n_max: int, n_min: int = 1):
+    """The n // 2 positive zeros of every order n_min..n_max at unit scale.
+
+    Returns (x, orders): order n fills n // 2 consecutive entries, strictly
+    increasing, after the entries of lower orders; orders labels each entry.
+    Seeded by ``_root_seeds`` (the asymptotic initial guesses of Townsend,
+    Trogdon and Olver, IMA J. Numer. Anal. 36 (2016), from Tricomi's and
+    Gatteschi's formulas, each evaluated only on the entries that use it;
+    see Gatteschi, J. Comput. Appl. Math. 144 (2002)), then polished by two
+    Newton steps (``_newton_step``) at every order and three more at orders
+    <= 24, whose seeds are the coarsest (up to 1.5e-3 off at n <= 10, 8e-5 at
+    11..24, 2e-6 at n = 200). The pass count depends on the order alone, so
+    an entry's value depends only on its order and index.
+    """
+    ns = np.arange(n_min, n_max + 1)
+    h = ns // 2
+    orders = np.repeat(ns, h)
+    k = np.arange(orders.size) - np.repeat(np.cumsum(h) - h, h)
+    x = _root_seeds(orders, k + 1)
+    for _ in range(2):
+        x -= _newton_step(x, orders)
+    small = np.searchsorted(orders, 24, side="right")
+    for _ in range(3):
+        x[:small] -= _newton_step(x[:small], orders[:small])
+    return x, orders
+
+
 def _root_table(n_max: int, n_min: int = 1):
     """Zeros of every order n_min..n_max at unit scale, in one flat array.
 
     Returns (roots, orders): order n fills n consecutive entries, strictly
     increasing, after the entries of lower orders; orders labels each entry.
-    Only the n // 2 positive zeros of each order are computed: seeded by
-    ``_root_seeds`` (the asymptotic initial guesses of Townsend, Trogdon and
-    Olver, IMA J. Numer. Anal. 36 (2016), from Tricomi's and Gatteschi's
-    formulas, each evaluated only on the entries that use it; see Gatteschi,
-    J. Comput. Appl. Math. 144 (2002)), then polished by two Newton steps
-    (``_newton_step``, whose recurrence is rescaled by a power of two every
-    ``_RESCALE_EVERY`` = 8 steps and grows by at most (n + 2 sqrt(n))^8 in
-    between) at every order and three more at orders <= 24, whose seeds are
-    the coarsest (up to 1.5e-3 off at n <= 10, 8e-5 at 11..24, 2e-6 at
-    n = 200). The pass count depends on the order alone, so an entry's value
-    depends only on its order and index. The
-    negative zeros mirror the positive ones exactly, and zero is the middle
-    entry of every odd order.
+    The positive zeros come from ``_positive_roots``, the negative ones
+    mirror them exactly, and zero is the middle entry of every odd order.
     """
+    x, _ = _positive_roots(n_max, n_min)
     ns = np.arange(n_min, n_max + 1)
     h = ns // 2
-    start = np.cumsum(ns) - ns
-    pos_orders = np.repeat(ns, h)
-    k = np.arange(pos_orders.size) - np.repeat(np.cumsum(h) - h, h)
-    x = _root_seeds(pos_orders, k + 1)
-    for _ in range(2):
-        x -= _newton_step(x, pos_orders)
-    small = np.searchsorted(pos_orders, 24, side="right")
-    for _ in range(3):
-        x[:small] -= _newton_step(x[:small], pos_orders[:small])
+    end = np.cumsum(ns)
+    pos = np.arange(x.size) + np.repeat(end - np.cumsum(h), h)
     roots = np.zeros(ns.sum())
-    roots[np.repeat(start + ns - h, h) + k] = x
-    roots[np.repeat(start + h - 1, h) - k] = -x
+    roots[pos] = x
+    roots[np.repeat(2 * end - ns - 1, h) - pos] = -x  # entry i of a row mirrors entry n - 1 - i
     return roots, np.repeat(ns, ns)
 
 
@@ -459,22 +476,17 @@ def gram_deviations(basis: AnisotropicBasis, max_order: int, shift) -> tuple:
     )
 
 
-def _nonzero_roots(n_max: int):
-    """The entries of ``_root_table(n_max)`` away from zero."""
-    roots, orders = _root_table(n_max)
-    keep = np.abs(roots) > 1e-10
-    return roots[keep], orders[keep]
-
-
 def cross_order_root_distances(n_max: int):
     """Yield (m, n, root, distance) per order pair 1 <= m < n <= n_max.
 
     root is the nonzero zero of the order-n polynomial closest to any
     nonzero zero of the order-m polynomial; distance is that gap. Pairs
     where one order has no nonzero zeros (order 1) are skipped. This is the
-    per-pair reference of ``root_gap_scan``.
+    per-pair reference of ``root_gap_scan``, on the full root table.
     """
-    roots, orders = _nonzero_roots(n_max)
+    roots, orders = _root_table(n_max)
+    keep = np.abs(roots) > 1e-10
+    roots, orders = roots[keep], orders[keep]
     nonzero = dict(enumerate(np.split(roots, np.searchsorted(orders, np.arange(2, n_max + 1))), start=1))
     for n in range(2, n_max + 1):
         rn = nonzero[n]
@@ -505,33 +517,38 @@ def common_zero_scan(n_max: int, tol: float = 1e-9):
 def root_gap_scan(n_max: int, tol: float = 1e-9):
     """The hits of common_zero_scan and the closest (m, n, root, distance)
     entry of cross_order_root_distances (the first one on ties, None when
-    there is no pair), from one sorted pass over the root table.
+    there is no pair), from one sorted pass over the positive zeros.
 
-    Sorted together, the nonzero roots of all orders put the closest pair
-    of different orders next to each other: a root between them would be
-    closer to one of the two. Every pair's gap is at least that one, so when
-    it exceeds tol times the largest root magnitude (at least 1) there is no
-    hit. Otherwise a hit is possible, or two roots coincide and adjacency
-    no longer orders the ties; then the hits and the closest entry both
-    come from the per-pair reference.
+    Sorted together, the roots of all orders put the closest pair of
+    different orders next to each other: a root between them would be
+    closer to one of the two. The positive half suffices. Negation is exact,
+    so every gap among the negative zeros is bitwise the mirror of one among
+    the positive zeros, and the only pair of the full table that straddles
+    zero is the smallest positive zero and its own mirror, of one order. On
+    tied gaps the reference yields first the lowest n, then the lowest m,
+    then the lowest root of order n: the mirror of the largest tied positive
+    one, so the pass takes the smallest (n, m, -x). Every pair's gap is at
+    least the closest one, so when it exceeds tol times the largest root
+    magnitude (at least 1) there is no hit. Otherwise a hit is possible, or
+    two roots coincide and adjacency no longer orders the ties; then the
+    hits and the closest entry both come from the per-pair reference.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    roots, orders = _nonzero_roots(n_max)
+    roots, orders = _positive_roots(n_max)
     by_value = np.argsort(roots, kind="stable")
     x, lab = roots[by_value], orders[by_value]
-    gaps = np.where(lab[1:] != lab[:-1], np.abs(np.diff(x)), np.inf)
-    d = gaps.min()
-    if d == np.inf:  # n_max == 2: order 1 has no nonzero zero
+    gaps = np.where(lab[1:] != lab[:-1], np.diff(x), np.inf)
+    d = gaps.min(initial=np.inf)
+    if d == np.inf:  # n_max == 2: order 2 has a single positive zero
         return [], None
-    if d > tol * max(1.0, float(np.abs(roots).max())):
-        # the reference yields the pairs by n, then m, then the root of order
-        # n; a tie between the neighbours below and above it leaves the entry
-        # unchanged
+    if d > tol * max(1.0, float(x[-1])):
+        # a tie between the neighbours below and above a root leaves the
+        # entry unchanged
         k = np.flatnonzero(gaps == d)
         hi = k + (lab[k + 1] > lab[k])  # the entry of the higher order
         lo = 2 * k + 1 - hi
-        n, m, r = min(zip(lab[hi].tolist(), lab[lo].tolist(), x[hi].tolist()))
+        n, m, r = min(zip(lab[hi].tolist(), lab[lo].tolist(), (-x[hi]).tolist()))
         return [], (m, n, r, float(d))
     out = []
     best = None

@@ -106,7 +106,10 @@ def _config_state(doc: dict, name: str, D: int, M: int) -> MomentState:
     where = f"{name} state"
     if (field(sdoc, "D", where, int, D), field(sdoc, "M", where, int, M)) != (D, M):
         raise ValueError(f"{where} dimensions must match the config (D={D}, M={M})")
-    return state_from_doc({"D": D, "M": M, **sdoc})
+    try:
+        return state_from_doc({"D": D, "M": M, **sdoc})
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def load_sim_config(path: str):

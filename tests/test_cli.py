@@ -553,6 +553,31 @@ class TestSingleScanConjecture:
         assert hits == []
         assert best == self._reference(200, ())[1]
 
+    # positive zeros per order with exact (dyadic) tied gaps of 0.25: order 6
+    # ties with one order at 1.0 and 3.0 and with the other on both sides of
+    # 5.0; the closest pair is (4, 6), at two roots in TIES_APART and at one
+    # root from both neighbours in TIES_AROUND
+    TIES_APART = {2: [8.0], 3: [10.0], 4: [1.25, 2.75], 5: [4.75, 5.25], 6: [1.0, 3.0, 5.0]}
+    TIES_AROUND = {2: [8.0], 3: [10.0], 4: [4.75, 5.25], 5: [1.25, 2.75], 6: [1.0, 3.0, 5.0]}
+
+    @pytest.mark.parametrize("rows,best6", [(TIES_APART, -3.0), (TIES_AROUND, -5.0)], ids=["apart", "around"])
+    def test_half_table_tie_rule(self, monkeypatch, rows, best6):
+        from hypermoment import hermite
+
+        def positive_roots(n_max, n_min=1):
+            ns = range(n_min, n_max + 1)
+            got = [rows.get(n, []) for n in ns]
+            assert [len(r) for r in got] == [n // 2 for n in ns]
+            return np.array(sum(got, []), dtype=float), np.repeat(list(ns), [len(r) for r in got])
+
+        monkeypatch.setattr(hermite, "_positive_roots", positive_roots)
+        for n_max, want in ((2, None), (3, (2, 3, -10.0, 2.0)), (6, (4, 6, best6, 0.25))):
+            tols = (0.0, 0.5)
+            want_hits, want_best = self._reference(n_max, tols)
+            assert want_best == want
+            for tol, hits in zip(tols, want_hits):
+                assert hermite.root_gap_scan(n_max, tol) == (hits, want_best), (n_max, tol)
+
     @staticmethod
     def _count_reference(monkeypatch):
         from hypermoment import hermite
@@ -670,6 +695,28 @@ class TestNumericalFailureExit:
         out = tmp_path / "s.csv"
         assert run(["spectrum", "--state", str(STATE), "--unregularized", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+
+    # admissible, but 2 rho overflows: the denominator of the order-M rows'
+    # density terms
+    OVERFLOW_STATE = {
+        "D": 2, "M": 4, "rho": 1.7e308, "u": [0.3, 1e10],
+        "p": [[0.25 * 1.7e308, 0.0], [0.0, 1e-5 * 1.7e308]],
+        "f": {"3,0": 0.05 * 1.7e308, "1,3": 0.01 * 1.7e308},
+    }
+
+    @pytest.mark.parametrize("flags", [[], ["--regularized"]], ids=["plain", "regularized"])
+    def test_overflowing_denominator_exits_2(self, tmp_path, capsys, flags):
+        import warnings
+
+        sf = write_json(tmp_path, "s.json", self.OVERFLOW_STATE)
+        out = tmp_path / "A.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["assemble", "--state", str(sf), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err
+        assert not out.exists()
 
 
 class TestSpeedBoundGuard:
@@ -941,8 +988,13 @@ class TestInputErrorLines:
             (["hyperbolicity", "--scan", "f3=0:1:2"], None, "0", "HYPERMOMENT_THREADS must be >= 1, got 0"),
             (["spectrum"], {"D": 1, "M": 3, "u": [0.3], "p": [[0.5]], "f": {}}, None,
              "state JSON missing field 'rho'"),
+            (["simulate"], sim_config(left={"u": [0.0], "p": [[1.0]], "f": {}}), None,
+             "left state: state JSON missing field 'rho'"),
+            (["simulate"], sim_config(right={"rho": 0.5, "u": [0.0], "p": [[0.5]], "f": {"2": "0.01"}}), None,
+             "right state: state JSON field has the wrong type: 'f' entry '2' must be a number, got \"0.01\""),
         ],
-        ids=["no-left", "no-nx", "left-list", "right-dims", "dir-size", "scan-steps", "threads-0", "no-rho"],
+        ids=["no-left", "no-nx", "left-list", "right-dims", "dir-size", "scan-steps", "threads-0", "no-rho",
+             "left-no-rho", "right-f-str"],
     )
     def test_exits_1(self, tmp_path, capsys, monkeypatch, argv, doc, threads, message):
         monkeypatch.delenv("HYPERMOMENT_THREADS", raising=False)

@@ -190,6 +190,13 @@ class TestRootTableOracle:
         assert np.isfinite(roots).all()
         assert np.array_equal(roots, _reference_root_table(monkeypatch, n, n))
 
+    def test_rescale_bound_at_order_10000(self, monkeypatch):
+        # 32 unrescaled steps stay within (n + 2 sqrt(n))^32, about 1.9e128,
+        # and above the subnormal range
+        roots = H.he_roots(10000)
+        assert np.isfinite(roots).all()
+        assert np.array_equal(roots, _reference_root_table(monkeypatch, 10000, 10000))
+
 
 class TestRootTable:
     def test_rows_are_he_roots(self):
