@@ -23,7 +23,8 @@ Data goes to --out (default stdout); diagnostics go to stderr. Exit status is
 inadmissible input state), and 2 on a numerical failure (admissibility loss
 during a run, a failed runtime guard or LAPACK call, a residual or identity
 check out of tolerance, scan violations, a riemann shock check whose
-conversion fails, after the report is written).
+conversion fails, after the report is written, a RuntimeWarning raised as
+an error).
 """
 
 from __future__ import annotations
@@ -192,17 +193,10 @@ def cmd_riemann(args) -> int:
 def cmd_simulate(args) -> int:
     config, left, right, kin = _load_sim_config(args.config)
     if args.oracle:
-        result = kinetic_reference(
-            config,
-            left,
-            right,
-            n_v=inputs.field(kin, "n_v", "kinetic", int, 64),
-            K=inputs.field(kin, "K", "kinetic", float, 6.0),
-        )
+        result = kinetic_reference(config, left, right, **kin)
     else:
         result = simulate(config, left, right)
-    rows = ([repr(float(v)) for v in row] for row in result.rows())
-    _write_csv(args.out, ["t", "x", "rho", "u1", "p11", "theta", "q1"], rows)
+    _write_csv(args.out, ["t", "x", "rho", "u1", "p11", "theta", "q1"], result.rows())
     return 0
 
 
@@ -332,10 +326,11 @@ def run(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (CFLViolation, RuntimeError, np.linalg.LinAlgError) as e:
+    except (CFLViolation, RuntimeError, RuntimeWarning, np.linalg.LinAlgError) as e:
         # numerical failure: AdmissibilityLoss and the solver's speed-bound
-        # guard are RuntimeErrors; LinAlgError, a ValueError, must not read
-        # as invalid input
+        # guard are RuntimeErrors; a RuntimeWarning reaches here only when
+        # warnings are raised as errors; LinAlgError, a ValueError, must not
+        # read as invalid input
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError) as e:

@@ -113,6 +113,8 @@ def _config_state(doc: dict, name: str, D: int, M: int) -> MomentState:
 
 
 def load_sim_config(path: str):
+    """(config, left, right, kin) of a simulation config file; kin holds the
+    keyword arguments n_v and K of the kinetic reference."""
     doc = _load_json(path)
     D = field(doc, "D", "config", int)
     M = field(doc, "M", "config", int)
@@ -140,7 +142,8 @@ def load_sim_config(path: str):
     )
     left = _config_state(doc, "left", D, M)
     right = _config_state(doc, "right", D, M)
-    kin = field(doc, "kinetic", "config", dict, {})
+    k = field(doc, "kinetic", "config", dict, {})
+    kin = {"n_v": field(k, "n_v", "kinetic", int, 64), "K": field(k, "K", "kinetic", float, 6.0)}
     return config, left, right, kin
 
 

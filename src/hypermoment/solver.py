@@ -9,6 +9,10 @@ closure flux difference plus the path integral of the regularization
 correction (assembly.path_integral, one midpoint node in packed w), with
 Rusanov dissipation on the conserved jump. The relaxation source is
 sub-stepped explicitly after transport.
+
+``simulate`` and ``kinetic_reference`` share one time march, ``_march``, and
+return the same ``Snapshots`` of the grid observables; ``SimulationResult``
+adds the final packed rows of the moment run.
 """
 
 from __future__ import annotations
@@ -286,31 +290,11 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, ta
 # -- driving and output --------------------------------------------------------
 
 
-class _Snapshots:
+@dataclass(frozen=True)
+class Snapshots:
     """Snapshot series on the grid: times (n_t,), x (nx,), and rho, u1, p11,
     theta, q1 (n_t, nx)."""
 
-    def rows(self):
-        """CSV rows (t, x, rho, u1, p11, theta, q1)."""
-        for j, t in enumerate(self.times):
-            for i, xi in enumerate(self.x):
-                yield (
-                    float(t),
-                    float(xi),
-                    float(self.rho[j, i]),
-                    float(self.u1[j, i]),
-                    float(self.p11[j, i]),
-                    float(self.theta[j, i]),
-                    float(self.q1[j, i]),
-                )
-
-
-@dataclass(frozen=True)
-class SimulationResult(_Snapshots):
-    """Snapshot series of the primary observables on the grid, and the
-    packed rows final_w (nx, N) of the last step."""
-
-    config: SimulationConfig
     times: np.ndarray
     x: np.ndarray
     rho: np.ndarray
@@ -318,6 +302,21 @@ class SimulationResult(_Snapshots):
     p11: np.ndarray
     theta: np.ndarray
     q1: np.ndarray
+
+    def rows(self) -> list:
+        """CSV rows [t, x, rho, u1, p11, theta, q1], time-major."""
+        n_t, nx = self.rho.shape
+        obs = (self.rho, self.u1, self.p11, self.theta, self.q1)
+        cols = [np.repeat(self.times, nx), np.tile(self.x, n_t)] + [a.ravel() for a in obs]
+        return np.column_stack(cols).tolist()
+
+
+@dataclass(frozen=True)
+class SimulationResult(Snapshots):
+    """Snapshots of the moment solver, and the packed rows final_w (nx, N)
+    of the last step."""
+
+    config: SimulationConfig
     final_w: np.ndarray
 
     @cached_property
@@ -325,6 +324,23 @@ class SimulationResult(_Snapshots):
         """The final cells as MomentState, built on first access."""
         D, M = self.config.D, self.config.M
         return tuple(MomentState.from_w(D, M, w) for w in self.final_w)
+
+
+def _march(config: SimulationConfig, state, advance, observe):
+    """The time march of both runs. advance(state, dt_cap) takes one step of
+    at most dt_cap and returns (state, dt); steps are taken up to each of the
+    n_snapshots evenly spaced times in [0, t_end], where observe(state)
+    gives the tuple of observables. Returns the times, each observable
+    stacked over them, and the final state."""
+    times = np.linspace(0.0, config.t_end, config.n_snapshots)
+    snaps = [observe(state)]
+    t = 0.0
+    for target in times[1:]:
+        while t < target - 1e-12 * config.t_end:
+            state, dt = advance(state, target - t)
+            t += dt
+        snaps.append(observe(state))
+    return times, [np.stack(arrs) for arrs in zip(*snaps)], state
 
 
 def _snapshot(W: np.ndarray, D: int, M: int):
@@ -346,30 +362,16 @@ def simulate(config: SimulationConfig, left: MomentState, right: MomentState) ->
         if (st.D, st.M) != (config.D, config.M):
             raise ValueError(f"{name} state dimensions do not match the configuration")
     D, M = config.D, config.M
+
+    def advance(carry, cap):
+        W, table = carry
+        speeds = _signal_speeds(W, D, M)
+        dt = min(config.cfl * config.grid.dx / float(speeds.max()), cap)
+        return _advance(W, dt, config, speeds, table), dt
+
     W = np.array([c.w for c in riemann_cells(config, left, right)])
-    times = np.linspace(0.0, config.t_end, config.n_snapshots)
-    snaps = [_snapshot(W, D, M)]
-    t = 0.0
-    table = None
-    for target in times[1:]:
-        while t < target - 1e-12 * config.t_end:
-            speeds = _signal_speeds(W, D, M)
-            dt = min(config.cfl * config.grid.dx / float(speeds.max()), target - t)
-            W, table = _advance(W, dt, config, speeds, table)
-            t += dt
-        snaps.append(_snapshot(W, D, M))
-    stack = [np.stack(arrs) for arrs in zip(*snaps)]
-    return SimulationResult(
-        config=config,
-        times=times,
-        x=config.grid.centers,
-        rho=stack[0],
-        u1=stack[1],
-        p11=stack[2],
-        theta=stack[3],
-        q1=stack[4],
-        final_w=W,
-    )
+    times, obs, (W, _) = _march(config, (W, None), advance, lambda c: _snapshot(c[0], D, M))
+    return SimulationResult(times, config.grid.centers, *obs, config=config, final_w=W)
 
 
 # -- discrete-velocity kinetic reference ----------------------------------------
@@ -440,22 +442,6 @@ def build_oracle(
     return KineticOracle(v=v, dv=dv, f=f.copy())
 
 
-@dataclass(frozen=True)
-class KineticResult(_Snapshots):
-    """Moment snapshot series of the kinetic reference run."""
-
-    times: np.ndarray
-    x: np.ndarray
-    rho: np.ndarray
-    u1: np.ndarray
-    p11: np.ndarray
-    q1: np.ndarray
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.p11 / self.rho
-
-
 def _maxwellian(rho, u, theta, v):
     c = v[None, :] - u[:, None]
     norm = rho / np.sqrt(2.0 * np.pi * theta)
@@ -468,7 +454,7 @@ def kinetic_reference(
     right: MomentState,
     n_v: int = 64,
     K: float = 6.0,
-) -> KineticResult:
+) -> Snapshots:
     """Upwind discrete-velocity run of the same Riemann problem.
 
     First-order transport per velocity point plus pointwise relaxation
@@ -481,44 +467,35 @@ def kinetic_reference(
     grid = config.grid
     oracle = build_oracle(grid, left, right, n_v=n_v, K=K)
     v, dv = oracle.v, oracle.dv
-    f = oracle.f
     nx, dx = grid.nx, grid.dx
     nu = config.collision.nu
     vp = np.maximum(v, 0.0)
     vm = np.minimum(v, 0.0)
     lg, rg = (nx - 1, 0) if grid.boundary == "periodic" else (0, nx - 1)
-
-    times = np.linspace(0.0, config.t_end, config.n_snapshots)
-    snaps = [_kinetic_moments(f, v, dv)]
-    clip_peak = 0.0
     dt_max = config.cfl * dx / float(np.max(np.abs(v)))
-    t = 0.0
-    for target in times[1:]:
-        while t < target - 1e-12 * config.t_end:
-            dt = min(dt_max, target - t)
-            fp = np.vstack([f[lg], f, f[rg]])
-            flux = vp * fp[:-1] + vm * fp[1:]
-            f = f - dt / dx * (flux[1:] - flux[:-1])
-            if nu > 0.0:
-                rho, u, p, _ = _kinetic_moments(f, v, dv)
-                g = _maxwellian(rho, u, p / rho, v)
-                f = g + (f - g) * math.exp(-nu * dt)
-            t += dt
-            edge = np.abs(f[:, 0]).sum() + np.abs(f[:, -1]).sum()
-            clip_peak = max(clip_peak, float(edge / np.abs(f).sum()))
-        snaps.append(_kinetic_moments(f, v, dv))
+
+    def advance(carry, cap):
+        f, clip_peak = carry
+        dt = min(dt_max, cap)
+        fp = np.vstack([f[lg], f, f[rg]])
+        flux = vp * fp[:-1] + vm * fp[1:]
+        f = f - dt / dx * (flux[1:] - flux[:-1])
+        if nu > 0.0:
+            rho, u, p, _ = _kinetic_moments(f, v, dv)
+            g = _maxwellian(rho, u, p / rho, v)
+            f = g + (f - g) * math.exp(-nu * dt)
+        edge = np.abs(f[:, 0]).sum() + np.abs(f[:, -1]).sum()
+        return (f, max(clip_peak, float(edge / np.abs(f).sum()))), dt
+
+    def observe(carry):
+        rho, u, p, q = _kinetic_moments(carry[0], v, dv)
+        return rho, u, p, p / rho, q
+
+    times, obs, (_, clip_peak) = _march(config, (oracle.f, 0.0), advance, observe)
     if clip_peak > 1e-6:
         warnings.warn(
             f"velocity domain clipping: boundary mass fraction {clip_peak:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
-    stack = [np.stack(arrs) for arrs in zip(*snaps)]
-    return KineticResult(
-        times=times,
-        x=grid.centers,
-        rho=stack[0],
-        u1=stack[1],
-        p11=stack[2],
-        q1=stack[3],
-    )
+    return Snapshots(times, grid.centers, *obs)

@@ -339,6 +339,26 @@ class TestSimulate:
         assert header == ["t", "x", "rho", "u1", "p11", "theta", "q1"]
         assert len(rows) == 2 * 16
 
+    @pytest.mark.parametrize(
+        "config,flags,golden",
+        [
+            ("simulate_d1m6_tube", [], "simulate_d1m6_tube"),
+            ("simulate_d2m4_esbgk", [], "simulate_d2m4_esbgk"),
+            ("simulate_d1m6_tube", ["--oracle"], "simulate_d1m6_tube_oracle"),
+        ],
+        ids=["tube", "esbgk", "tube-oracle"],
+    )
+    def test_matches_golden(self, tmp_path, config, flags, golden):
+        # parsed, not byte-compared: the kinetic moments go through BLAS
+        dst = tmp_path / "run.csv"
+        assert run(["simulate", "--config", str(GOLDEN / f"{config}.json"), *flags, "--out", str(dst)]) == 0
+        header, rows = read_rows(dst)
+        gheader, grows = read_rows(GOLDEN / f"{golden}.csv")
+        assert header == gheader == ["t", "x", "rho", "u1", "p11", "theta", "q1"]
+        got, want = np.array(rows, dtype=float), np.array(grows, dtype=float)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
     def test_admissibility_loss_exits_2(self, tmp_path, capsys):
         doc = sim_config(
             M=3,
@@ -696,6 +716,36 @@ class TestNumericalFailureExit:
         assert run(["spectrum", "--state", str(STATE), "--unregularized", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
+    # colliding streams heat the gas past the initial velocity span
+    CLIPPING_CONFIG = sim_config(
+        M=3,
+        grid={"nx": 24},
+        t_end=0.08,
+        collision={"nu": 50.0},
+        left={"rho": 1.0, "u": [2.0], "p": [[1.0]], "f": {}},
+        right={"rho": 1.0, "u": [-2.0], "p": [[1.0]], "f": {}},
+        kinetic={"n_v": 64, "K": 6.0},
+    )
+
+    def test_clipping_warning_as_error_exits_2(self, tmp_path, capsys):
+        import warnings
+
+        cf = write_json(tmp_path, "sim.json", self.CLIPPING_CONFIG)
+        out = tmp_path / "kin.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["simulate", "--config", str(cf), "--oracle", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: velocity domain clipping: boundary mass fraction 1.677e-04\n"
+        assert not out.exists()
+
+    def test_clipping_warning_still_writes(self, tmp_path):
+        cf = write_json(tmp_path, "sim.json", self.CLIPPING_CONFIG)
+        out = tmp_path / "kin.csv"
+        with pytest.warns(RuntimeWarning, match="velocity domain clipping"):
+            assert run(["simulate", "--config", str(cf), "--oracle", "--out", str(out)]) == 0
+        assert len(read_rows(out)[1]) == 2 * 24
+
     # admissible, but 2 rho overflows: the denominator of the order-M rows'
     # density terms
     OVERFLOW_STATE = {
@@ -793,6 +843,22 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kinetic,message",
+        [
+            ({"n_v": "abc"}, 'kinetic field \'n_v\' must be a number, got "abc"'),
+            ({"n_v": 64.5}, "kinetic field 'n_v' must be an integer, got 64.5"),
+            ({"K": [6.0]}, "kinetic field 'K' must be a number, got [6.0]"),
+        ],
+        ids=["n_v-str", "n_v-frac", "K-list"],
+    )
+    def test_kinetic_block_is_read_without_oracle(self, tmp_path, capsys, kinetic, message):
+        cf = write_json(tmp_path, "sim.json", sim_config(kinetic=kinetic))
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("K", [float("inf"), float("nan")])

@@ -185,7 +185,7 @@ class TestRootTableOracle:
 
     @pytest.mark.parametrize("n", [500, 1000, 2000])
     def test_high_orders(self, monkeypatch, n):
-        # eight unrescaled steps grow the pair by up to (n + 2 sqrt(n))^8
+        # 32 unrescaled steps grow the pair by up to (n + 2 sqrt(n))^32
         roots = H.he_roots(n)
         assert np.isfinite(roots).all()
         assert np.array_equal(roots, _reference_root_table(monkeypatch, n, n))

@@ -16,6 +16,7 @@ from hypermoment.solver import (
     CFLViolation,
     Grid1D,
     SimulationConfig,
+    Snapshots,
     build_oracle,
     grad_flux,
     interface_state,
@@ -337,6 +338,27 @@ class TestSimulate:
         assert len(rows) == 4 * 6
         assert all(len(r) == 7 for r in rows)
         assert len(res.final_states) == 6
+
+    def test_rows_are_the_snapshot_entries(self):
+        g = Grid1D(nx=5, boundary="copy")
+        cfg = SimulationConfig(
+            D=1, M=3, grid=g, t_end=0.02, collision=CollisionModel(nu=1.0), n_snapshots=3
+        )
+        L = MomentState(D=1, M=3, rho=1.0, u=[0.2], p=[[1.0]], f={(3,): 0.05})
+        R = equilibrium(1, 3, 0.5, [0.0], [[0.4]])
+        kin = kinetic_reference(cfg, L, R, n_v=64)
+        assert type(kin) is Snapshots
+        assert np.array_equal(kin.theta, kin.p11 / kin.rho)
+        for res in (simulate(cfg, L, R), kin):
+            obs = (res.rho, res.u1, res.p11, res.theta, res.q1)
+            want = [
+                [float(t), float(xi)] + [float(a[j, i]) for a in obs]
+                for j, t in enumerate(res.times)
+                for i, xi in enumerate(res.x)
+            ]
+            rows = res.rows()
+            assert [list(map(repr, r)) for r in rows] == [list(map(repr, r)) for r in want]
+            assert all(type(v) is float for r in rows for v in r)
 
     def test_final_states_built_on_first_access(self, monkeypatch):
         cfg, L, R, _ = _load_sim_config(str(GOLDEN / "simulate_d1m6_tube.json"))
