@@ -53,10 +53,10 @@ def _term_values(terms: tuple, X: np.ndarray) -> np.ndarray:
     overflow warning first."""
     _, num, feat, den, den_feat = terms
     with np.errstate(over="ignore"):
-        q = den * X[:, den_feat]
+        q = den * X.take(den_feat, axis=1)
     if not np.isfinite(q).all():
         raise RuntimeError("a coefficient-matrix term has a denominator that is not finite (overflow)")
-    return num * X[:, feat] / q
+    return num * X.take(feat, axis=1) / q
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,8 @@ def _features(W: np.ndarray, D: int, M: int, d: int):
     rho, _, p = _unpack(W, D, M)
     th = p / rho[:, None, None]
     fx = free_values(W, D, M)
+    # an advanced index, not a take: the D x D sum adds in the order of its
+    # memory layout, and a take's C order would change the last bits
     corr = (th[:, None] * fx[:, g.raised2[g.top :]]).sum(axis=(-2, -1))
     n = W.shape[0]
     return th, fx, [np.ones((n, 1)), rho[:, None], p.reshape(n, -1), th.reshape(n, -1), fx, corr]
@@ -195,8 +197,8 @@ def assemble_batch(W: np.ndarray, D: int, M: int, d: int, regularized: bool = Fa
     dx = d - 1
     n = W.shape[0]
     th, fx, cols = _features(W, D, M, d)
-    c = sum(th[:, k, dx, None, None, None] * fx[:, g.down3[..., k]] for k in range(D))
-    c = c + g.mult[:, None, None] * fx[:, g.raised2]
+    c = sum(th[:, k, dx, None, None, None] * fx.take(g.down3[..., k], axis=1) for k in range(D))
+    c = c + g.mult[:, None, None] * fx.take(g.raised2, axis=1)
     acc = sum(th[:, i, j, None] * c[:, :, i, j] for i in range(D) for j in range(D))
     X = np.concatenate(cols + [c.reshape(n, -1), acc], axis=1)
     terms = g.regularized if regularized else g.terms
@@ -218,10 +220,10 @@ def regularization_correction_batch(W: np.ndarray, D: int, M: int, d: int) -> np
     (the correction groups of _row_tables)."""
     N = _packing(D, M).N
     terms = _row_tables(D, M, d).correction
-    rows, cols = np.divmod(terms[0], N + 1)
-    A = np.zeros(W.shape + (N,))
-    A[:, rows, cols] = _term_values(terms, np.concatenate(_features(W, D, M, d)[2], axis=1))
-    return A
+    n = W.shape[0]
+    A = np.zeros((n, N, N + 1))
+    A.reshape(n, -1)[:, terms[0]] = _term_values(terms, np.concatenate(_features(W, D, M, d)[2], axis=1))
+    return np.ascontiguousarray(A[:, :, :N])
 
 
 def path_integral(WL: np.ndarray, WR: np.ndarray, D: int, M: int, nodes, weights) -> np.ndarray:
@@ -290,9 +292,9 @@ def source_batch(W: np.ndarray, D: int, M: int, model: CollisionModel) -> np.nda
     rho = W[:, 0][:, None]
     nu = model.nu
     S = np.zeros_like(W)
-    S[:, t.upper_slots] = nu * G[:, t.upper_slots]
-    val = G[:, rows] - fx[:, rows]
-    coupling = G[:, None, slots] * fx[:, down] / rho[:, :, None]
+    S[:, t.upper_slots] = nu * G.take(t.upper_slots, axis=1)
+    val = G.take(rows, axis=1) - fx.take(rows, axis=1)
+    coupling = G.take(slots, axis=1)[:, None] * fx.take(down, axis=1) / rho[:, :, None]
     for k in range(len(slots)):
         val = val + coupling[:, :, k]
     S[:, rows] = nu * val

@@ -20,11 +20,12 @@ Subcommands:
 
 Data goes to --out (default stdout); diagnostics go to stderr. Exit status is
 0 on success, 1 on a validation error (bad arguments, malformed input, an
-inadmissible input state), and 2 on a numerical failure (admissibility loss
+inadmissible input state), and 2 on a numerical failure: admissibility loss
 during a run, a failed runtime guard or LAPACK call, a residual or identity
 check out of tolerance, scan violations, a riemann shock check whose
-conversion fails, after the report is written, a RuntimeWarning raised as
-an error).
+conversion fails (after the report is written), a NaN or an infinity in a
+JSON report (which is then not written), or a RuntimeWarning raised as an
+error.
 """
 
 from __future__ import annotations
@@ -79,9 +80,13 @@ def _write_csv(out, header, rows) -> None:
 
 
 def _write_json(out, doc) -> None:
-    """Indented strict JSON of doc to --out, newline-terminated; a NaN or an
-    infinity raises ValueError before anything is written."""
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    """Indented strict JSON of doc to --out, newline-terminated. A NaN or an
+    infinity in doc is a numerical failure: RuntimeError, before anything
+    is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise RuntimeError(f"the report holds a number that is not finite ({e})") from None
     with _open_out(out) as fh:
         fh.write(text + "\n")
 

@@ -277,23 +277,23 @@ def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet, u: np.ndarray = Non
     L = Lambda.reshape(-1, D, D)
     steps = raising_tables(D, set_.M)
     axis, mult = _raising_coeffs(D, set_.M)
-    coef = L[:, axis] * mult
+    coef = L.take(axis, axis=1) * mult
     if u is None:
         steps = steps[1::2]
     else:
         u = np.asarray(u, dtype=float)
         batch = batch or u.shape[:-1]
-        shift = u.reshape(-1, D)[:, axis]
+        shift = u.reshape(-1, D).take(axis, axis=1)
     mu = np.zeros((math.prod(batch), N + 1))
     mu[:, 0] = 1.0
     for step in steps:
         lo, hi = step.lo - 1, step.hi - 1
-        terms = coef[:, lo:hi] * mu[:, step.down]
+        terms = coef[:, lo:hi] * mu.take(step.down, axis=1)
         acc = terms[:, :, 0]
         for j in range(1, D):
             acc = acc + terms[:, :, j]
         if u is not None:
-            acc = acc + shift[:, lo:hi] * mu[:, step.base]
+            acc = acc + shift[:, lo:hi] * mu.take(step.base, axis=1)
         mu[:, step.lo : step.hi] = acc
     return mu[:, :N].reshape(batch + (N,))
 

@@ -69,6 +69,11 @@ class Grid1D:
             raise ValueError(f"domain bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if not self.x_max > self.x_min:
             raise ValueError("domain must have positive length")
+        if not (math.isfinite(self.dx) and self.dx > 0.0):
+            raise ValueError(
+                f"cell width {self.dx} of [{self.x_min}, {self.x_max}] over {self.nx} cells"
+                " must be finite and positive"
+            )
         if self.boundary not in ("copy", "periodic"):
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
 
@@ -156,16 +161,27 @@ def _spectral_bound_check(packed):
 def _relax(W: np.ndarray, dt: float, D: int, M: int, model: CollisionModel) -> np.ndarray:
     """Explicit relaxation sub-steps with dt_sub <= 1/(2 nu), all cells at once.
 
-    Raises AdmissibilityError naming the lowest cell that leaves the
-    admissible set in any sub-step.
+    W's rows are admissible. A sub-step is checked only on the rows where
+    it moved a rank below order 3 (rho, u or p) or left an entry that is
+    not finite: every other row keeps the density and pressure tensor that
+    passed already. Raises AdmissibilityError naming the lowest cell that
+    leaves the admissible set in any sub-step.
     """
     n_sub = max(1, math.ceil(2.0 * model.nu * dt))
     h = dt / n_sub
+    low = _packing(D, M).span[2][1]
     start = W
     try:
         for _ in range(n_sub):
-            W = W + h * source_batch(W, D, M, model)
-            _check_rows(W, D, M)
+            Wn = W + h * source_batch(W, D, M, model)
+            moved = (Wn[:, :low] != W[:, :low]).any(axis=1) | ~np.isfinite(Wn).all(axis=1)
+            W, rows = Wn, np.flatnonzero(moved)
+            if rows.size:
+                try:
+                    _check_rows(W[rows], D, M)
+                except AdmissibilityError as e:
+                    e.cell = int(rows[e.cell])
+                    raise
     except AdmissibilityError as e:
         if e.cell and n_sub > 1:
             # a lower cell may still fail in a later sub-step
@@ -218,8 +234,8 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, ta
     """``step`` on packed rows W (nx, N) already checked admissible, without
     the entry check. Every row it returns has passed the conversion from
     conserved moments (finite, rho > 0, positive definite implied Theta)
-    and, when nu > 0, the pressure-tensor check of ``_relax``, so
-    ``simulate`` feeds it back as is.
+    and, when nu > 0 and relaxation moved it, the pressure-tensor check of
+    ``_relax``, so ``simulate`` feeds it back as is.
 
     Returns the new rows and their order-(M+1) Gaussian table, which the
     conversion builds and the next step's ``_moments_and_flux`` reads
@@ -246,7 +262,7 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, ta
     lg, rg = (nx - 1, 0) if grid.boundary == "periodic" else (0, nx - 1)
     pad = np.arange(-1, nx + 1)
     pad[0], pad[-1] = lg, rg
-    Fp, Gp, Wp, sp = F[pad], G[pad], W[pad], speeds[pad]
+    Fp, Gp, Wp, sp = (a.take(pad, axis=0) for a in (F, G, W, speeds))
 
     a_if = np.maximum(sp[:-1], sp[1:])  # (nx+1,) interface dissipation speeds
     dF = Fp[1:] - Fp[:-1]

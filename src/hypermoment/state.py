@@ -143,6 +143,9 @@ def _unpack(W: np.ndarray, D: int, M: int):
     """Density (n,), velocity (n, D) and pressure tensor (n, D, D) of the
     packed rows W (n, N)."""
     t = _packing(D, M)
+    # the pressure gather stays an advanced index, not a take: its layout
+    # carries into the D x D sums of assembly._features, whose order of
+    # addition, and so whose last bits, follow the memory layout
     return W[:, 0], W[:, t.vel], W[:, t.pair] * t.scale
 
 
@@ -379,7 +382,8 @@ def _convolve(f: np.ndarray, g: np.ndarray, D: int, M: int, lo: int, hi: int) ->
     sum_{alpha <= beta} f_alpha g_{beta-alpha}, for stacked rows f and g."""
     a, _, d, start = _pair_table(D, M)
     s0, s1 = start[lo], start[hi]
-    return np.add.reduceat(f[:, a[s0:s1]] * g[:, d[s0:s1]], start[lo:hi] - s0, axis=1)
+    terms = f.take(a[s0:s1], axis=1) * g.take(d[s0:s1], axis=1)
+    return np.add.reduceat(terms, start[lo:hi] - s0, axis=1)
 
 
 def moment_table(Theta: np.ndarray, set_: IndexSet) -> np.ndarray:
@@ -458,14 +462,17 @@ def _moments_and_flux(W: np.ndarray, D: int, M: int, table: np.ndarray = None):
     """
     up, mult = _lift_ranks(D, M)
     n, N = W.shape
-    N1 = IndexSet(D, M + 1).N
-    lifted = np.zeros((n, N1))
-    lifted[:, :N] = W
     if table is None:
-        rho, u, p = _unpack(lifted, D, M + 1)
+        rho, u, p = _unpack(W, D, M)
         table = _gaussian_table(p / rho[:, None, None], u, D, M + 1)
-    Fl = _convolve(free_values(lifted, D, M + 1), table, D, M + 1, 0, N1)
-    return Fl[:, :N], mult * Fl[:, up]
+    N1 = table.shape[1]
+    # free_values of W lifted one order: ranks are graded, so it is W with
+    # orders 1 and 2 zeroed, padded with zeros at order M + 1 and rank N1
+    fx = np.zeros((n, N1 + 1))
+    fx[:, :N] = W
+    fx[:, _packing(D, M).low] = 0.0
+    Fl = _convolve(fx, table, D, M + 1, 0, N1)
+    return Fl[:, :N], mult * Fl.take(up, axis=1)
 
 
 def to_conserved(state: MomentState) -> ConservedMoments:
@@ -492,8 +499,8 @@ def _from_conserved(F: np.ndarray, D: int, M: int):
     t = _packing(D, M)
     rho = F[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = F[:, t.vel] / rho[:, None]
-        p = t.scale * F[:, t.pair] - u[:, :, None] * u[:, None, :] * rho[:, None, None]
+        u = F.take(t.vel, axis=1) / rho[:, None]
+        p = t.scale * F.take(t.pair, axis=1) - u[:, :, None] * u[:, None, :] * rho[:, None, None]
         Theta = p / rho[:, None, None]
     _check_cells(Theta, "scale tensor", rho, np.isfinite(F).all(axis=1), "implied ")
     g = _gaussian_table(Theta, u, D, M + 1)
@@ -504,8 +511,8 @@ def _from_conserved(F: np.ndarray, D: int, M: int):
     for lo, hi in t.span[3:]:
         fvec[:, lo:hi] = F[:, lo:hi] - _convolve(fvec, g, D, M, lo, hi)
     W = _pack(rho, u, p, fvec, D, M)
-    bad = ~np.isfinite(W).all(axis=1)
-    if bad.any():
+    if not np.isfinite(W).all():
+        bad = ~np.isfinite(W).all(axis=1)
         raise AdmissibilityError("implied state has non-finite entries", cell=int(np.argmax(bad)))
     return W, g
 

@@ -282,6 +282,19 @@ class TestRiemann:
         doc = json.loads(dst.read_text(), parse_constant=reject)
         assert doc["shock"]["density_pressure_product"] is None
 
+    def test_non_finite_report_exits_2_without_writing(self, tmp_path, monkeypatch, capsys):
+        import hypermoment.cli as cli
+
+        monkeypatch.setattr(
+            cli, "wave_report", lambda left, right, tol: {"shock": None, "speed": float("nan")}
+        )
+        dst = tmp_path / "wave.json"
+        assert run(["riemann", "--left", str(STATE), "--right", str(STATE), "--out", str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the report holds a number that is not finite")
+        assert err.count("\n") == 1
+        assert not dst.exists()
+
     def test_json_syntax_error_names_the_file(self, tmp_path, capsys):
         rf = tmp_path / "broken.json"
         rf.write_text('{"D": 1,')
@@ -821,6 +834,18 @@ class TestMalformedConfig:
         out = tmp_path / "run.csv"
         assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid", [{"nx": 16, "x_min": -1e308, "x_max": 1e308}, {"nx": 16, "x_max": 5e-324}]
+    )
+    def test_cell_width_out_of_float_range_exits_1(self, tmp_path, capsys, grid):
+        cf = write_json(tmp_path, "sim.json", sim_config(grid=grid))
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--config", str(cf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell width ")
+        assert err.endswith(" must be finite and positive\n") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from helpers import random_state
 
 from hypermoment.assembly import assemble, regularize
 from hypermoment.cli import _load_sim_config
+from hypermoment import solver as solver_module
 from hypermoment.index import order
 from hypermoment.solver import (
     AdmissibilityLoss,
@@ -27,8 +28,11 @@ from hypermoment.solver import (
     step,
 )
 from hypermoment.state import (
+    AdmissibilityError,
     CollisionModel,
     MomentState,
+    _check_rows,
+    _packing,
     equilibrium,
     heat_flux,
     to_conserved,
@@ -122,6 +126,15 @@ class TestGridAndConfig:
             Grid1D(nx=8, x_min=1.0, x_max=1.0)
         with pytest.raises(ValueError):
             Grid1D(nx=8, boundary="reflect")
+
+    @pytest.mark.parametrize(
+        "x_min,x_max,width", [(-1e308, 1e308, "inf"), (0.0, 5e-324, "0.0")]
+    )
+    def test_cell_width_must_be_finite_and_positive(self, x_min, x_max, width):
+        # the bounds are finite and ordered, but their difference overflows
+        # or the width underflows to zero
+        with pytest.raises(ValueError, match=f"cell width {width} .* must be finite and positive"):
+            Grid1D(nx=24, x_min=x_min, x_max=x_max)
 
     def test_config_validation(self):
         g = Grid1D(nx=8)
@@ -299,7 +312,8 @@ class TestStep:
 
 
     def test_bgk_step_makes_three_eigensolves(self, monkeypatch):
-        # entry check, implied scale tensor, one relaxation sub-step; the
+        # entry check and implied scale tensor; BGK at D = 1 moves no rank
+        # below order 3, so the relaxation sub-step checks no row, and the
         # target covariance of a D = 1 row needs no check
         cfg = SimulationConfig(
             D=1, M=6, grid=Grid1D(nx=8), t_end=1.0, collision=CollisionModel(nu=1.0)
@@ -311,6 +325,83 @@ class TestStep:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda T: calls.append(1) or real(T))
         step(W, 0.5 * cfg.grid.dx / max_signal_speed(L), cfg)
         assert 1 <= len(calls) <= 3
+
+
+def relaxation_failure(monkeypatch, D, nu, bumps):
+    """Step an M = 3 tube on 8 cells through a source_batch whose i-th call
+    adds bumps[i], a (row, rank, jump) triple or None: the row's entry at
+    that rank moves by jump in the sub-step. Returns the AdmissibilityLoss
+    and the (rows in, rows out) of every sub-step."""
+    M = 3
+    cfg = SimulationConfig(
+        D=D, M=M, grid=Grid1D(nx=8), t_end=1.0, collision=CollisionModel(nu=nu)
+    )
+    L = equilibrium(D, M, 1.0, [0.1] * D, np.eye(D))
+    R = equilibrium(D, M, 0.5, [0.0] * D, 0.8 * np.eye(D))
+    W = np.array([c.w for c in riemann_cells(cfg, L, R)])
+    dt = 0.5 * cfg.grid.dx / max(max_signal_speed(L), max_signal_speed(R))
+    h = dt / max(1, math.ceil(2.0 * nu * dt))
+    real = solver_module.source_batch
+    subs = []
+
+    def source(Wk, D, M, model):
+        S = real(Wk, D, M, model)
+        bump = bumps[len(subs)] if len(subs) < len(bumps) else None
+        if bump is not None:
+            row, rank, jump = bump
+            S[row, rank] += jump / h
+        subs.append((Wk, Wk + h * S))
+        return S
+
+    monkeypatch.setattr(solver_module, "source_batch", source)
+    with pytest.raises(AdmissibilityLoss, match="during relaxation") as err:
+        step(W, dt, cfg)
+    return err.value, subs
+
+
+def full_check_error(W, D):
+    """The AdmissibilityError of a check of every row of W."""
+    with pytest.raises(AdmissibilityError) as err:
+        _check_rows(W, D, 3)
+    return err.value
+
+
+class TestRelaxationCheck:
+    """The relaxation checks only the rows whose rho, u or p moved in a
+    sub-step, or that hold a non-finite entry; a failure names the cell,
+    with the message, that a check of every row gives."""
+
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_non_positive_pressure_names_the_cell(self, monkeypatch, D):
+        slot = _packing(D, 3).upper_slots[0]
+        loss, subs = relaxation_failure(monkeypatch, D, 1.0, [(5, slot, -10.0)])
+        expected = full_check_error(subs[0][1], D)
+        assert loss.cell == expected.cell == 5
+        assert str(loss) == f"cell 5 left the admissible set during relaxation: {expected}"
+
+    def test_non_finite_coefficient_of_an_unmoved_row(self, monkeypatch):
+        # BGK at D = 1 moves no rank below order 3: row 4 keeps its rho, u
+        # and p, and only its order-3 coefficient becomes infinite
+        free = _packing(1, 3).free[0]
+        loss, subs = relaxation_failure(monkeypatch, 1, 1.0, [(4, free, math.inf)])
+        before, after = subs[0]
+        low = _packing(1, 3).span[2][1]
+        np.testing.assert_array_equal(after[:, :low], before[:, :low])
+        expected = full_check_error(after, 1)
+        assert loss.cell == expected.cell == 4
+        assert str(loss) == f"cell 4 left the admissible set during relaxation: {expected}"
+        assert "non-finite" in str(loss)
+
+    def test_lower_cell_of_a_later_sub_step(self, monkeypatch):
+        # sub-step 1 breaks cell 5; replayed on cells 0..4, sub-step 2
+        # breaks cell 2, the lowest cell that leaves the admissible set
+        slot = _packing(1, 3).upper_slots[0]
+        bumps = [(5, slot, -10.0), None, (2, slot, -10.0)]
+        loss, subs = relaxation_failure(monkeypatch, 1, 200.0, bumps)
+        assert len(subs[2][1]) == 5
+        expected = full_check_error(subs[2][1], 1)
+        assert loss.cell == expected.cell == 2
+        assert str(loss) == f"cell 2 left the admissible set during relaxation: {expected}"
 
 
 class TestSimulate:
