@@ -67,11 +67,11 @@ class _RowTables:
     mult, alpha_d + 1; down2[i, j] and down3[i, j, k], the ranks of
     alpha - e_i - e_j and alpha - e_i - e_j - e_k; raised2[i, j], of
     alpha + e_d - e_i - e_j. The order-M rows start at top. Rank N stands
-    for a void or out-of-set index: it reads a zero from free_values and
-    writes to a sink column that is dropped.
+    for a void or out-of-set index: it reads a zero from free_values, and a
+    term in its column is dropped when the groups are compiled.
 
     terms holds the term groups of A^(d) compiled for _term_values, with
-    flat targets r (N + 1) + c, group after group; correction those of its
+    flat targets r N + c, group after group; correction those of its
     regularization correction, and regularized both, the correction last.
     """
 
@@ -113,7 +113,8 @@ def _row_tables(D: int, M: int, d: int) -> _RowTables:
     ONE, RHO, P, TH, FX, CORR, C, ACC = np.cumsum([0, 1, 1, DD, DD, N + 1, ntop, nf * DD])
 
     def group(rows, cols, num, feat, den=1.0, den_feat=ONE):
-        return [a.ravel() for a in np.broadcast_arrays(rows * (N + 1) + cols, num, feat, den, den_feat)]
+        rows, cols, *rest = np.broadcast_arrays(rows, cols, num, feat, den, den_feat)
+        return [a[cols < N] for a in [rows * N + cols] + rest]  # a void column has no entry
 
     def compile_(groups):
         target, num, feat, den, den_feat = (np.concatenate(col) for col in zip(*groups))
@@ -202,10 +203,8 @@ def assemble_batch(W: np.ndarray, D: int, M: int, d: int, regularized: bool = Fa
     acc = sum(th[:, i, j, None] * c[:, :, i, j] for i in range(D) for j in range(D))
     X = np.concatenate(cols + [c.reshape(n, -1), acc], axis=1)
     terms = g.regularized if regularized else g.terms
-    size = N * (N + 1)
-    flat = (np.arange(n)[:, None] * size + terms[0]).ravel()
-    A = np.bincount(flat, _term_values(terms, X).ravel(), n * size)
-    return np.ascontiguousarray(A.reshape(n, N, N + 1)[:, :, :N])
+    flat = (np.arange(n)[:, None] * N * N + terms[0]).ravel()
+    return np.bincount(flat, _term_values(terms, X).ravel(), n * N * N).reshape(n, N, N)
 
 
 def assemble(state: MomentState, d: int) -> CoefficientMatrix:
@@ -214,16 +213,21 @@ def assemble(state: MomentState, d: int) -> CoefficientMatrix:
     return CoefficientMatrix(entries=A, direction=d, regularized=False, state=state)
 
 
+def _correction_rows(W: np.ndarray, D: int, M: int, d: int, first: int) -> np.ndarray:
+    """Rows first..N-1 (n, N - first, N) of regularization_correction_batch."""
+    n, N = W.shape
+    terms = _row_tables(D, M, d).correction
+    X = np.concatenate(_features(W, D, M, d)[2], axis=1)
+    C = np.zeros((n, N - first, N))
+    C.reshape(n, -1)[:, terms[0] - first * N] = _term_values(terms, X)
+    return C
+
+
 def regularization_correction_batch(W: np.ndarray, D: int, M: int, d: int) -> np.ndarray:
     """Correction matrices (n, N, N) of the packed rows W (n, N): nonzero
     only in the order-M rows, at the density, velocity and pressure columns
     (the correction groups of _row_tables)."""
-    N = _packing(D, M).N
-    terms = _row_tables(D, M, d).correction
-    n = W.shape[0]
-    A = np.zeros((n, N, N + 1))
-    A.reshape(n, -1)[:, terms[0]] = _term_values(terms, np.concatenate(_features(W, D, M, d)[2], axis=1))
-    return np.ascontiguousarray(A[:, :, :N])
+    return _correction_rows(W, D, M, d, 0)
 
 
 def path_integral(WL: np.ndarray, WR: np.ndarray, D: int, M: int, nodes, weights) -> np.ndarray:
@@ -231,7 +235,7 @@ def path_integral(WL: np.ndarray, WR: np.ndarray, D: int, M: int, nodes, weights
     (n, N): the integral over nu in [0, 1] of the regularization correction
     at (1 - nu) WL + nu WR applied to WR - WL, by the rule (nodes, weights)
     on [0, 1]. The path is linear in the packed variables, so every node is
-    admissible. Nonzero only in the order-M rows.
+    admissible. Nonzero only in the order-M rows, the only ones built.
 
     The solver's interface term and the jump condition of riemann.shock_check
     are both this integral, with different rules.
@@ -240,9 +244,10 @@ def path_integral(WL: np.ndarray, WR: np.ndarray, D: int, M: int, nodes, weights
     K = nodes.shape[0]
     n, N = WL.shape
     W = ((1.0 - nodes) * WL + nodes * WR).reshape(K * n, N)
-    corr = regularization_correction_batch(W, D, M, 1)
-    terms = np.einsum("kab,kb->ka", corr, np.tile(WR - WL, (K, 1))).reshape(K, n, N)
-    return (np.asarray(weights, dtype=float)[:, None, None] * terms).sum(axis=0)
+    first = _packing(D, M).span[M][0]
+    terms = np.zeros((K * n, N))
+    terms[:, first:] = np.einsum("kab,kb->ka", _correction_rows(W, D, M, 1, first), np.tile(WR - WL, (K, 1)))
+    return (np.asarray(weights, dtype=float)[:, None, None] * terms.reshape(K, n, N)).sum(axis=0)
 
 
 def regularization_correction(state: MomentState, d: int) -> np.ndarray:

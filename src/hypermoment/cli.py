@@ -21,11 +21,11 @@ Subcommands:
 Data goes to --out (default stdout); diagnostics go to stderr. Exit status is
 0 on success, 1 on a validation error (bad arguments, malformed input, an
 inadmissible input state), and 2 on a numerical failure: admissibility loss
-during a run, a failed runtime guard or LAPACK call, a residual or identity
-check out of tolerance, scan violations, a riemann shock check whose
-conversion fails (after the report is written), a NaN or an infinity in a
-JSON report (which is then not written), or a RuntimeWarning raised as an
-error.
+during a run, a time step that does not advance the run's clock, a failed
+runtime guard or LAPACK call, a residual or identity check out of
+tolerance, scan violations, a riemann shock check whose conversion fails
+(after the report is written), a NaN or an infinity in a JSON report (which
+is then not written), or a RuntimeWarning raised as an error.
 """
 
 from __future__ import annotations

@@ -347,13 +347,16 @@ def _march(config: SimulationConfig, state, advance, observe):
     at most dt_cap and returns (state, dt); steps are taken up to each of the
     n_snapshots evenly spaced times in [0, t_end], where observe(state)
     gives the tuple of observables. Returns the times, each observable
-    stacked over them, and the final state."""
+    stacked over them, and the final state. A step that does not advance t
+    (dt <= 0, NaN, or lost to rounding) raises RuntimeError."""
     times = np.linspace(0.0, config.t_end, config.n_snapshots)
     snaps = [observe(state)]
     t = 0.0
     for target in times[1:]:
         while t < target - 1e-12 * config.t_end:
             state, dt = advance(state, target - t)
+            if not t + dt > t:
+                raise RuntimeError(f"time step dt = {dt!r} does not advance t = {t!r}")
             t += dt
         snaps.append(observe(state))
     return times, [np.stack(arrs) for arrs in zip(*snaps)], state

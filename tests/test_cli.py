@@ -729,6 +729,41 @@ class TestNumericalFailureExit:
         assert run(["spectrum", "--state", str(STATE), "--unregularized", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
+    def test_spectrum_cross_check_failure_exits_2_and_writes(self, tmp_path, monkeypatch, capsys):
+        import hypermoment.cli as cli
+
+        want, out = tmp_path / "want.csv", tmp_path / "spec.csv"
+        assert run(["spectrum", "--state", str(STATE), "--out", str(want)]) == 0
+        monkeypatch.setattr(cli, "rotation_spectrum_check", lambda state, n: 1.0)
+        assert run(["spectrum", "--state", str(STATE), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("closed-form spectrum deviates from numerical eigenvalues by 1.000e+00")
+        assert err.count("\n") == 1
+        assert out.read_text() == want.read_text()
+
+    # a cell width of 2e-323 / 4 rounds every time step to dt = 0, so t never
+    # reaches t_end: a subprocess under a timeout, so a march that hangs
+    # fails the test instead of the suite
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["moment", "oracle"])
+    def test_step_that_does_not_advance_t_exits_2(self, tmp_path, flags):
+        doc = json.loads((GOLDEN / "simulate_d1m6_tube.json").read_text())
+        cf = write_json(tmp_path, "sim.json", {**doc, "grid": {"nx": 4, "x_max": 2e-323}})
+        out = tmp_path / "run.csv"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hypermoment.cli", "simulate",
+             "--config", str(cf), *flags, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: time step dt = 0.0 does not advance t = 0.0\n"
+        assert not out.exists()
+
     # colliding streams heat the gas past the initial velocity span
     CLIPPING_CONFIG = sim_config(
         M=3,

@@ -6,6 +6,8 @@ and an adaptive quadrature (scipy quad_vec) of the single-state correction
 matrix along the path linear in w.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -37,6 +39,24 @@ def test_one_node_rule_is_the_midpoint_interface_term(D, M):
     corr = regularization_correction_batch(mean, D, M, 1)
     want = np.einsum("kab,kb->ka", corr, WR - WL)
     np.testing.assert_array_equal(path_integral(WL, WR, D, M, [0.5], [1.0]), want)
+
+
+def test_midpoint_rule_builds_no_dense_correction():
+    # only the order-M rows of the correction are built: at D=3, M=6 the
+    # call peaks below one dense (n, N, N) array of the n interfaces
+    D, M, n = 3, 6, 400
+    rng = np.random.default_rng(5)
+    WL = np.tile([random_state(rng, D, M, scale=0.1).w for _ in range(4)], (n // 4, 1))
+    WR = np.tile([random_state(rng, D, M, scale=0.1).w for _ in range(4)], (n // 4, 1))
+    path_integral(WL[:2], WR[:2], D, M, [0.5], [1.0])  # compile the tables outside the trace
+    tracemalloc.start()
+    try:
+        path_integral(WL, WR, D, M, [0.5], [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = WL.shape[1]
+    assert peak < n * N * N * 8  # 22.6 MB; the dense build peaked at 45.7 MB
 
 
 def test_step_integrates_the_interface_term_with_one_midpoint_node(monkeypatch):

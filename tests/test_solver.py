@@ -11,7 +11,7 @@ from helpers import random_state
 from hypermoment.assembly import assemble, regularize
 from hypermoment.cli import _load_sim_config
 from hypermoment import solver as solver_module
-from hypermoment.index import order
+from hypermoment.index import IndexSet, order
 from hypermoment.solver import (
     AdmissibilityLoss,
     CFLViolation,
@@ -510,6 +510,48 @@ class TestSimulate:
             dist[nu] = float(np.abs(res.rho[-1] - euler.rho[-1]).sum() * g.dx)
         assert dist[400.0] < 0.45 * dist[0.0]  # observed 0.0060 vs 0.0190
         assert dist[400.0] < 0.008
+
+
+class TestDimensionReduction:
+    """On transverse-free data (u_2 = u_3 = 0, diagonal p, coefficients only
+    at (k, 0, ...), nu = 0) a run at D = 2 or 3 is the D = 1 run: the
+    first-axis moments do not see the transverse pressure, even where p_22
+    jumps. This checks the D >= 2 transport, path integral and state
+    conversion against an independent run. q1 and theta are not compared:
+    q1 sums f_{e_1 + 2 e_d} over every axis d, which the p_22 jump excites."""
+
+    @staticmethod
+    def _pair(D, M):
+        # (rho, u_1, diagonal of p, coefficient of (k, 0, ...) per k = 3..M)
+        sides = (
+            (1.0, 0.2, (1.0, 0.8, 1.1), (0.05, 0.02, -0.01, 0.004)),
+            (0.5, -0.1, (0.4, 0.6, 0.45), (-0.03, 0.01, 0.005, -0.002)),
+        )
+        return [
+            MomentState(
+                D=D, M=M, rho=rho, u=[u1] + [0.0] * (D - 1), p=np.diag(p[:D]),
+                f={(k,) + (0,) * (D - 1): rho * c for k, c in zip(range(3, M + 1), f)},
+            )
+            for rho, u1, p, f in sides
+        ]
+
+    @staticmethod
+    def _run(D, M, boundary):
+        grid = Grid1D(nx=50, boundary=boundary)
+        cfg = SimulationConfig(D=D, M=M, grid=grid, t_end=0.05, collision=CollisionModel(nu=0.0))
+        return simulate(cfg, *TestDimensionReduction._pair(D, M))
+
+    @pytest.mark.parametrize("boundary", ["copy", "periodic"])
+    @pytest.mark.parametrize("M", [3, 4, 5, 6])
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_transverse_free_run_is_the_one_dimensional_run(self, D, M, boundary):
+        one, many = self._run(1, M, boundary), self._run(D, M, boundary)
+        s = IndexSet(D, M)
+        axis = [s.rank0((k,) + (0,) * (D - 1)) for k in range(M + 1)]
+        np.testing.assert_array_equal(one.times, many.times)
+        np.testing.assert_allclose(many.final_w[:, axis], one.final_w, rtol=0, atol=1e-14)
+        for name in ("rho", "u1", "p11"):
+            np.testing.assert_allclose(getattr(many, name), getattr(one, name), rtol=0, atol=1e-14)
 
 
 class TestKineticReference:
