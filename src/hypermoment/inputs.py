@@ -1,6 +1,7 @@
-"""Readers of outside input: state and config JSON, --dir, --scan, the
-tolerances, the --dir token join and HYPERMOMENT_THREADS. Malformed input
-raises ValueError (argparse.ArgumentTypeError for a tolerance) with a
+"""Readers of outside input: files (state and config JSON, whose state
+documents state.state_from_doc parses), argv (--dir, --scan, the tolerances,
+the --dir token join) and the environment (HYPERMOMENT_THREADS). Malformed
+input raises ValueError (argparse.ArgumentTypeError for a tolerance) with a
 one-line message, which the command line reports with exit status 1."""
 
 from __future__ import annotations
@@ -13,32 +14,7 @@ import os
 import numpy as np
 
 from .solver import Grid1D, SimulationConfig
-from .state import CollisionModel, MomentState
-
-
-def _number(val, what: str) -> float:
-    """float(val) of a JSON number field. Anything but an int or a float (a
-    bool, a string, a list, an object) and an int past the float range raise
-    TypeError."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise TypeError(f"{what} must be a number, got {json.dumps(val)}")
-    try:
-        return float(val)
-    except OverflowError:
-        raise TypeError(f"{what} must fit a float, got an integer of {val.bit_length()} bits") from None
-
-
-def _integer(val, what: str) -> int:
-    """int(val) of a JSON number field (see _number); a float must be whole,
-    which rules out inf and NaN."""
-    if not _number(val, what).is_integer():
-        raise ValueError(f"{what} must be an integer, got {json.dumps(val)}")
-    return int(val)
-
-
-def _numbers(val, what: str):
-    """_number of every entry of the nested lists val (u, p)."""
-    return [_numbers(v, what) for v in val] if isinstance(val, list) else _number(val, what)
+from .state import CollisionModel, MomentState, _integer, _number, state_from_doc
 
 
 def field(doc, key: str, where: str, read=None, default=None):
@@ -61,31 +37,6 @@ def field(doc, key: str, where: str, read=None, default=None):
         return (_integer if read is int else _number)(val, what)
     except TypeError as e:
         raise ValueError(str(e)) from None
-
-
-def state_from_doc(doc) -> MomentState:
-    """State of a parsed state JSON document; every numeric field and every
-    entry of u, p and f must be a JSON number."""
-    if not (isinstance(doc, dict) and isinstance(doc.get("f", {}), dict)):
-        raise ValueError("state JSON and its field 'f' must be objects")
-    try:
-        try:
-            D, M = _integer(doc["D"], "'D'"), _integer(doc["M"], "'M'")
-        except ValueError as e:  # not a whole number
-            raise ValueError(f"state JSON field {e}") from None
-        rho = _number(doc["rho"], "'rho'")
-        u = _numbers(doc["u"], "'u' entry")
-        p = _numbers(doc["p"], "'p' entry")
-        f = {k: _number(v, f"'f' entry {k!r}") for k, v in doc.get("f", {}).items()}
-        return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)
-    except KeyError as e:
-        raise ValueError(f"state JSON missing field {e.args[0]!r}") from None
-    except TypeError as e:
-        raise ValueError(f"state JSON field has the wrong type: {e}") from None
-
-
-def state_from_json(text: str) -> MomentState:
-    return state_from_doc(json.loads(text))
 
 
 def _load_json(path: str):

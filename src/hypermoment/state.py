@@ -5,8 +5,8 @@ velocities, the pressure entries p_ij stored as p_ij/(1+delta_ij) at the
 rank of e_i+e_j, and the free expansion coefficients f_alpha for
 3 <= |alpha| <= M. Coefficients of order 1 and 2 vanish identically
 (they are absorbed into u and the scale tensor), order 0 equals density.
-State JSON is written by state_to_json and read by hypermoment.inputs, whose
-state_from_doc and state_from_json are re-exported at the end of this module.
+The JSON form of a state is written by state_to_json and read by
+state_from_doc and state_from_json, at the end of this module.
 """
 
 from __future__ import annotations
@@ -505,11 +505,13 @@ def _from_conserved(F: np.ndarray, D: int, M: int):
     _check_cells(Theta, "scale tensor", rho, np.isfinite(F).all(axis=1), "implied ")
     g = _gaussian_table(Theta, u, D, M + 1)
     # the alpha = beta term of the convolution is f_beta itself (nu_0 = 1):
-    # each order is F less the terms of the orders below, still zero above
+    # each order is F less the terms of the orders below, still zero above;
+    # an overflow leaves a non-finite row, which the check below names
     fvec = np.zeros_like(F)
     fvec[:, 0] = rho
-    for lo, hi in t.span[3:]:
-        fvec[:, lo:hi] = F[:, lo:hi] - _convolve(fvec, g, D, M, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in t.span[3:]:
+            fvec[:, lo:hi] = F[:, lo:hi] - _convolve(fvec, g, D, M, lo, hi)
     W = _pack(rho, u, p, fvec, D, M)
     if not np.isfinite(W).all():
         bad = ~np.isfinite(W).all(axis=1)
@@ -633,4 +635,51 @@ def state_to_json(state: MomentState) -> str:
     return json.dumps(doc, indent=2)
 
 
-from .inputs import state_from_doc, state_from_json  # noqa: E402  (inputs imports this module)
+def _number(val, what: str) -> float:
+    """float(val) of a JSON number field. Anything but an int or a float (a
+    bool, a string, a list, an object) and an int past the float range raise
+    TypeError."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeError(f"{what} must be a number, got {json.dumps(val)}")
+    try:
+        return float(val)
+    except OverflowError:
+        raise TypeError(f"{what} must fit a float, got an integer of {val.bit_length()} bits") from None
+
+
+def _integer(val, what: str) -> int:
+    """int(val) of a JSON number field (see _number); a float must be whole,
+    which rules out inf and NaN."""
+    if not _number(val, what).is_integer():
+        raise ValueError(f"{what} must be an integer, got {json.dumps(val)}")
+    return int(val)
+
+
+def _numbers(val, what: str):
+    """_number of every entry of the nested lists val (u, p)."""
+    return [_numbers(v, what) for v in val] if isinstance(val, list) else _number(val, what)
+
+
+def state_from_doc(doc) -> MomentState:
+    """State of a parsed state JSON document; every numeric field and every
+    entry of u, p and f must be a JSON number."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("f", {}), dict)):
+        raise ValueError("state JSON and its field 'f' must be objects")
+    try:
+        try:
+            D, M = _integer(doc["D"], "'D'"), _integer(doc["M"], "'M'")
+        except ValueError as e:  # not a whole number
+            raise ValueError(f"state JSON field {e}") from None
+        rho = _number(doc["rho"], "'rho'")
+        u = _numbers(doc["u"], "'u' entry")
+        p = _numbers(doc["p"], "'p' entry")
+        f = {k: _number(v, f"'f' entry {k!r}") for k, v in doc.get("f", {}).items()}
+        return MomentState(D=D, M=M, rho=rho, u=u, p=p, f=f)
+    except KeyError as e:
+        raise ValueError(f"state JSON missing field {e.args[0]!r}") from None
+    except TypeError as e:
+        raise ValueError(f"state JSON field has the wrong type: {e}") from None
+
+
+def state_from_json(text: str) -> MomentState:
+    return state_from_doc(json.loads(text))

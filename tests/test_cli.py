@@ -224,6 +224,15 @@ class TestRiemann:
         assert len(calls) == 1 and calls[0].shape[0] == 2
         assert abs(json.loads(dst.read_text())["mass_flux_speed"] - np.sqrt(4.5)) < 1e-12
 
+    def test_state_against_itself(self, tmp_path):
+        # equal states: no mass-flux speed and no shock, and every fan of
+        # zero length matches exactly
+        dst = tmp_path / "wave.json"
+        assert run(["riemann", "--left", str(STATE), "--right", str(STATE), "--out", str(dst)]) == 0
+        doc = json.loads(dst.read_text())
+        assert doc["mass_flux_speed"] is None and doc["shock"] is None
+        assert [(r["zeta"], r["max_mismatch"], r["ok"]) for r in doc["rarefactions"]] == [(0.0, 0.0, True)] * 4
+
     def test_rarefaction_endpoints_detected(self, tmp_path):
         left = state_from_json(json.dumps(HUGONIOT_RIGHT))
         fld = classify_field(left, float(he_roots(3)[2]))
@@ -705,6 +714,37 @@ class TestInputContract:
     def test_hyperbolicity_zero_dimension_exits_1(self, capsys):
         assert run(["hyperbolicity", "--scan", "f3=0:1:2", "--D", "0"]) == 1
         assert "dimension must be >= 1" in capsys.readouterr().err
+
+
+class TestFailurePaths:
+    """Bad arguments of each reader exit 1 with one error line and write
+    nothing."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["hermite-check", "--max-order", "1"], "max order must be >= 2, got 1"),
+            (["hyperbolicity", "--scan", "f3=0:1:3", "--D", "1", "--M", "2"],
+             "scan needs M >= 3 for a free cubic coefficient, got M=2"),
+            (["spectrum", "--state", str(STATE), "--dir", "a,b"],
+             "direction must be comma-separated numbers, got 'a,b'"),
+            (["hyperbolicity", "--scan", "f3=a:b:3"], "scan must look like f3=start:stop:steps, got 'f3=a:b:3'"),
+        ],
+        ids=["max-order-1", "scan-m2", "dir-words", "scan-words"],
+    )
+    def test_exits_1(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_argparse_type_error_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run(["riemann", "--left", str(STATE), "--right", str(STATE), "--tol", "abc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == [err[-1]]
+        assert err[-1].endswith("error: argument --tol: tolerance must be a number, got 'abc'")
+        assert not out.exists()
 
 
 class TestNumericalFailureExit:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hugoniot_exact import hugoniot_pair
+
 from hypermoment import riemann as riemann_mod
 from hypermoment import state as state_mod
 from hypermoment.assembly import assemble, regularize
@@ -459,6 +461,33 @@ class TestShock:
         rep = shock_check(FL, FR, 0.7)
         assert rep.residuals.shape == (FL.index_set.N,)
         assert np.isfinite(rep.residuals).all()
+
+
+class TestHugoniotOracle:
+    """tests/hugoniot_exact.py: Newton on the shock_check residuals."""
+
+    def test_m3_pair(self):
+        # the D=1 M=3 pair whose scheme shock is studied in ROADMAP item 7
+        right = equilibrium(1, 3, 1.0, [0.0], [[1.0]])
+        left, S = hugoniot_pair(1.5, right, (0.3, 1.2, -0.1, 0.8))
+        rep = shock_check(to_conserved(left), to_conserved(right), S)
+        assert np.max(np.abs(rep.residuals)) <= 1e-14
+        assert rep.lax_per_root == (False, False, True, False)
+        got = (left.u[0], left.p[0, 0], left.f[(3,)], S)
+        np.testing.assert_allclose(got, (0.285773, 1.244998, -0.131217, 0.857318), atol=5e-7)
+
+    @pytest.mark.parametrize("ratio", [1.2, 1.5, 1.8])
+    def test_m2_reproduces_the_euler_shock(self, ratio):
+        post, pre, S_exact = monatomic_shock(ratio=ratio)
+        exact = (post.u[0], post.p[0, 0], S_exact)
+        left, S = hugoniot_pair(ratio, pre, 0.8 * np.array(exact))
+        np.testing.assert_allclose((left.u[0], left.p[0, 0], S), exact, rtol=1e-14, atol=1e-15)
+
+    def test_m2_also_finds_the_stationary_contact(self):
+        # at M=2 the residuals vanish on u = 0, p = p_right, S = 0 as well
+        pre = equilibrium(1, 2, 1.0, [0.0], [[1.0]])
+        left, S = hugoniot_pair(1.5, pre, (0.3, 1.5, 0.8))
+        np.testing.assert_allclose((left.u[0], left.p[0, 0], S), (0.0, 1.0, 0.0), atol=1e-14)
 
 
 class TestWaveTable:

@@ -1,6 +1,7 @@
 """Transport, relaxation, and kinetic-reference tests for the 1D solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,13 @@ class TestStep:
         cells = [equilibrium(1, 3, 1.0, [0.0], [[1.0]])] * 5
         with pytest.raises(ValueError, match="cells"):
             step(cells, 1e-4, cfg)
+
+    def test_packed_shape_mismatch(self):
+        g = Grid1D(nx=4)
+        cfg = SimulationConfig(D=1, M=3, grid=g, t_end=1.0)
+        W = np.tile(equilibrium(1, 3, 1.0, [0.0], [[1.0]]).w, (4, 1))
+        with pytest.raises(ValueError, match=re.escape("packed cells must have shape (4, 4), got (4, 5)")):
+            step(np.hstack([W, W[:, :1]]), 1e-4, cfg)
 
     def test_cell_order_mismatch(self):
         g = Grid1D(nx=4)

@@ -7,6 +7,7 @@ are independent.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypermoment.state import (
     collision_target_covariance,
     equilibrium,
     from_conserved,
+    from_conserved_batch,
     gaussian_raw_moments,
     heat_flux,
     moment_table,
@@ -309,6 +311,19 @@ class TestConversions:
     def test_conserved_length_checked(self):
         with pytest.raises(ValueError):
             from_conserved(np.ones(3), 1, 3)
+
+    def test_overflow_in_the_solve_names_its_cell(self):
+        # F[1, 3] - (terms of the orders below) overflows in the order-3
+        # solve; with warnings raised as errors the overflow must not hide
+        # the admissibility error that names the row
+        st_ = equilibrium(1, 4, 1.0, [0.5], [[1.0]])
+        F = np.tile(to_conserved(st_).F, (3, 1))
+        F[1, 3], F[1, 4] = -1.7e308, 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AdmissibilityError, match="non-finite") as ei:
+                from_conserved_batch(F, 1, 4)
+        assert ei.value.cell == 1
 
 
 class TestCollision:
