@@ -18,12 +18,17 @@ positive zeros of every order at once from closed-form asymptotics, as in
 Townsend, Trogdon and Olver, IMA J. Numer. Anal. 36 (2016): Tricomi's
 formula inside, Gatteschi's Airy-zero expansion for the largest few
 (Gatteschi, J. Comput. Appl. Math. 144 (2002)), each formula only on the
-entries it seeds. Then it runs flat Newton passes on the unit-scale
-recurrence, two at every order and three more at orders <= 24. The
+entries it seeds. Then it runs flat passes of the Newton ratio on the
+unit-scale recurrence: one over every order, which gives a Newton step at
+orders <= 120 and, through the polynomial's ODE, a Halley step above; then
+a second Newton pass at orders <= 120 and three more at orders <= 24.
+Orders <= 120 thus keep every bit of two Newton passes, and above 120 the
+zeros move by round-off only (the table in ``_positive_roots``). The
 recurrence is rescaled by a power of two every 32 steps, which leaves every
 bit of the roots as it is: in between, the pair stays below 1.9e128 and
-clear of the subnormal range up to order 10^4. ``_root_table`` mirrors the
-positive zeros for ``he_roots`` and the per-pair reference
+clear of the subnormal range up to order 10^4, the largest order the
+conjecture scan takes. ``_root_table`` mirrors the positive zeros for
+``he_roots`` and the per-pair reference
 ``cross_order_root_distances``; ``root_gap_scan`` sorts the positive half
 only, whose gaps mirror exactly those of the negative half.
 
@@ -127,8 +132,9 @@ def _root_seeds(n, k):
 def _tricomi(nu, i):
     """Tricomi's squared zero; i = h - k counts down from the top zero."""
     rhs = np.pi * (4 * i + 3) / nu
-    T = np.full(rhs.shape, np.pi / 2)
-    for _ in range(7):
+    # the first of the seven Newton steps on T, from pi/2, with one sin and cos
+    T = np.pi / 2 - (np.pi / 2 - math.sin(np.pi / 2) - rhs) / (1.0 - math.cos(np.pi / 2))
+    for _ in range(6):
         T -= (T - np.sin(T) - rhs) / (1.0 - np.cos(T))
     s = np.sin(T / 2) ** 2
     return nu * (1.0 - s) - (5.0 / (4.0 * s * s) - 1.0 / s - 0.25) / (3.0 * nu)
@@ -136,12 +142,13 @@ def _tricomi(nu, i):
 
 def _gatteschi(nu, j):
     """Gatteschi's squared zero; j >= 1 counts from the top zero."""
-    t = 3.0 * np.pi / 8.0 * (4 * j - 1)
-    a = -(t ** (2 / 3)) * (
+    a = _AIRY_ZEROS[np.minimum(j, _AIRY_ZEROS.size) - 1]
+    far = j > _AIRY_ZEROS.size
+    t = 3.0 * np.pi / 8.0 * (4 * j[far] - 1)
+    a[far] = -(t ** (2 / 3)) * (
         1 + 5 / 48 * t**-2 - 5 / 36 * t**-4 + 77125 / 82944 * t**-6
         - 108056875 / 6967296 * t**-8 + 162375596875 / 334430208 * t**-10
     )
-    a = np.where(j <= _AIRY_ZEROS.size, _AIRY_ZEROS[np.minimum(j, _AIRY_ZEROS.size) - 1], a)
     return (
         nu + 2 ** (2 / 3) * a * nu ** (1 / 3) + 2 ** (4 / 3) / 5 * a**2 * nu ** (-1 / 3)
         + (11 / 35 - 0.25 - 12 / 175 * a**3) / nu
@@ -157,6 +164,9 @@ def _gatteschi(nu, j):
 # (n + 2 sqrt(n))^32, about 1.9e128 at n = 1e4, and above (4 sqrt(n))^-32 / 2,
 # about 3e-84: the pair neither overflows nor goes subnormal in between.
 _RESCALE_EVERY = 32
+
+# Orders above this take one Halley step in place of two Newton steps.
+_HALLEY_ABOVE = 120
 
 
 def _newton_step(x, orders):
@@ -204,10 +214,34 @@ def _positive_roots(n_max: int, n_min: int = 1):
     Seeded by ``_root_seeds`` (the asymptotic initial guesses of Townsend,
     Trogdon and Olver, IMA J. Numer. Anal. 36 (2016), from Tricomi's and
     Gatteschi's formulas, each evaluated only on the entries that use it;
-    see Gatteschi, J. Comput. Appl. Math. 144 (2002)), then polished by two
-    Newton steps (``_newton_step``) at every order and three more at orders
-    <= 24, whose seeds are the coarsest (up to 1.5e-3 off at n <= 10, 8e-5 at
-    11..24, 2e-6 at n = 200). The pass count depends on the order alone, so
+    see Gatteschi, J. Comput. Appl. Math. 144 (2002)), then polished from
+    one pass of ``_newton_step`` over every order, which gives the Newton
+    ratio r = f / f' of f = He_n. Orders <= ``_HALLEY_ABOVE`` = 120 take the
+    Newton step x - r and a second Newton pass, and orders <= 24 three more,
+    whose seeds are the coarsest (up to 1.5e-3 off at n <= 10, 8e-5 at
+    11..24). Above 120 the seeds are close enough (2e-6 off at n = 200) that
+    one cubically convergent Halley step x - r / (1 - r f'' / (2 f')) takes
+    the place of both Newton steps, and it needs only r: the polynomial's
+    ODE He_n'' = x He_n' - n He_n gives f'' / f' = x - n r (Gil, Segura and
+    Temme, Numerical Methods for Special Functions, SIAM 2007). Orders
+    <= 120 run exactly the arithmetic of two Newton passes, so they keep
+    every bit of that polish; above, the roots differ from it by round-off.
+    The largest error against an extended-precision polish, in units of
+    eps max(1, |x|), with two Newton passes at every order / this polish:
+
+    ========  ===========  ===========
+    orders    two Newton   this polish
+    ========  ===========  ===========
+    1-120     0.60         0.60
+    121-200   0.64         0.65
+    201-400   0.59         0.67
+    500       0.47         0.48
+    1000      0.51         0.49
+    2000      0.50         0.51
+    ========  ===========  ===========
+
+    Below 120 a single Halley step is not enough (at a threshold of 100,
+    order 102 is 1.51 off). The pass count depends on the order alone, so
     an entry's value depends only on its order and index.
     """
     ns = np.arange(n_min, n_max + 1)
@@ -215,8 +249,12 @@ def _positive_roots(n_max: int, n_min: int = 1):
     orders = np.repeat(ns, h)
     k = np.arange(orders.size) - np.repeat(np.cumsum(h) - h, h)
     x = _root_seeds(orders, k + 1)
-    for _ in range(2):
-        x -= _newton_step(x, orders)
+    r = _newton_step(x, orders)
+    low = np.searchsorted(orders, _HALLEY_ABOVE, side="right")
+    x[:low] -= r[:low]
+    r, n = r[low:], orders[low:]
+    x[low:] -= r / (1.0 - 0.5 * r * (x[low:] - n * r))
+    x[:low] -= _newton_step(x[:low], orders[:low])
     small = np.searchsorted(orders, 24, side="right")
     for _ in range(3):
         x[:small] -= _newton_step(x[:small], orders[:small])
@@ -535,6 +573,10 @@ def root_gap_scan(n_max: int, tol: float = 1e-9):
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if n_max > 10_000:
+        # the range of _newton_step's rescaling bound; far above it the
+        # table alone (n_max^2 / 4 roots) would not fit in memory
+        raise ValueError(f"n_max must be <= 10000, got {n_max}")
     roots, orders = _positive_roots(n_max)
     by_value = np.argsort(roots, kind="stable")
     x, lab = roots[by_value], orders[by_value]

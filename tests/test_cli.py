@@ -418,6 +418,26 @@ class TestConjecture:
     def test_bad_n_max(self):
         assert run(["conjecture", "--n-max", "1"]) == 1
 
+    def test_n_max_above_10000_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        dst = tmp_path / "conj.csv"
+        assert run(["conjecture", "--n-max", "10001", "--out", str(dst)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not dst.exists()
+
+    def test_n_max_10000_passes_the_check(self, monkeypatch):
+        # reaching the table shows the order check passed; the scan itself
+        # is never run at this size
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(hermite, "_positive_roots", reached)
+        with pytest.raises(Reached):
+            run(["conjecture", "--n-max", "10000"])
+
 
 class TestHermiteCheck:
     def test_all_identities_pass(self, tmp_path):

@@ -198,6 +198,45 @@ class TestRootTableOracle:
         assert np.array_equal(roots, _reference_root_table(monkeypatch, 10000, 10000))
 
 
+def _two_newton_passes(x, orders):
+    """The polish without Halley's step: two Newton passes at every order and
+    three more at orders <= 24."""
+    for _ in range(2):
+        x = x - _reference_newton_step(x, orders)
+    small = orders <= 24
+    for _ in range(3):
+        x[small] -= _reference_newton_step(x[small], orders[small])
+    return x
+
+
+class TestHalleyPass:
+    """Orders <= 120 keep the Newton polish bit for bit; above, the Halley
+    step lands on the roots to round-off. Neither oracle shares the pass
+    structure of ``_positive_roots``."""
+
+    def test_orders_up_to_120_are_two_newton_passes(self):
+        x, orders = H._positive_roots(120)
+        k = np.arange(orders.size) - np.searchsorted(orders, orders) + 1
+        ref = _two_newton_passes(_reference_root_seeds(orders, k), orders)
+        assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("n", [121, 122, 150, 300, 400])
+    def test_match_mpmath_at_50_digits(self, n):
+        # two Newton steps at 50 digits from each double root
+        mp = pytest.importorskip("mpmath")
+        x, _ = H._positive_roots(n, n)
+        eps = np.finfo(float).eps
+        with mp.workdps(50):
+            for x0 in x.tolist():
+                r = mp.mpf(x0)
+                for _ in range(2):
+                    prev, cur = mp.mpf(1), r
+                    for k in range(1, n):
+                        prev, cur = cur, r * cur - k * prev
+                    r -= cur / (n * prev)
+                assert abs(float(r - mp.mpf(x0))) <= 2 * eps * max(1.0, x0)
+
+
 class TestRootTable:
     def test_rows_are_he_roots(self):
         roots, orders = H._root_table(200)
