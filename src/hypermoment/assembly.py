@@ -173,9 +173,10 @@ def _features(W: np.ndarray, D: int, M: int, d: int):
     rho, _, p = _unpack(W, D, M)
     th = p / rho[:, None, None]
     fx = free_values(W, D, M)
-    # an advanced index, not a take: the D x D sum adds in the order of its
-    # memory layout, and a take's C order would change the last bits
-    corr = (th[:, None] * fx[:, g.raised2[g.top :]]).sum(axis=(-2, -1))
+    # a take, not an advanced index: the D x D sum adds in the order of its
+    # memory layout, and only the take's C order lays out a row's block
+    # alike in any batch, so the sum of a row does not depend on its batch
+    corr = (th[:, None] * fx.take(g.raised2[g.top :], axis=1)).sum(axis=(-2, -1))
     n = W.shape[0]
     return th, fx, [np.ones((n, 1)), rho[:, None], p.reshape(n, -1), th.reshape(n, -1), fx, corr]
 

@@ -139,22 +139,26 @@ def grad_flux(state: MomentState) -> np.ndarray:
 def _spectral_bound_check(packed):
     """Closed-form speed bound must dominate the numerical spectrum.
 
-    packed is a (D, M, row) tuple with row one packed state (1, N), the
-    fastest cell of a step, already checked admissible. The numerical
-    spectrum is that of u_1 I + A^(1) + its regularization correction,
-    assembled on the row in one pass; the bound is the row's
-    |u_1| + C_max sqrt(theta_11). Raises RuntimeError when the bound falls
-    short of the largest eigenvalue modulus.
+    packed is a (D, M, rows) tuple with rows a stack (k, N) of packed
+    states, each the fastest cell of a step, already checked admissible,
+    in step order. The numerical spectrum of a row is that of
+    u_1 I + A^(1) + its regularization correction; all k matrices are
+    assembled in one pass and solved in one stacked eigvals call. The bound
+    is the row's |u_1| + C_max sqrt(theta_11). Raises RuntimeError for the
+    first row whose bound falls short of its largest eigenvalue modulus.
     """
-    D, M, row = packed
-    u1 = float(row[0, _packing(D, M).vel[0]])
-    A = assemble_batch(row, D, M, 1, regularized=True)[0]
-    A = A + u1 * np.eye(A.shape[0])
-    numeric = float(np.max(np.abs(np.linalg.eigvals(A))))
-    bound = float(_signal_speeds(row, D, M)[0])
-    if numeric > bound * (1.0 + 1e-8) + 1e-12:
+    D, M, rows = packed
+    u1 = rows[:, _packing(D, M).vel[0]]
+    A = assemble_batch(rows, D, M, 1, regularized=True)
+    A = A + u1[:, None, None] * np.eye(A.shape[1])
+    numeric = np.max(np.abs(np.linalg.eigvals(A)), axis=1)
+    bound = _signal_speeds(rows, D, M)
+    bad = np.flatnonzero(numeric > bound * (1.0 + 1e-8) + 1e-12)
+    if bad.size:
+        i = bad[0]
         raise RuntimeError(
-            f"speed bound {bound} underestimates the numerical spectrum {numeric}"
+            f"speed bound {float(bound[i])} underestimates the numerical spectrum"
+            f" {float(numeric[i])}"
         )
 
 
@@ -220,22 +224,31 @@ def step(cells, dt: float, config: SimulationConfig):
     AdmissibilityLoss naming the lowest bad cell. dt must respect the CFL
     bound of the closed-form signal speeds, and _spectral_bound_check checks
     that bound against the numerical spectrum of the fastest cell's packed
-    row. A cell that leaves the admissible set in transport or relaxation
-    raises AdmissibilityLoss.
+    row, before any transport. A cell that leaves the admissible set in
+    transport or relaxation raises AdmissibilityLoss.
     """
     D, M = config.D, config.M
-    W = _advance(_packed_cells(cells, D, M, config.grid.nx), dt, config)[0]
+    W = _packed_cells(cells, D, M, config.grid.nx)
+    speeds = _signal_speeds(W, D, M)
+    fastest = int(np.argmax(speeds))
+    bound = config.cfl * config.grid.dx / float(speeds[fastest])
+    if dt > bound * (1.0 + 1e-12):
+        raise CFLViolation(f"dt={dt} exceeds the stable bound {bound}")
+    _spectral_bound_check((D, M, W[fastest : fastest + 1]))
+    W = _advance(W, dt, config, speeds)[0]
     if isinstance(cells, np.ndarray):
         return W
     return [MomentState.from_w(D, M, w) for w in W]
 
 
 def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, table=None):
-    """``step`` on packed rows W (nx, N) already checked admissible, without
-    the entry check. Every row it returns has passed the conversion from
-    conserved moments (finite, rho > 0, positive definite implied Theta)
-    and, when nu > 0 and relaxation moved it, the pressure-tensor check of
-    ``_relax``, so ``simulate`` feeds it back as is.
+    """Transport and relaxation of ``step`` on packed rows W (nx, N) already
+    checked admissible, without the entry check, the CFL check or the speed
+    guard: the caller checks dt and the fastest row's bound. Every row it
+    returns has passed the conversion from conserved moments (finite,
+    rho > 0, positive definite implied Theta) and, when nu > 0 and
+    relaxation moved it, the pressure-tensor check of ``_relax``, so
+    ``simulate`` feeds it back as is.
 
     Returns the new rows and their order-(M+1) Gaussian table, which the
     conversion builds and the next step's ``_moments_and_flux`` reads
@@ -250,11 +263,6 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, ta
 
     if speeds is None:
         speeds = _signal_speeds(W, D, M)
-    fastest = int(np.argmax(speeds))
-    bound = config.cfl * dx / float(speeds[fastest])
-    if dt > bound * (1.0 + 1e-12):
-        raise CFLViolation(f"dt={dt} exceeds the stable bound {bound}")
-    _spectral_bound_check((D, M, W[fastest : fastest + 1]))
 
     F, G = _moments_and_flux(W, D, M, table)
 
@@ -375,21 +383,49 @@ def riemann_cells(config: SimulationConfig, left: MomentState, right: MomentStat
     return [left if xc < mid else right for xc in config.grid.centers]
 
 
+# rows the speed guard of ``simulate`` collects before one stacked check
+_GUARD_BATCH = 64
+
+
 def simulate(config: SimulationConfig, left: MomentState, right: MomentState) -> SimulationResult:
-    """Run the Riemann problem left|right and record snapshots."""
+    """Run the Riemann problem left|right and record snapshots.
+
+    Every step's fastest row passes _spectral_bound_check, in stacks of up
+    to _GUARD_BATCH rows: when that many are pending, at the end of the
+    run, and before any exception of the march propagates, so the first
+    failing step in step order is still the one reported.
+    """
     for st, name in ((left, "left"), (right, "right")):
         if (st.D, st.M) != (config.D, config.M):
             raise ValueError(f"{name} state dimensions do not match the configuration")
     D, M = config.D, config.M
+    pending = []
+
+    def check_pending():
+        if pending:
+            rows = np.array(pending)
+            pending.clear()
+            _spectral_bound_check((D, M, rows))
 
     def advance(carry, cap):
         W, table = carry
         speeds = _signal_speeds(W, D, M)
-        dt = min(config.cfl * config.grid.dx / float(speeds.max()), cap)
+        fastest = int(np.argmax(speeds))
+        dt = min(config.cfl * config.grid.dx / float(speeds[fastest]), cap)
+        # a copy: a view would keep the step's whole (nx, N) array alive
+        pending.append(W[fastest].copy())
+        if len(pending) == _GUARD_BATCH:
+            check_pending()
         return _advance(W, dt, config, speeds, table), dt
 
     W = np.array([c.w for c in riemann_cells(config, left, right)])
-    times, obs, (W, _) = _march(config, (W, None), advance, lambda c: _snapshot(c[0], D, M))
+    try:
+        times, obs, (W, _) = _march(config, (W, None), advance, lambda c: _snapshot(c[0], D, M))
+    except Exception:
+        # an earlier step's failing guard comes first
+        check_pending()
+        raise
+    check_pending()
     return SimulationResult(times, config.grid.centers, *obs, config=config, final_w=W)
 
 

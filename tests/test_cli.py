@@ -909,6 +909,65 @@ class TestSpeedBoundGuard:
         err = capsys.readouterr().err
         assert err.startswith("error: speed bound ") and "underestimates" in err
 
+    @staticmethod
+    def _message(solver, D, M, rows):
+        with pytest.raises(RuntimeError) as err:
+            solver._spectral_bound_check((D, M, rows))
+        return str(err.value)
+
+    @pytest.mark.parametrize("D,M", [(1, 6), (2, 4), (3, 4)])
+    def test_stack_reports_its_first_failing_row(self, low_c_max, D, M):
+        from helpers import random_state
+
+        rng = np.random.default_rng(100 * D + M)
+        rows = np.array([random_state(rng, D, M).w for _ in range(5)])
+        # spectral radius ~1e-15, under the guard's absolute slack: passes
+        cold = equilibrium(D, M, 1.0, np.zeros(D), 1e-30 * np.eye(D)).w[None]
+        low_c_max._spectral_bound_check((D, M, cold))
+        for i in range(len(rows)):
+            want = self._message(low_c_max, D, M, rows[i : i + 1])
+            assert self._message(low_c_max, D, M, rows[i:]) == want
+            assert self._message(low_c_max, D, M, np.vstack([cold, rows[i:]])) == want
+
+    def _first_step_message(self, solver):
+        from hypermoment.cli import _load_sim_config
+        from hypermoment.solver import riemann_cells
+
+        config, left, right, _ = _load_sim_config(str(GOLDEN / "simulate_d1m6_tube.json"))
+        W = np.array([c.w for c in riemann_cells(config, left, right)])
+        i = int(np.argmax(solver._signal_speeds(W, config.D, config.M)))
+        return config, left, right, self._message(solver, config.D, config.M, W[i : i + 1])
+
+    def test_simulate_reports_the_first_step(self, low_c_max):
+        config, left, right, want = self._first_step_message(low_c_max)
+        with pytest.raises(RuntimeError) as err:
+            low_c_max.simulate(config, left, right)
+        assert type(err.value) is RuntimeError and str(err.value) == want
+
+    def test_guard_comes_before_a_later_steps_failure(self, low_c_max, monkeypatch):
+        config, left, right, want = self._first_step_message(low_c_max)
+        real, calls = low_c_max._advance, []
+
+        def advance(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise low_c_max.AdmissibilityLoss("cell 0 left the admissible set", cell=0)
+            return real(*args)
+
+        monkeypatch.setattr(low_c_max, "_advance", advance)
+        with pytest.raises(RuntimeError) as err:
+            low_c_max.simulate(config, left, right)
+        assert len(calls) == 3
+        assert type(err.value) is RuntimeError and str(err.value) == want
+
+    def test_step_checks_its_row_before_transport(self, low_c_max, monkeypatch):
+        config, left, right, want = self._first_step_message(low_c_max)
+        W = np.array([c.w for c in low_c_max.riemann_cells(config, left, right)])
+        monkeypatch.setattr(low_c_max, "_advance", lambda *a: pytest.fail("transport ran"))
+        with pytest.raises(RuntimeError) as err:
+            low_c_max.step(W, 1e-6, config)
+        assert str(err.value) == want
+
 
 class TestMalformedConfig:
     """Non-finite or mistyped config and state JSON exits 1 before writing."""

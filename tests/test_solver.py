@@ -475,6 +475,40 @@ class TestSimulate:
             assert (st.rho, st.f) == (want.rho, want.f)
             np.testing.assert_array_equal(st.p, want.p)
 
+    @staticmethod
+    def _esbgk_200():
+        import dataclasses
+
+        cfg, L, R, _ = _load_sim_config(str(GOLDEN / "simulate_d2m4_esbgk.json"))
+        return dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nx=200)), L, R
+
+    def test_guard_checks_every_fastest_row_once_in_stacks(self, monkeypatch):
+        cfg, L, R = self._esbgk_200()
+        real_check, real_advance = solver_module._spectral_bound_check, solver_module._advance
+        stacks, fastest = [], []
+
+        def check(packed):
+            stacks.append(packed[2].copy())
+            real_check(packed)
+
+        def advance(W, *args):
+            fastest.append(W[np.argmax(solver_module._signal_speeds(W, cfg.D, cfg.M))].copy())
+            return real_advance(W, *args)
+
+        monkeypatch.setattr(solver_module, "_spectral_bound_check", check)
+        monkeypatch.setattr(solver_module, "_advance", advance)
+        simulate(cfg, L, R)
+        n, batch = len(fastest), solver_module._GUARD_BATCH
+        assert n > batch
+        assert [len(rows) for rows in stacks] == [batch] * (n // batch) + [n % batch]
+        assert np.vstack(stacks).tobytes() == np.array(fastest).tobytes()
+
+    def test_stacked_guard_leaves_the_run_unchanged(self, monkeypatch):
+        cfg, L, R = self._esbgk_200()
+        stacked = simulate(cfg, L, R).final_w
+        monkeypatch.setattr(solver_module, "_GUARD_BATCH", 1)
+        assert stacked.tobytes() == simulate(cfg, L, R).final_w.tobytes()
+
     def test_riemann_cells_split_at_midpoint(self):
         g = Grid1D(nx=6, x_min=0.0, x_max=1.2)
         cfg = SimulationConfig(D=1, M=2, grid=g, t_end=0.1)

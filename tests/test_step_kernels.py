@@ -126,7 +126,7 @@ def _reference_correction(W, D, M, d):
     fx = free_values(W, D, M)
     th = p / rho[:, None, None]
     A = np.zeros(W.shape + (t.N,))
-    acc = (th[:, None] * fx[:, dens]).sum(axis=(-2, -1))
+    acc = (th[:, None] * fx.take(dens, axis=1)).sum(axis=(-2, -1))
     A[:, rows, 0] = c * acc / (2 * rho[:, None])
     A[:, rows[:, None], t.vel] = -(c[:, None] * fx[:, vel])
     A[:, rows[:, None], t.upper_slots] = -(c[:, None] * fx[:, pres] / rho[:, None, None])
@@ -194,6 +194,21 @@ def test_assembly_matches_scatter_reference(D, M, n):
         assert _same_bits(C, _reference_correction(W, D, M, d))
         # the one-pass regularized matrix is the sum of the two, bitwise
         assert _same_bits(assemble_batch(W, D, M, d, regularized=True), A + C)
+
+
+@pytest.mark.parametrize("D,M", [(D, M) for D in (1, 2, 3) for M in range(3, 7)])
+def test_row_matrices_do_not_depend_on_the_batch(D, M):
+    # the speed guard checks a stack of rows, and must see what one row sees
+    W = _rows(D, M, 5, seed=2000 + 100 * D + 10 * M)
+    for d in range(1, D + 1):
+        for kernel in (
+            assemble_batch,
+            regularization_correction_batch,
+            lambda W, D, M, d: assemble_batch(W, D, M, d, regularized=True),
+        ):
+            stacked = kernel(W, D, M, d)
+            for i in range(len(W)):
+                assert _same_bits(stacked[i], kernel(W[i : i + 1], D, M, d)[0])
 
 
 def _sim_setup(name, collision=None):
