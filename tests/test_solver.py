@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 import euler_exact
+import relaxation_exact
 from helpers import random_state
+from reference_moments import reference_to_conserved
 
+from hypermoment import assembly as assembly_module
 from hypermoment.assembly import assemble, regularize
 from hypermoment.cli import _load_sim_config
 from hypermoment import solver as solver_module
-from hypermoment.index import IndexSet, order
+from hypermoment.index import IndexSet, order, rank_array
 from hypermoment.solver import (
     AdmissibilityLoss,
     CFLViolation,
@@ -594,6 +597,94 @@ class TestDimensionReduction:
         np.testing.assert_allclose(many.final_w[:, axis], one.final_w, rtol=0, atol=1e-14)
         for name in ("rho", "u1", "p11"):
             np.testing.assert_allclose(getattr(many, name), getattr(one, name), rtol=0, atol=1e-14)
+
+
+_MODELS = {"bgk": CollisionModel(nu=1.0), "es-bgk": CollisionModel(nu=1.0, kind="es-bgk", Pr=2.0 / 3.0)}
+_RELAX_CASES = [(1, 6, "bgk"), (2, 4, "bgk"), (2, 4, "es-bgk"), (3, 4, "es-bgk")]
+
+
+class TestExactRelaxation:
+    """n calls of _relax(W, T/n) on a uniform state against the exact
+    relaxation of its raw moments (relaxation_exact): explicit sub-steps are
+    first order, so the error halves with each doubling of n. A target off
+    by 1% at order >= 4 converges to the wrong moments, and the ratio falls.
+    D = 1 BGK cannot show that fault: its target has Lambda = Theta, so its
+    coefficients above order 0 are zero and scaling them changes nothing."""
+
+    T = 0.5
+
+    @classmethod
+    def _error_ratios(cls, D, M, kind):
+        model = _MODELS[kind]
+        W0 = random_state(np.random.default_rng(7 + D + M), D, M, scale=0.02).w[None]
+        exact = relaxation_exact.exact_relaxation(W0, cls.T, D, M, model.nu, model.Pr)
+        errors = []
+        for n in (32, 64, 128):
+            W = W0
+            for _ in range(n):
+                W = solver_module._relax(W, cls.T / n, D, M, model)
+            errors.append(np.max(np.abs(reference_to_conserved(W, D, M) - exact)))
+        return errors[0] / errors[1], errors[1] / errors[2]
+
+    @pytest.mark.parametrize("D, M, kind", _RELAX_CASES)
+    def test_error_halves_with_the_step(self, D, M, kind):
+        for ratio in self._error_ratios(D, M, kind):
+            assert 1.9 <= ratio <= 2.1
+
+    @pytest.mark.parametrize("D, M, kind", [c for c in _RELAX_CASES if c[0] >= 2])
+    def test_target_off_by_one_percent_fails(self, D, M, kind, monkeypatch):
+        exact_target = assembly_module.collision_coeffs_batch
+
+        def off(W, D, M, model):
+            G = exact_target(W, D, M, model)
+            G[:, _packing(D, M).span[4][0] :] *= 1.01
+            return G
+
+        monkeypatch.setattr(assembly_module, "collision_coeffs_batch", off)
+        assert not all(1.9 <= r <= 2.1 for r in self._error_ratios(D, M, kind))
+
+
+class TestTransverseSymmetry:
+    """The first-axis run commutes with the symmetries of the transverse
+    axes: reflecting xi_2 (w times (-1)^alpha_2) bit for bit, a Galilean
+    boost of u_2, u_3 and, at D = 3, swapping xi_2 and xi_3 to round-off.
+
+    It sees the transverse indices of the regularization correction, which
+    the run reads: the correction's velocity columns in reverse order break
+    the reflection by 10.6. It cannot see a wrong index in a pressure-row
+    group of the unregularized A^(1): simulate reads only the correction
+    rows of that matrix, and the rest reaches only the speed guard's
+    spectrum."""
+
+    @staticmethod
+    def _run(D, M, boundary, L, R):
+        cfg = SimulationConfig(
+            D=D, M=M, grid=Grid1D(nx=60, boundary=boundary), t_end=0.05,
+            collision=CollisionModel(nu=2.0, kind="es-bgk", Pr=2.0 / 3.0),
+        )
+        return simulate(cfg, MomentState.from_w(D, M, L), MomentState.from_w(D, M, R)).final_w
+
+    @pytest.mark.parametrize("boundary", ["periodic", "copy"])
+    @pytest.mark.parametrize("D, M", [(2, 4), (2, 6), (3, 3), (3, 4)])
+    def test_transformed_run_is_the_transformed_result(self, D, M, boundary):
+        rng = np.random.default_rng(100 * D + M)
+        L, R = (random_state(rng, D, M, scale=0.05).w for _ in range(2))
+        idx = np.array(IndexSet(D, M).indices)
+        base = self._run(D, M, boundary, L, R)
+        scale = np.max(np.abs(base))
+
+        sign = (-1.0) ** idx[:, 1]
+        np.testing.assert_array_equal(self._run(D, M, boundary, L * sign, R * sign) * sign, base)
+
+        boost = np.zeros(len(idx))
+        boost[_packing(D, M).vel[1:]] = [0.7, -0.4][: D - 1]
+        boosted = self._run(D, M, boundary, L + boost, R + boost) - boost
+        assert np.max(np.abs(boosted - base)) <= 1e-13 * scale
+
+        if D == 3:
+            swap = rank_array(D, M, idx[:, [0, 2, 1]])
+            swapped = self._run(D, M, boundary, L[swap], R[swap])[:, swap]
+            assert np.max(np.abs(swapped - base)) <= 1e-13 * scale
 
 
 class TestKineticReference:
