@@ -19,13 +19,14 @@ Subcommands:
     hermite-check  numerical verification of the basis-function identities
 
 Data goes to --out (default stdout); diagnostics go to stderr. Exit status is
-0 on success, 1 on a validation error (bad arguments, malformed input, an
-inadmissible input state), and 2 on a numerical failure: admissibility loss
-during a run, a time step that does not advance the run's clock, a failed
-runtime guard or LAPACK call, a residual or identity check out of
-tolerance, scan violations, a riemann shock check whose conversion fails
-(after the report is written), a NaN or an infinity in a JSON report (which
-is then not written), or a RuntimeWarning raised as an error.
+0 on success, 1 on a validation error, a ValueError or OSError (bad
+arguments, malformed or unreadable input, an inadmissible input state), and
+2 on a numerical failure: admissibility loss during a run, a time step that
+does not advance the run's clock, a failed runtime guard or LAPACK call, a
+residual or identity check out of tolerance, scan violations, a riemann
+shock check whose conversion fails (after the report is written), a NaN or
+an infinity in a JSON report (which is then not written), or a
+RuntimeWarning raised as an error.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .hermite import (
 from .index import IndexSet
 from .inputs import load_sim_config as _load_sim_config  # kept importable from here
 from .riemann import wave_report
-from .solver import CFLViolation, kinetic_reference, simulate
+from .solver import kinetic_reference, simulate
 from .spectral import rotation_spectrum_check, spectrum_regularized
 from .state import equilibrium
 
@@ -162,7 +163,6 @@ def cmd_hyperbolicity(args) -> int:
     s = IndexSet(D, M)
     if M < 3:
         raise ValueError(f"scan needs M >= 3 for a free cubic coefficient, got M={M}")
-    inputs.check_threads_env()
     values = np.linspace(a, b, steps)
     W = np.tile(equilibrium(D, M, 1.0, np.zeros(D), np.eye(D)).w, (steps, 1))
     W[:, s.rank0((3,) + (0,) * (D - 1))] = values
@@ -331,14 +331,14 @@ def run(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (CFLViolation, RuntimeError, RuntimeWarning, np.linalg.LinAlgError) as e:
+    except (RuntimeError, RuntimeWarning, np.linalg.LinAlgError) as e:
         # numerical failure: AdmissibilityLoss and the solver's speed-bound
         # guard are RuntimeErrors; a RuntimeWarning reaches here only when
         # warnings are raised as errors; LinAlgError, a ValueError, must not
         # read as invalid input
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         # AdmissibilityError on *input* states lands here: validation, not a
         # mid-run numerical failure
         print(f"error: {e}", file=sys.stderr)

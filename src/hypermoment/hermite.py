@@ -519,7 +519,7 @@ def cross_order_root_distances(n_max: int):
 
     root is the nonzero zero of the order-n polynomial closest to any
     nonzero zero of the order-m polynomial; distance is that gap. Pairs
-    where one order has no nonzero zeros (order 1) are skipped. This is the
+    with m = 1, whose only zero is 0, are skipped. This is the
     per-pair reference of ``root_gap_scan``, on the full root table.
     """
     roots, orders = _root_table(n_max)
@@ -528,8 +528,6 @@ def cross_order_root_distances(n_max: int):
     nonzero = dict(enumerate(np.split(roots, np.searchsorted(orders, np.arange(2, n_max + 1))), start=1))
     for n in range(2, n_max + 1):
         rn = nonzero[n]
-        if rn.size == 0:
-            continue
         for m in range(1, n):
             rm = nonzero[m]
             if rm.size == 0:

@@ -1,15 +1,14 @@
 """Readers of outside input: files (state and config JSON, whose state
-documents state.state_from_doc parses), argv (--dir, --scan, the tolerances,
-the --dir token join) and the environment (HYPERMOMENT_THREADS). Malformed
-input raises ValueError (argparse.ArgumentTypeError for a tolerance) with a
-one-line message, which the command line reports with exit status 1."""
+documents state.state_from_doc parses) and argv (--dir, --scan, the
+tolerances, the --dir token join). Malformed input raises ValueError
+(argparse.ArgumentTypeError for a tolerance) with a one-line message, which
+the command line reports with exit status 1."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 
 import numpy as np
 
@@ -157,17 +156,3 @@ def join_vector_values(argv):
                 continue
         out.append(tok)
     return out
-
-
-def check_threads_env() -> None:
-    """Validate HYPERMOMENT_THREADS. The scan is one stacked eigensolve, so
-    the value sizes nothing; a malformed one is still bad input."""
-    raw = os.environ.get("HYPERMOMENT_THREADS")
-    if raw is None or not raw.strip():
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"HYPERMOMENT_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"HYPERMOMENT_THREADS must be >= 1, got {n}")

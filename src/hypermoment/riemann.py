@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -109,7 +108,8 @@ def classify_field(state: MomentState, C: float) -> CharField:
     directional derivative of the wave speed along the eigenvector has the
     closed form (C^2 + 1) sqrt(theta_11) / (2 rho) * C * R_0, zero exactly in
     the degenerate cases. A C that matches roots of several families belongs
-    to the largest of them, then to its nearest root.
+    to the largest of them, then to its nearest root; the field carries that
+    root of unit_spectrum as its C.
     """
     tol = _MATCH_TOL * (1.0 + abs(C))
 
@@ -120,9 +120,9 @@ def classify_field(state: MomentState, C: float) -> CharField:
     hit = min(unit_spectrum(state.D, state.M), key=rank)
     if rank(hit)[0] or np.isinf(C):
         raise ValueError(f"{C} is not a unit root of any eigenvalue family")
-    gn = hit.family_m == state.M + 1 and abs(C) > _MATCH_TOL
+    gn = hit.family_m == state.M + 1 and abs(hit.value) > _MATCH_TOL
     return CharField(
-        C=float(C),
+        C=hit.value,
         family=(hit.family_m, hit.root_index),
         nature=GENUINELY_NONLINEAR if gn else LINEARLY_DEGENERATE,
     )
@@ -167,11 +167,6 @@ def _field_eigenvector(
     if m == M + 1:
         R = R * rho[:, None]  # density-entry-rho normalization for fan curves
     return R.reshape(np.shape(root) + w.shape)
-
-
-def _unit_root(D: int, M: int, field: CharField) -> float:
-    """The unit root of the field's (family, root index) in unit_spectrum."""
-    return next(L.value for L in unit_spectrum(D, M) if (L.family_m, L.root_index) == field.family)
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +261,7 @@ def _fan_curves(state0: MomentState, fields, zeta: float) -> np.ndarray:
     scale = rho0 * th0 ** (a1 / 2)
     W = np.tile(_pack(rho0, state0.u[None], ps[None], np.zeros((1, t.N)), D, M), (n + 1, 1))
     W[np.arange(1, n + 1), t.free] = scale
-    roots = np.array([_unit_root(D, M, field) for field in fields])
+    roots = np.array([field.C for field in fields])
     R = _field_eigenvector(W, D, M, fields[0], roots)[..., t.free] / scale
     y0 = _shear_matrix(D, M, s) @ state0.w[t.free] / scale
     unshear = _shear_matrix(D, M, -s)
@@ -282,11 +277,8 @@ def _fan_curves(state0: MomentState, fields, zeta: float) -> np.ndarray:
         Z[:n, n] = R[i, 0]
         E = _expm(zeta * Z)
         y = E[:n, :n] @ y0 + E[:n, n]
-        eps = C * C - 1.0
-        if abs(eps) < 1e-12:
-            du1 = C * np.sqrt(th0) * zeta
-        else:
-            du1 = 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
+        eps = C * C - 1.0  # nonzero: no nonzero root of He_(M+1) is +-1
+        du1 = 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
         pz = ps * grow
         pz[0, 0] = p0[0, 0] * np.exp(C * C * zeta)
         fvec[i, t.free] = unshear @ (rho * (pz[0, 0] / rho) ** (a1 / 2) * y)
@@ -307,15 +299,12 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
         raise ValueError(f"curve parameter must be finite, got {zeta}")
     if zeta == 0.0:
         return state0
-    if abs(field.C * field.C - 1.0) < 1e-8:
-        warnings.warn("unit-root magnitude 1: using the series limit")
     D, M = state0.D, state0.M
     if field.genuinely_nonlinear:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return MomentState.from_w(D, M, _fan_curves(state0, [field], zeta)[0])
-    root = _unit_root(D, M, field)
     sol = solve_ivp(
-        lambda z, w: _field_eigenvector(w, D, M, field, root),
+        lambda z, w: _field_eigenvector(w, D, M, field, field.C),
         (0.0, zeta), state0.w, method="RK45", rtol=1e-11, atol=1e-12,
         dense_output=False,
     )

@@ -154,12 +154,9 @@ def find_nonhyperbolic_state(D: int, M: int, max_doublings: int = 60):
 def unit_spectrum(D: int, M: int) -> tuple:
     """The regularized first-axis spectrum at unit scale, compiled once per
     (D, M): one line per root C of the order-m Hermite polynomial, counted
-    once per trailing sub-index hat with m = M + 1 - |hat|, sorted by
+    once per diagonal block of size m of the block permutation, sorted by
     (C, m). A state's eigenvalues are u_1 + C sqrt(theta_11)."""
-    if D == 1:
-        counts = {M + 1: 1}
-    else:
-        counts = Counter(M + 1 - order(h) for h in IndexSet(D - 1, M).indices)
+    counts = Counter(size for _, _, size in block_permutation(IndexSet(D, M)).blocks)
     lines = [
         SpectralLine(float(C), mult, m, j)
         for m, mult in counts.items()

@@ -264,6 +264,12 @@ class TestRootTable:
             assert np.all(np.diff(hi) > 0)
             assert np.all(hi[:-1] < lo) and np.all(lo < hi[1:])
 
+    def test_no_root_near_unit_magnitude_up_to_400(self):
+        # riemann._fan_curves divides by C^2 - 1 for every nonzero root C of
+        # a top family He_(M+1), M >= 2; only He_2 has the roots +-1
+        roots, _ = H._root_table(400, 3)
+        assert np.min(np.abs(np.abs(roots) - 1.0)) > 1e-4
+
     def test_newton_step_is_round_off_up_to_400(self):
         # He_n / (n He_{n-1}) at every entry from the unit-scale recurrence,
         # rescaled by the larger magnitude after every step to stay in range

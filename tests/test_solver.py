@@ -31,6 +31,7 @@ from hypermoment.solver import (
     simulate,
     step,
 )
+from hypermoment.spectral import full_eigendecomposition
 from hypermoment.state import (
     AdmissibilityError,
     CollisionModel,
@@ -207,6 +208,19 @@ class TestStep:
         cells = step([st] * g.nx, 0.002, cfg)
         drift = max(float(np.max(np.abs(c.w - st.w))) for c in cells)
         assert drift <= 1e-14
+
+    @pytest.mark.parametrize("D, M, kind", [(1, 6, "bgk"), (2, 4, "es-bgk"), (3, 4, "es-bgk")])
+    def test_uniform_grid_moves_no_cell_apart(self, D, M, kind):
+        # every cell of a uniform periodic grid sees the same data, so each
+        # step leaves the rows bit for bit equal to one another
+        cfg = SimulationConfig(D=D, M=M, grid=Grid1D(nx=8, boundary="periodic"), t_end=1.0,
+                               collision=_MODELS[kind])
+        st = random_state(np.random.default_rng(D + M), D, M, scale=0.05)
+        W = np.tile(st.w, (cfg.grid.nx, 1))
+        for _ in range(5):
+            W = step(W, cfg.cfl * cfg.grid.dx / solver_module._signal_speeds(W, D, M).max(), cfg)
+            np.testing.assert_array_equal(W, np.broadcast_to(W[0], W.shape))
+        assert not np.array_equal(W[0], st.w)
 
     def test_cfl_violation(self):
         g = Grid1D(nx=4)
@@ -599,6 +613,7 @@ class TestDimensionReduction:
             np.testing.assert_allclose(getattr(many, name), getattr(one, name), rtol=0, atol=1e-14)
 
 
+_MODE_CASES = [(1, 3), (1, 6), (2, 4), (2, 6), (3, 4)]
 _MODELS = {"bgk": CollisionModel(nu=1.0), "es-bgk": CollisionModel(nu=1.0, kind="es-bgk", Pr=2.0 / 3.0)}
 _RELAX_CASES = [(1, 6, "bgk"), (2, 4, "bgk"), (2, 4, "es-bgk"), (3, 4, "es-bgk")]
 
@@ -685,6 +700,73 @@ class TestTransverseSymmetry:
             swap = rank_array(D, M, idx[:, [0, 2, 1]])
             swapped = self._run(D, M, boundary, L[swap], R[swap])[:, swap]
             assert np.max(np.abs(swapped - base)) <= 1e-13 * scale
+
+
+class TestLinearModes:
+    """A mode of the closed-form eigen-system is a mode of the scheme. On a
+    periodic grid with nu = 0, the uniform state w0 perturbed by
+    eps Re(r e^{ikx}), where r is an eigenvector of the regularized
+    first-axis matrix plus u_1 I with eigenvalue lambda, leaves n calls of
+    _advance at w0 + eps Re(g^n r e^{ikx}) up to O(eps^2). Here
+    g = 1 - (dt/dx) (i lambda sin(k dx) + a (1 - cos(k dx))) is the
+    amplification factor of the local Lax-Friedrichs flux (LeVeque, Finite
+    Volume Methods for Hyperbolic Problems, 2002), with a the signal speed
+    of w0; a >= |lambda| is the von Neumann form of the CFL bound. Without
+    the path integral the top rows move the modes off by 1e-3 and more. The
+    check cannot see the quadrature node of the path integral, which enters
+    at second order in eps."""
+
+    EPS, NX, K, STEPS = 1e-7, 64, 6 * math.pi, 20
+
+    @classmethod
+    def _setup(cls, D, M):
+        st = random_state(np.random.default_rng(40 + 10 * D + M), D, M, scale=0.05)
+        spec = full_eigendecomposition(st)
+        assert spec.method == "closed-form"
+        cfg = SimulationConfig(D=D, M=M, grid=Grid1D(nx=cls.NX, boundary="periodic"), t_end=1.0,
+                               cfl=0.8, collision=CollisionModel(nu=0.0))
+        a = max_signal_speed(st)
+        return st, spec.Lambda + st.u[0], spec.R / np.max(np.abs(spec.R), axis=0), cfg, a
+
+    @classmethod
+    def _deviations(cls, D, M, steps):
+        """Largest |W - expected| / eps over the modes after one call of
+        _advance and, when steps > 1, after steps calls."""
+        st, lams, R, cfg, a = cls._setup(D, M)
+        dx = cfg.grid.dx
+        dt = cfg.cfl * dx / a
+        kx = cls.K * cfg.grid.centers
+        devs = []
+        for lam, r in zip(lams, R.T):
+            g = 1.0 - dt / dx * (1j * lam * math.sin(cls.K * dx) + a * (1.0 - math.cos(cls.K * dx)))
+            W = st.w + cls.EPS * np.outer(np.cos(kx), r)
+            mode = []
+            for n in range(1, steps + 1):
+                W = solver_module._advance(W, dt, cfg)[0]
+                if n in (1, steps):
+                    expect = st.w + cls.EPS * np.outer((g**n * np.exp(1j * kx)).real, r)
+                    mode.append(np.max(np.abs(W - expect)) / cls.EPS)
+            devs.append(mode)
+        return np.max(devs, axis=0)
+
+    @pytest.mark.parametrize("D, M", _MODE_CASES)
+    def test_modes_follow_the_amplification_factor(self, D, M):
+        one, many = self._deviations(D, M, self.STEPS)
+        assert one <= 1e-6 and many <= 1e-6
+
+    @pytest.mark.parametrize("D, M", _MODE_CASES)
+    def test_amplification_factor_is_bounded(self, D, M):
+        _, lams, _, cfg, a = self._setup(D, M)
+        ratio = cfg.cfl / a  # dt / dx
+        theta = 2 * math.pi * np.arange(cfg.grid.nx) / cfg.grid.nx  # k dx of every grid mode
+        g = 1.0 - ratio * (1j * lams[:, None] * np.sin(theta) + a * (1.0 - np.cos(theta)))
+        assert np.max(np.abs(lams)) <= a
+        assert np.max(np.abs(g)) <= 1.0 + 1e-14
+
+    @pytest.mark.parametrize("D, M", _MODE_CASES)
+    def test_fails_without_the_path_integral(self, D, M, monkeypatch):
+        monkeypatch.setattr(solver_module, "path_integral", lambda WL, *_: np.zeros_like(WL))
+        assert self._deviations(D, M, 1)[0] > 1e-6
 
 
 class TestKineticReference:
