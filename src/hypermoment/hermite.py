@@ -576,7 +576,10 @@ def root_gap_scan(n_max: int, tol: float = 1e-9):
         # table alone (n_max^2 / 4 roots) would not fit in memory
         raise ValueError(f"n_max must be <= 10000, got {n_max}")
     roots, orders = _positive_roots(n_max)
-    by_value = np.argsort(roots, kind="stable")
+    # any sort will do: the roots of one order are distinct, and equal roots
+    # of two orders give d = 0 and the per-pair reference below, so the fast
+    # path sorts distinct values, which have one order
+    by_value = np.argsort(roots)
     x, lab = roots[by_value], orders[by_value]
     gaps = np.where(lab[1:] != lab[:-1], np.diff(x), np.inf)
     d = gaps.min(initial=np.inf)

@@ -40,7 +40,7 @@ from .state import (
     _packing,
     _unpack,
     from_conserved_batch,
-    to_conserved,
+    to_conserved_batch,
 )
 
 GENUINELY_NONLINEAR = "genuinely-nonlinear"
@@ -111,21 +111,33 @@ def classify_field(state: MomentState, C: float) -> CharField:
     to the largest of them, then to its nearest root; the field carries that
     root of unit_spectrum as its C.
     """
+    return _match_field(state.D, state.M, C)
+
+
+def _match_field(D: int, M: int, C: float) -> CharField:
+    """classify_field at order (D, M): the field of the unit root C."""
     tol = _MATCH_TOL * (1.0 + abs(C))
 
     def rank(L):
         gap = abs(L.value - C)
         return (not gap <= tol, -L.family_m, gap, L.root_index)
 
-    hit = min(unit_spectrum(state.D, state.M), key=rank)
+    hit = min(unit_spectrum(D, M), key=rank)
     if rank(hit)[0] or np.isinf(C):
         raise ValueError(f"{C} is not a unit root of any eigenvalue family")
-    gn = hit.family_m == state.M + 1 and abs(hit.value) > _MATCH_TOL
+    gn = hit.family_m == M + 1 and abs(hit.value) > _MATCH_TOL
     return CharField(
         C=hit.value,
         family=(hit.family_m, hit.root_index),
         nature=GENUINELY_NONLINEAR if gn else LINEARLY_DEGENERATE,
     )
+
+
+@lru_cache(maxsize=None)
+def _field_table(D: int, M: int) -> tuple:
+    """Each line of unit_spectrum(D, M) with its field, classified once per
+    (D, M): the fields of every state of that order."""
+    return tuple((L, _match_field(D, M, L.value)) for L in unit_spectrum(D, M))
 
 
 def speed_gradient_dot_eigenvector(state: MomentState, field: CharField) -> float:
@@ -151,8 +163,8 @@ def _field_eigenvector(
     a stack w (k, N) from one assembly and solve; the rows of a stack share
     one wave speed (their theta_11). root is the field's unit root, or an
     array of r unit roots of its family, which gives (r,) + w.shape from the
-    same assembly with one solve per root. Raises AdmissibilityError if a
-    row is not an admissible state."""
+    same assembly and the same one stacked solve over every (root, row)
+    pair. Raises AdmissibilityError if a row is not an admissible state."""
     W = w.reshape(-1, w.shape[-1])
     _check_rows(W, D, M)
     rho, _, p = _unpack(W, D, M)
@@ -162,8 +174,7 @@ def _field_eigenvector(
     perm, B = _permuted(W, D, M)
     hat = (h,) + (0,) * max(D - 2, 0) if D > 1 else ()
     blocks = perm.blocks[_block_index(perm, hat):]
-    R = np.stack([_prolong_permuted(blocks, B, float(r * sq)) for r in np.ravel(root)])
-    R = perm.inverse_apply(R)
+    R = perm.inverse_apply(_prolong_permuted(blocks, B, np.asarray(root) * sq))
     if m == M + 1:
         R = R * rho[:, None]  # density-entry-rho normalization for fan curves
     return R.reshape(np.shape(root) + w.shape)
@@ -214,15 +225,20 @@ def _shear_matrix(D: int, M: int, s: np.ndarray) -> np.ndarray:
 def _expm(Z: np.ndarray) -> np.ndarray:
     """exp(Z) by scaling and squaring (Moler & Van Loan, SIAM Rev. 45
     (2003)): Z is halved until its 1-norm is at most 1/2, where the Taylor
-    series of degree 14 is exact to below 2^-53, and the result squared back."""
-    squarings = max(0, math.frexp(float(np.abs(Z).sum(axis=0).max(initial=0.0)))[1] + 1)
-    Z = Z / 2.0**squarings
-    E = term = np.eye(len(Z))
+    series of degree 14 is exact to below 2^-53, and the result squared back.
+    Z may be a stack (k, n, n): each matrix is halved and squared by the
+    count of its own 1-norm, and a squaring multiplies only the matrices
+    that still need it."""
+    norm = np.abs(Z).sum(axis=-2).max(axis=-1, initial=0.0)
+    squarings = np.maximum(0, np.frexp(norm)[1] + 1)
+    Z = Z / 2.0 ** squarings[..., None, None]
+    E = term = np.eye(Z.shape[-1])
     for j in range(1, 15):
         term = term @ Z / j
         E = E + term
-    for _ in range(squarings):
-        E = E @ E
+    for q in range(squarings.max(initial=0)):
+        more = squarings > q
+        E[more] = E[more] @ E[more]
     return E
 
 
@@ -241,8 +257,8 @@ def _fan_curves(state0: MomentState, fields, zeta: float) -> np.ndarray:
     1 + alpha_1 (C^2 - 1) / 2 of the scaling's own rate. The fields are
     roots of one family, so they share the n + 1 sheared rows, their one
     assembly and the shear matrices: all their eigenvectors come from one
-    _field_eigenvector call, one stacked solve per root. Each curve then
-    takes one exponential of its augmented matrix [[K, c], [0, 0]].
+    _field_eigenvector call, one stacked solve, and every curve from one
+    stacked exponential of its augmented matrix [[K, c], [0, 0]].
     """
     D, M = state0.D, state0.M
     t = _packing(D, M)
@@ -268,22 +284,22 @@ def _fan_curves(state0: MomentState, fields, zeta: float) -> np.ndarray:
 
     grow = np.exp(zeta)
     rho = rho0 * grow
-    k = len(fields)
-    u, p, fvec = np.empty((k, D)), np.empty((k, D, D)), np.zeros((k, t.N))
-    for i, field in enumerate(fields):
-        C = field.C
-        Z = np.zeros((n + 1, n + 1))
-        Z[:n, :n] = (R[i, 1:] - R[i, 0]).T - np.diag(1.0 + a1 * (C * C - 1.0) / 2)
-        Z[:n, n] = R[i, 0]
-        E = _expm(zeta * Z)
-        y = E[:n, :n] @ y0 + E[:n, n]
-        eps = C * C - 1.0  # nonzero: no nonzero root of He_(M+1) is +-1
-        du1 = 2 * C * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
-        pz = ps * grow
-        pz[0, 0] = p0[0, 0] * np.exp(C * C * zeta)
-        fvec[i, t.free] = unshear @ (rho * (pz[0, 0] / rho) ** (a1 / 2) * y)
-        u[i] = state0.u + du1 * lift[:, 0]
-        p[i] = lift @ pz @ lift.T
+    C = roots[:, None]
+    Z = np.zeros((len(roots), n + 1, n + 1))
+    Z[:, :n, :n] = np.swapaxes(R[:, 1:] - R[:, :1], 1, 2)
+    Z[:, range(n), range(n)] -= 1.0 + a1 * (C * C - 1.0) / 2
+    Z[:, :n, n] = R[:, 0]
+    E = _expm(zeta * Z)
+    y = E[:, :n, :n] @ y0 + E[:, :n, n]
+    eps = roots * roots - 1.0  # nonzero: no nonzero root of He_(M+1) is +-1
+    du1 = 2 * roots * np.sqrt(th0) * np.expm1(eps * zeta / 2) / eps
+    pz = np.repeat((ps * grow)[None], len(roots), axis=0)
+    pz[:, 0, 0] = p0[0, 0] * np.exp(roots * roots * zeta)
+    v = rho * (pz[:, 0, 0, None] / rho) ** (a1 / 2) * y
+    fvec = np.zeros((len(roots), t.N))
+    fvec[:, t.free] = (unshear @ v[..., None])[..., 0]
+    u = state0.u + du1[:, None] * lift[:, 0]
+    p = lift @ pz @ lift.T
     return _pack(rho, u, p, fvec, D, M)
 
 
@@ -316,9 +332,13 @@ def rarefaction_curve(state0: MomentState, field: CharField, zeta: float) -> Mom
 def contact_check(wL: MomentState, wR: MomentState, field: CharField) -> ContactVerdict:
     """Contact conditions: equal first velocity, first pressure, and wave
     speed across the jump."""
+    return _contact_verdict(wL, wR, wave_speed(wR, field.C) - wave_speed(wL, field.C))
+
+
+def _contact_verdict(wL: MomentState, wR: MomentState, dl: float) -> ContactVerdict:
+    """contact_check with the jump dl of the field's wave speed."""
     du = float(wR.u[0] - wL.u[0])
     dp = float(wR.p[0, 0] - wL.p[0, 0])
-    dl = wave_speed(wR, field.C) - wave_speed(wL, field.C)
     scale = max(abs(wL.u[0]), abs(wR.u[0]), wL.p[0, 0], wR.p[0, 0], 1.0)
     tol = 1e-10 * scale
     return ContactVerdict(
@@ -433,14 +453,14 @@ def _contact_rows(fields, left: MomentState, right: MomentState, table: list) ->
     """Contact probes of the linearly degenerate fields, one per distinct C;
     the table row of each one that passes goes to table."""
     rows, seen = [], set()
-    for _, fld in fields:
+    for _, fld, sl, sr in fields:
         if fld.genuinely_nonlinear or round(fld.C, 12) in seen:
             continue
         seen.add(round(fld.C, 12))
-        v = contact_check(left, right, fld)
+        v = _contact_verdict(left, right, sr - sl)
         rows.append({"C": fld.C, **vars(v)})
         if v.ok:
-            table.append(_table_entry("contact", left, right, fld, wave_speed(left, fld.C)))
+            table.append(_table_entry("contact", left, right, fld, sl))
     return rows
 
 
@@ -457,17 +477,17 @@ def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float,
     else:  # the ratio underflowed or overflowed
         zeta = math.log(right.rho) - math.log(left.rho)
     scale = max(1.0, float(np.max(np.abs(right.w))))
-    gn = [fld for _, fld in fields if fld.genuinely_nonlinear]
+    gn = [(fld, (sl, sr)) for _, fld, sl, sr in fields if fld.genuinely_nonlinear]
     ends = None
     if zeta != 0.0:
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                ends = _fan_curves(left, gn, zeta)
+                ends = _fan_curves(left, [fld for fld, _ in gn], zeta)
                 _check_rows(ends, left.D, left.M)
         except (ValueError, RuntimeError):
             ends = None
     rows = []
-    for i, fld in enumerate(gn):
+    for i, (fld, speeds) in enumerate(gn):
         row = {"C": fld.C, "zeta": zeta}
         try:
             end = rarefaction_curve(left, fld, zeta).w if ends is None else ends[i]
@@ -478,7 +498,6 @@ def _rarefaction_rows(fields, left: MomentState, right: MomentState, tol: float,
             row["error"] = str(e)
         rows.append(row)
         if row["ok"]:
-            speeds = (wave_speed(left, fld.C), wave_speed(right, fld.C))
             table.append(_table_entry("rarefaction", left, right, fld, speeds))
     return rows
 
@@ -490,11 +509,17 @@ def wave_report(left: MomentState, right: MomentState, tol: float) -> dict:
     sign-table row of each wave that passes its probe. Where the pair's
     conversion fails inside the jump check, the shock section holds the
     speed and the error, and the rest of the report stands."""
-    fields = [(line, classify_field(left, line.value)) for line in unit_spectrum(left.D, left.M)]
+    D, M = left.D, left.M
+    lines = _field_table(D, M)
+    # each side's wave speeds u_1 + C sqrt(theta_11), one row per side
+    u1, sq = np.array([[st.u[0], np.sqrt(st.theta_tensor[0, 0])] for st in (left, right)]).T
+    C = np.array([fld.C for _, fld in lines])
+    speeds = (u1[:, None] + C * sq[:, None]).tolist()
+    fields = [(line, fld, sl, sr) for (line, fld), sl, sr in zip(lines, *speeds)]
     table = {"shock": [], "contact": [], "rarefaction": []}
     report = {
-        "D": left.D,
-        "M": left.M,
+        "D": D,
+        "M": M,
         "fields": [
             {
                 "C": fld.C,
@@ -502,10 +527,10 @@ def wave_report(left: MomentState, right: MomentState, tol: float) -> dict:
                 "root_index": line.root_index,
                 "multiplicity": line.multiplicity,
                 "nature": fld.nature,
-                "speed_left": wave_speed(left, fld.C),
-                "speed_right": wave_speed(right, fld.C),
+                "speed_left": sl,
+                "speed_right": sr,
             }
-            for line, fld in fields
+            for line, fld, sl, sr in fields
         ],
         "contacts": _contact_rows(fields, left, right, table["contact"]),
         "rarefactions": _rarefaction_rows(fields, left, right, tol, table["rarefaction"]),
@@ -513,7 +538,7 @@ def wave_report(left: MomentState, right: MomentState, tol: float) -> dict:
         "shock": None,
         "table": table,
     }
-    FL, FR = to_conserved(left), to_conserved(right)
+    FL, FR = (ConservedMoments(D, M, F) for F in to_conserved_batch(np.stack([left.w, right.w]), D, M))
     S = report["mass_flux_speed"] = shock_speed_from_mass(FL, FR)
     if S is None:
         return report
@@ -525,7 +550,7 @@ def wave_report(left: MomentState, right: MomentState, tol: float) -> dict:
     shock = report["shock"] = {k: v for k, v in vars(rep).items() if k not in ("residuals", "mass_flux_speed")}
     shock["residual_ok"] = rep.conservative_max <= tol and rep.top_max <= tol
     if shock["residual_ok"]:
-        top = [fld for line, fld in fields if line.family_m == left.M + 1]
+        top = [fld for line, fld in lines if line.family_m == M + 1]
         for fld, passed in zip(top, rep.lax_per_root):
             if passed:
                 table["shock"].append(_table_entry("shock", left, right, fld, S))

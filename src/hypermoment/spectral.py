@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -171,7 +171,10 @@ def spectrum_regularized(state: MomentState, n=None) -> Spectrum:
     sqrt(theta_11) when n is None (the first axis)."""
     T = state.theta_tensor
     sq = float(np.sqrt(T[0, 0] if n is None else n @ T @ n))
-    lines = tuple(replace(L, value=L.value * sq) for L in unit_spectrum(state.D, state.M))
+    lines = tuple(
+        SpectralLine(L.value * sq, L.multiplicity, L.family_m, L.root_index)
+        for L in unit_spectrum(state.D, state.M)
+    )
     return Spectrum(
         D=state.D,
         M=state.M,
@@ -193,7 +196,7 @@ def _permuted(w: np.ndarray, D: int, M: int, regularized: bool = True) -> tuple:
     return perm, perm.conjugate(A).reshape(w.shape[:-1] + A.shape[1:])
 
 
-def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.ndarray:
+def _prolong_permuted(blocks, B: np.ndarray, lam, block_vec=None) -> np.ndarray:
     """Eigenvector of the permuted matrix B at lam, in permuted coordinates,
     from one solve over blocks: the target block, then the later blocks.
 
@@ -209,15 +212,28 @@ def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.n
     homogeneous solution r (leading entry 1, last-row residual res): above
     1e12 the block is singular at lam although its size says it is not. A
     column is zero above its own block, so the last such column names one.
-    A stack B (k, N, N) of matrices with the same eigenvalue lam gives the
-    stack (k, N) of their eigenvectors from one stacked solve; a check that
-    fails on any of them raises.
+    lam is one eigenvalue or a 1-D array of them, and B one matrix (N, N)
+    or a stack (k, N, N): the result is lam.shape + B.shape[:-1], from one
+    stacked solve over every (eigenvalue, matrix) system. The eigenvalues
+    of an array share one singular pattern, all zero or all nonzero, or
+    raise ValueError. A check that fails on any system raises, naming the
+    eigenvalue of the worst one.
     """
+    lam = np.asarray(lam, dtype=float)
+    zero = lam == 0.0
+    if zero.any() != zero.all():
+        raise ValueError("the eigenvalues of one solve must be all zero or all nonzero")
     target, ts, tn = blocks[0]
     n = blocks[-1][1] + blocks[-1][2] - ts
-    A = B[..., ts : ts + n, ts : ts + n].copy()
-    A[..., range(n), range(n)] -= lam
-    Rp = np.zeros(B.shape[:-1])
+    shape = lam.shape + B.shape[:-2]  # one system per (eigenvalue, matrix)
+    per = math.prod(B.shape[:-2])
+
+    def lam_of(i):  # the eigenvalue of system i of the flattened stack
+        return float(lam.flat[i // per])
+
+    A = np.array(np.broadcast_to(B[..., ts : ts + n, ts : ts + n], shape + (n, n)))
+    A[..., range(n), range(n)] -= lam.reshape(lam.shape + (1,) * (B.ndim - 1))
+    Rp = np.zeros(shape + B.shape[-1:])
     x = Rp[..., ts : ts + n]
     if block_vec is None:
         x[..., 0] = 1.0
@@ -227,17 +243,18 @@ def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.n
         held, first = [], tn
     free = []
     for h, s, size in blocks[1:]:
-        singular = size == tn or (lam == 0.0 and size % 2 == 1)
+        singular = size == tn or (zero.all() and size % 2 == 1)
         (held if singular else free).append((h, s - ts, size))
     leads = [s for _, s, _ in held]
     checks = [s + size - 1 for _, s, size in held]
     rows = [i for i in range(n - 1, first - 1, -1) if i not in checks]
     cols = [j for j in range(n - 1, first - 1, -1) if j not in leads]
-    rhs = np.zeros(B.shape[:-2] + (n, 1 + len(free)))
+    rhs = np.zeros(shape + (n, 1 + len(free)))
     rhs[..., 0] = -(A @ x[..., None])[..., 0]
     rhs[..., [s + size - 1 for _, s, size in free], range(1, 1 + len(free))] = 1.0
+    Ar = A[..., rows, :][..., cols]
     try:
-        X = np.linalg.solve(A[..., rows, :][..., cols], rhs[..., rows, :])
+        X = np.linalg.solve(Ar, rhs[..., rows, :])
     except np.linalg.LinAlgError:
         # exactly singular in floating point: name the last later block that
         # is singular on its own
@@ -246,24 +263,27 @@ def _prolong_permuted(blocks, B: np.ndarray, lam: float, block_vec=None) -> np.n
             if (np.linalg.cond(A[..., s : s + size, s : s + size]) >= 1e12).any()
         ]
         name = f"{bad[-1]} " if bad else ""
-        raise ProlongationError(f"unexpected singular block {name}at lambda={lam}") from None
-    big = np.flatnonzero(np.abs(X[..., 1:]).max(axis=tuple(range(X.ndim - 1)), initial=0.0) >= 1e12)
+        at = lam_of(np.argmax(np.linalg.cond(Ar).ravel()))
+        raise ProlongationError(f"unexpected singular block {name}at lambda={at}") from None
+    mags = np.abs(X[..., 1:]).max(axis=-2, initial=0.0).reshape(math.prod(shape), len(free))
+    big = np.flatnonzero(mags.max(axis=0, initial=0.0) >= 1e12)
     if big.size:
-        raise ProlongationError(f"unexpected singular block {free[big[-1]][0]} at lambda={lam}")
+        at = lam_of(np.argmax(mags[:, big[-1]]))
+        raise ProlongationError(f"unexpected singular block {free[big[-1]][0]} at lambda={at}")
     x[..., cols] = X[..., 0]
     terms = A[..., checks, :] * x[..., None, :]
     sums, scales = terms.sum(axis=-1), np.maximum(np.abs(terms).sum(axis=-1), 1.0)
     for j, (h, s, _) in enumerate(held):
         r, sc = sums[..., j].ravel(), scales[..., j].ravel()
-        i = np.argmax(np.abs(r) / sc)  # the worst matrix of a stack
-        r, sc = float(r[i]), float(sc[i])
+        i = np.argmax(np.abs(r) / sc)  # the worst system of a stack
+        r, sc, at = float(r[i]), float(sc[i]), lam_of(i)
         if s == 0 and abs(r) > 1e-10 * sc:
             raise ValueError(
-                f"{lam} is not an eigenvalue of the order-{order(h)} block (residual {r:.3e})"
+                f"{at} is not an eigenvalue of the order-{order(h)} block (residual {r:.3e})"
             )
         if abs(r) > 1e-8 * sc:
             raise ProlongationError(
-                f"singular block {h} inconsistent at lambda={lam} (residual {r:.3e})"
+                f"singular block {h} inconsistent at lambda={at} (residual {r:.3e})"
             )
     return Rp
 
@@ -319,14 +339,17 @@ def full_eigendecomposition(state: MomentState) -> Spectrum:
     Atil = perm.unconjugate(B)
     spec = spectrum_regularized(state)
     try:
-        cols, lams = [], []
-        for t, (_, _, n) in enumerate(perm.blocks):
-            # a block of size n carries the roots of family m = n, ascending
-            for lam in (L.value for L in spec.lines if L.family_m == n):
-                cols.append(perm.inverse_apply(_prolong_permuted(perm.blocks[t:], B, lam)))
-                lams.append(lam)
-        R = np.column_stack(cols)
-        Lam = np.array(lams)
+        # a block of size n carries the n roots of family m = n, ascending,
+        # in the columns of its own span: one stacked prolongation for its
+        # nonzero roots and one for its zero root
+        Lam = np.array([L.value for _, _, n in perm.blocks for L in spec.lines if L.family_m == n])
+        Rp = np.empty((Lam.size, B.shape[-1]))
+        for t, (_, start, n) in enumerate(perm.blocks):
+            lams = Lam[start : start + n]
+            for group in (lams != 0.0, lams == 0.0):
+                if group.any():
+                    Rp[start : start + n][group] = _prolong_permuted(perm.blocks[t:], B, lams[group])
+        R = np.ascontiguousarray(perm.inverse_apply(Rp).T)
         residual, cond = _fit(Atil, Lam, R)
         scale = float(np.max(np.abs(Atil)))
         if residual > 1e-8 * max(scale, 1.0) or not np.isfinite(cond) or cond > _COND_LIMIT:

@@ -14,7 +14,7 @@ import pytest
 
 from hypermoment import riemann as riemann_mod
 from hypermoment.cli import run
-from hypermoment.riemann import _fan_curves, _field_eigenvector, classify_field, rarefaction_curve
+from hypermoment.riemann import _expm, _fan_curves, _field_eigenvector, classify_field, rarefaction_curve
 from hypermoment.spectral import unit_spectrum
 from hypermoment.state import _packing, state_to_json
 
@@ -37,7 +37,7 @@ def test_batch_equals_per_field_curves(D, M, zeta):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("D,M", [(1, 6), (2, 4), (3, 4)])
+@pytest.mark.parametrize("D,M", [(1, 3), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5)])
 def test_eigenvector_of_root_array_equals_scalar_calls(D, M):
     rng = np.random.default_rng(D + M)
     st = random_state(rng, D, M, scale=0.02)
@@ -66,6 +66,48 @@ def test_one_eigenvector_call_per_batch(monkeypatch):
     monkeypatch.setattr(riemann_mod, "_field_eigenvector", counted)
     _fan_curves(st, fields, 0.2)
     assert len(calls) == 1 and np.shape(calls[0][4]) == (len(fields),)
+
+
+def test_one_solve_per_eigenvector_call(monkeypatch):
+    st = random_state(np.random.default_rng(5), 2, 4, scale=0.02)
+    fields = _gn_fields(st)
+    W = np.stack([st.w, st.w])
+    calls = []
+    real = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    _field_eigenvector(W, 2, 4, fields[0], np.array([f.C for f in fields]))
+    assert len(calls) == 1
+
+
+def test_one_exponential_per_batch(monkeypatch):
+    st = random_state(np.random.default_rng(5), 2, 4, scale=0.02)
+    fields = _gn_fields(st)
+    calls = []
+    real = riemann_mod._expm
+
+    def counted(Z):
+        calls.append(Z.shape)
+        return real(Z)
+
+    monkeypatch.setattr(riemann_mod, "_expm", counted)
+    _fan_curves(st, fields, 0.2)
+    assert len(calls) == 1 and calls[0][0] == len(fields)
+
+
+def test_stacked_exponential_equals_per_matrix_calls():
+    # 1-norms from 0 to about 40: 0 to 7 squarings, each matrix its own count
+    rng = np.random.default_rng(11)
+    Z = rng.normal(size=(5, 7, 7)) * np.array([0.0, 0.01, 0.3, 2.0, 6.0])[:, None, None]
+    for stack in (Z, Z[2:3], Z[::-1]):
+        got = _expm(stack)
+        assert got.shape == stack.shape
+        assert got.tobytes() == np.stack([_expm(z) for z in stack]).tobytes()
+    assert _expm(Z[:1]).tobytes() == np.eye(7)[None].tobytes()
 
 
 def _expected_rows(left, right, tol=1e-8):

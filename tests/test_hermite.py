@@ -270,6 +270,12 @@ class TestRootTable:
         roots, _ = H._root_table(400, 3)
         assert np.min(np.abs(np.abs(roots) - 1.0)) > 1e-4
 
+    def test_positive_roots_are_distinct_up_to_400(self):
+        # root_gap_scan sorts with the default, unstable argsort: on distinct
+        # values every sort gives the same order
+        roots, _ = H._positive_roots(400)
+        assert np.unique(roots).size == roots.size
+
     def test_newton_step_is_round_off_up_to_400(self):
         # He_n / (n He_{n-1}) at every entry from the unit-scale recurrence,
         # rescaled by the larger magnitude after every step to stay in range

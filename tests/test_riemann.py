@@ -23,6 +23,7 @@ from hypermoment.index import IndexSet, factorial, order
 from hypermoment.riemann import (
     _MATCH_TOL,
     _field_eigenvector,
+    _field_table,
     ElementaryWave,
     classify_field,
     contact_check,
@@ -100,6 +101,15 @@ class TestClassifyField:
         for C in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="not a unit root"):
                 classify_field(st, C)
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+    def test_cached_table_equals_classify_field(self, D, M):
+        st = equilibrium(D, M, 1.0, np.zeros(D), np.eye(D))
+        table = _field_table(D, M)
+        assert [line for line, _ in table] == list(unit_spectrum(D, M))
+        for line, fld in table:
+            assert fld == classify_field(st, line.value)
 
     @pytest.mark.parametrize("D,M", [(1, 3), (2, 4)])
     def test_gradient_identity_finite_difference(self, D, M):

@@ -7,6 +7,7 @@ eigenvector formulas checked against the forward-substitution constructor.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -17,6 +18,9 @@ from hypermoment.hermite import he_monic_eval, he_roots
 from hypermoment.index import IndexSet, block_permutation, order, sub, unit
 from hypermoment.spectral import (
     ProlongationError,
+    _fit,
+    _permuted,
+    _prolong_permuted,
     SpectralLine,
     Spectrum,
     block_eigenvector,
@@ -30,7 +34,7 @@ from hypermoment.spectral import (
     unit_spectrum,
     unregularized_eigenvalues,
 )
-from hypermoment.state import MomentState, equilibrium
+from hypermoment.state import MomentState, _packing, equilibrium
 
 from helpers import random_state
 
@@ -215,6 +219,15 @@ class TestSpectrumRegularized:
         assert np.max(np.abs(lam.imag)) < 1e-8
         sp = spectrum_regularized(st)
         assert np.max(np.abs(np.sort(lam.real) - sp.Lambda)) < 1e-8
+
+    @pytest.mark.parametrize("D,M", [(1, 6), (2, 4), (3, 4)])
+    def test_lines_are_the_scaled_unit_lines(self, D, M):
+        st = random_state(np.random.default_rng(40 + D + M), D, M)
+        sq = float(np.sqrt(st.theta_tensor[0, 0]))
+        got = spectrum_regularized(st).lines
+        want = tuple(replace(L, value=L.value * sq) for L in unit_spectrum(D, M))
+        assert got == want
+        assert np.array([L.value for L in got]).tobytes() == np.array([L.value for L in want]).tobytes()
 
     def test_independent_of_velocity_and_free_coeffs(self):
         base = equilibrium(2, 4, 1.1, [0.0, 0.0], [[0.9, 0.2], [0.2, 1.3]])
@@ -492,6 +505,71 @@ class TestFullEigendecomposition:
         assert sp.method == "numerical"
         At = regularize(assemble(st, 1), st).entries
         assert sp.residual <= 1e-8 * max(np.max(np.abs(At)), 1.0)
+
+
+def per_column_eigenvectors(st):
+    """The columns of full_eigendecomposition one prolongation at a time,
+    block by block and root by root."""
+    perm, B = _permuted(st.w, st.D, st.M)
+    spec = spectrum_regularized(st)
+    cols = []
+    for t, (_, _, n) in enumerate(perm.blocks):
+        for lam in (L.value for L in spec.lines if L.family_m == n):
+            cols.append(perm.inverse_apply(_prolong_permuted(perm.blocks[t:], B, lam)))
+    return perm.unconjugate(B), np.column_stack(cols)
+
+
+class TestStackedProlongation:
+    """One solve over an array of eigenvalues equals the stack of the
+    scalar calls, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "D,M,size,zero",
+        [
+            (1, 4, 5, False),
+            (1, 4, 5, True),
+            # the zero root of an odd family holds the later size-1 block
+            (2, 4, 3, True),
+            (2, 4, 3, False),
+            # a later block of the target's size is singular at its roots
+            (3, 3, 3, False),
+        ],
+    )
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_root_array_equals_scalar_calls(self, D, M, size, zero, rows):
+        rng = np.random.default_rng(70 + 10 * D + M)
+        st = random_state(rng, D, M, scale=0.02)
+        W = np.tile(st.w, (rows, 1))  # rows of one theta_11
+        free = _packing(D, M).free
+        for row in W[1:]:
+            row[free] = random_state(rng, D, M, scale=0.02).w[free]
+        perm, B = _permuted(W if rows > 1 else st.w, D, M)
+        t = next(k for k, (_, _, n) in enumerate(perm.blocks) if n == size)
+        blocks = perm.blocks[t:]
+        if D == 3:
+            assert [n for _, _, n in blocks[1:]].count(size) == 1
+        roots = he_roots(size)
+        lams = roots[(roots == 0.0) == zero] * np.sqrt(st.theta_tensor[0, 0])
+        got = _prolong_permuted(blocks, B, lams)
+        want = np.stack([_prolong_permuted(blocks, B, float(lam)) for lam in lams])
+        assert got.shape == lams.shape + B.shape[:-1]
+        assert got.tobytes() == want.tobytes()
+
+    def test_mixed_zero_and_nonzero_roots_raise(self):
+        st = random_state(np.random.default_rng(71), 2, 4, scale=0.02)
+        perm, B = _permuted(st.w, 2, 4)
+        lams = he_roots(5) * np.sqrt(st.theta_tensor[0, 0])
+        with pytest.raises(ValueError, match="all zero or all nonzero"):
+            _prolong_permuted(perm.blocks, B, lams)
+
+    @pytest.mark.parametrize("D,M", [(1, 3), (1, 6), (2, 4), (2, 5), (3, 3), (3, 4)])
+    def test_full_eigendecomposition_equals_per_column_loop(self, D, M):
+        st = random_state(np.random.default_rng(80 + 10 * D + M), D, M)
+        sp = full_eigendecomposition(st)
+        Atil, R = per_column_eigenvectors(st)
+        assert sp.method == "closed-form"
+        assert sp.R.tobytes() == R.tobytes() and sp.R.flags.c_contiguous
+        assert (sp.residual, sp.condition) == _fit(Atil, sp.Lambda, R)
 
 
 class TestRotation:
