@@ -18,10 +18,12 @@ positive zeros of every order at once from closed-form asymptotics, as in
 Townsend, Trogdon and Olver, IMA J. Numer. Anal. 36 (2016): Tricomi's
 formula inside, Gatteschi's Airy-zero expansion for the largest few
 (Gatteschi, J. Comput. Appl. Math. 144 (2002)), each formula only on the
-entries it seeds. Then it runs flat passes of the Newton ratio on the
-unit-scale recurrence: one over every order, which gives a Newton step at
-orders <= 120 and, through the polynomial's ODE, a Halley step above; then
-a second Newton pass at orders <= 120 and three more at orders <= 24.
+entries it seeds; Gatteschi's takes each power of nu = 2n + 1 once per
+distinct nu and each power of the Airy zero a_j once per distinct j. Then
+it runs flat passes of the Newton ratio on the unit-scale recurrence: one
+over every order, which gives a Newton step at orders <= 120 and, through
+the polynomial's ODE, a Halley step above; then a second Newton pass at
+orders <= 120 and three more at orders <= 24.
 Orders <= 120 thus keep every bit of two Newton passes, and above 120 the
 zeros move by round-off only (the table in ``_positive_roots``). The
 recurrence is rescaled by a power of two every 32 steps, which leaves every
@@ -141,19 +143,36 @@ def _tricomi(nu, i):
 
 
 def _gatteschi(nu, j):
-    """Gatteschi's squared zero; j >= 1 counts from the top zero."""
-    a = _AIRY_ZEROS[np.minimum(j, _AIRY_ZEROS.size) - 1]
-    far = j > _AIRY_ZEROS.size
-    t = 3.0 * np.pi / 8.0 * (4 * j[far] - 1)
+    """Gatteschi's squared zero; j >= 1 counts from the top zero.
+
+    The series is a sum of products of a power of nu = 2n + 1 and a
+    polynomial in the Airy zero a_j. Each power of nu is taken once per
+    distinct nu and each factor in a_j (the t-series of a_j for j > 10
+    included) once per distinct j; the entries gather them back through the
+    inverse indices of ``np.unique``. Each entry sees the same operations on
+    the same operands in the same order as the series written per entry, so
+    its value is bit for bit that one (at n_max = 200, 847 entries hold 197
+    distinct nu and 7 distinct j).
+    """
+    nus, iv = np.unique(nu, return_inverse=True)
+    js, ij = np.unique(j, return_inverse=True)
+    a = _AIRY_ZEROS[np.minimum(js, _AIRY_ZEROS.size) - 1]
+    far = js > _AIRY_ZEROS.size
+    t = 3.0 * np.pi / 8.0 * (4 * js[far] - 1)
     a[far] = -(t ** (2 / 3)) * (
         1 + 5 / 48 * t**-2 - 5 / 36 * t**-4 + 77125 / 82944 * t**-6
         - 108056875 / 6967296 * t**-8 + 162375596875 / 334430208 * t**-10
     )
+    a1 = (2 ** (2 / 3) * a)[ij]
+    a2 = (2 ** (4 / 3) / 5 * a**2)[ij]
+    a3 = (11 / 35 - 0.25 - 12 / 175 * a**3)[ij]
+    a4 = ((16 / 1575 * a + 92 / 7875 * a**4) * 2 ** (2 / 3))[ij]
+    a5 = ((15152 / 3031875 * a**5 + 1088 / 121275 * a**2) * 2 ** (1 / 3))[ij]
     return (
-        nu + 2 ** (2 / 3) * a * nu ** (1 / 3) + 2 ** (4 / 3) / 5 * a**2 * nu ** (-1 / 3)
-        + (11 / 35 - 0.25 - 12 / 175 * a**3) / nu
-        + (16 / 1575 * a + 92 / 7875 * a**4) * 2 ** (2 / 3) * nu ** (-5 / 3)
-        - (15152 / 3031875 * a**5 + 1088 / 121275 * a**2) * 2 ** (1 / 3) * nu ** (-7 / 3)
+        nu + a1 * (nus ** (1 / 3))[iv] + a2 * (nus ** (-1 / 3))[iv]
+        + a3 / nu
+        + a4 * (nus ** (-5 / 3))[iv]
+        - a5 * (nus ** (-7 / 3))[iv]
     )
 
 

@@ -180,11 +180,14 @@ def free_values(W: np.ndarray, D: int, M: int) -> np.ndarray:
 
 
 _DECIMAL = re.compile(r" *-?[0-9]+")
+# a JSON key: plain decimal integers joined by commas, each of which may be
+# followed by spaces ("0, 3")
+_KEY = re.compile(r" *-?[0-9]+(, *-?[0-9]+)*")
 
 
 def _index_part(a) -> int:
     """One entry of a coefficient index: a whole number, or a plain decimal
-    integer string, which may follow a comma's space ("0, 3")."""
+    integer string, which may start with spaces."""
     if isinstance(a, str):
         if not _DECIMAL.fullmatch(a):
             raise ValueError(a)
@@ -195,13 +198,20 @@ def _index_part(a) -> int:
     return i
 
 
+def _key_index(key: str) -> tuple:
+    """The integers of a JSON key such as "0, 3", matched once as a whole."""
+    if not _KEY.fullmatch(key):
+        raise ValueError(key)
+    return tuple(map(int, key.split(",")))
+
+
 def _coefficients(items, D: int, M: int) -> dict:
     """The (multi-index, value) pairs items as a dict of floats. An index is
     D integers (comma-joined in a JSON key) of order 3..M, and appears once."""
     f = {}
     for key, val in items:
         try:
-            alpha = tuple(map(_index_part, key.split(",") if isinstance(key, str) else key))
+            alpha = _key_index(key) if isinstance(key, str) else tuple(map(_index_part, key))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"'f' index {key!r} must be integers") from None
         if len(alpha) != D or is_void(alpha):
@@ -263,19 +273,23 @@ class MomentState:
         # np.allclose(p, p.T, rtol=1e-10, atol=1e-12), spelled out for speed
         if not (np.abs(p - p.T) <= 1e-12 + 1e-10 * np.abs(p.T)).all():
             raise AdmissibilityError("pressure tensor must be symmetric")
-        # the tables come after the size checks: their size grows with D and M
+        # the tables come after the size checks: their size grows with D and M.
+        # Every entry is finite and rho > 0 by the checks above, so the one
+        # test left is that of the pressure tensor read back from w
         t = _packing(D, M)
         ranks = _rank_table(D, M)
-        fvec = np.zeros((1, t.N))
-        fvec[0, [ranks[alpha] for alpha in f]] = list(f.values())
-        W = _pack(rho, u.reshape(1, D), p[None], fvec, D, M)
-        _check_rows(W, D, M)
-        rho, u, p = _unpack(W, D, M)
-        for name, val in (("w", W[0]), ("u", u[0]), ("p", p[0])):
+        w = np.zeros(t.N)
+        w[[ranks[alpha] for alpha in f]] = list(f.values())
+        w[0] = rho
+        w[t.vel] = u.reshape(D)
+        w[t.upper_slots] = p[t.upper] / t.norm
+        u, p = w[t.vel], w[t.pair] * t.scale
+        _check_cells(p[None], "pressure tensor")
+        for name, val in (("w", w), ("u", u), ("p", p)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "rho", float(rho[0]))
-        object.__setattr__(self, "f", {a: v for a, v in zip(t.free_alphas, W[0, t.free].tolist()) if v})
+        object.__setattr__(self, "rho", float(w[0]))
+        object.__setattr__(self, "f", {a: v for a, v in zip(t.free_alphas, w[t.free].tolist()) if v})
 
     # -- derived quantities ------------------------------------------------
 

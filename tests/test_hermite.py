@@ -133,20 +133,25 @@ def _reference_root_seeds(n, k):
     s = np.sin(T / 2) ** 2
     tricomi = nu * (1.0 - s) - (5.0 / (4.0 * s * s) - 1.0 / s - 0.25) / (3.0 * nu)
     j = h + 1 - k
-    t = 3.0 * np.pi / 8.0 * (4 * j - 1)
-    a = -(t ** (2 / 3)) * (
+    return np.sqrt(2.0 * np.where(4 * j * j <= n, _reference_gatteschi(nu, j), tricomi))
+
+
+def _reference_gatteschi(nu, j):
+    """Gatteschi's series written per entry, with the Airy zero a_j from the
+    table for j <= 10 and from its expansion beyond."""
+    a = H._AIRY_ZEROS[np.minimum(j, H._AIRY_ZEROS.size) - 1]
+    far = j > H._AIRY_ZEROS.size
+    t = 3.0 * np.pi / 8.0 * (4 * j[far] - 1)
+    a[far] = -(t ** (2 / 3)) * (
         1 + 5 / 48 * t**-2 - 5 / 36 * t**-4 + 77125 / 82944 * t**-6
         - 108056875 / 6967296 * t**-8 + 162375596875 / 334430208 * t**-10
     )
-    airy = H._AIRY_ZEROS
-    a = np.where(j <= airy.size, airy[np.minimum(j, airy.size) - 1], a)
-    gatteschi = (
+    return (
         nu + 2 ** (2 / 3) * a * nu ** (1 / 3) + 2 ** (4 / 3) / 5 * a**2 * nu ** (-1 / 3)
         + (11 / 35 - 0.25 - 12 / 175 * a**3) / nu
         + (16 / 1575 * a + 92 / 7875 * a**4) * 2 ** (2 / 3) * nu ** (-5 / 3)
         - (15152 / 3031875 * a**5 + 1088 / 121275 * a**2) * 2 ** (1 / 3) * nu ** (-7 / 3)
     )
-    return np.sqrt(2.0 * np.where(4 * j * j <= n, gatteschi, tricomi))
 
 
 def _reference_newton_step(x, orders):
@@ -179,6 +184,23 @@ class TestRootTableOracle:
         seeds = H._root_seeds(orders, k)
         assert np.array_equal(seeds, _reference_root_seeds(orders, k))
         assert np.array_equal(H._newton_step(seeds, orders), _reference_newton_step(seeds, orders))
+
+    def test_seeds_from_401_to_800(self):
+        # Gatteschi's far-index branch, j > 10, first seeds order 484
+        ns = np.arange(401, 801)
+        h = ns // 2
+        orders = np.repeat(ns, h)
+        k = np.arange(orders.size) - np.repeat(np.cumsum(h) - h, h) + 1
+        j = np.repeat(h, h) + 1 - k
+        assert np.count_nonzero((4 * j * j <= orders) & (j > H._AIRY_ZEROS.size)) == 684
+        assert np.array_equal(H._root_seeds(orders, k), _reference_root_seeds(orders, k))
+        # a shuffled stack with repeated orders and Airy indices
+        rng = np.random.default_rng(7)
+        nu = 2.0 * rng.integers(1, 900, 600) + 1.0
+        j = rng.integers(1, 15, 600)
+        got = H._gatteschi(nu, j)
+        assert len(np.unique(nu)) < nu.size and set(j.tolist()) == set(range(1, 15))
+        assert np.array_equal(got, _reference_gatteschi(nu, j))
 
     def test_table_up_to_400(self, monkeypatch):
         assert np.array_equal(H._root_table(400)[0], _reference_root_table(monkeypatch, 400))
