@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from hypermoment.hermite import he_roots
 from hypermoment.riemann import classify_field, rarefaction_curve
 from hypermoment.spectral import spectrum_regularized
 from hypermoment.state import equilibrium, state_from_json, state_to_json
+
+from helpers import random_state
 
 GOLDEN = Path(__file__).parent / "golden"
 STATE = GOLDEN / "state_d1m3.json"
@@ -176,7 +179,7 @@ class TestHyperbolicity:
         assert len(set(outs)) == 1
 
 
-    @pytest.mark.parametrize("D,M", [(1, 5), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("D,M", [(1, 5), (2, 3), (2, 4), (3, 4)])
     def test_matches_per_state_loop(self, tmp_path, D, M):
         dst = tmp_path / "scan.csv"
         assert run(["hyperbolicity", "--scan", "f3=-2:3:11", "--D", str(D), "--M", str(M), "--out", str(dst)]) == 0
@@ -240,22 +243,29 @@ class TestRiemann:
         assert [(r["zeta"], r["max_mismatch"], r["ok"]) for r in doc["rarefactions"]] == [(0.0, 0.0, True)] * 4
 
     def test_rarefaction_endpoints_detected(self, tmp_path):
-        left = state_from_json(json.dumps(HUGONIOT_RIGHT))
-        fld = classify_field(left, float(he_roots(3)[2]))
-        right = rarefaction_curve(left, fld, 0.25)
-        lf = tmp_path / "l.json"
-        rf = tmp_path / "r.json"
-        lf.write_text(state_to_json(left))
-        rf.write_text(state_to_json(right))
-        dst = tmp_path / "wave.json"
-        assert run(["riemann", "--left", str(lf), "--right", str(rf), "--out", str(dst)]) == 0
-        doc = json.loads(dst.read_text())
-        hits = [r for r in doc["rarefactions"] if r["ok"]]
-        assert len(hits) == 1
-        assert hits[0]["C"] > 0
-        assert abs(hits[0]["zeta"] - 0.25) < 1e-12
-        assert len(doc["table"]["rarefaction"]) == 1
-        assert doc["table"]["rarefaction"][0]["ok"] is True
+        # the end of the top-root fan curve of a D=1 M=2 state, and of a
+        # seeded D=3 M=4 state whose fields share one stacked solve and one
+        # stacked exponential
+        for left, zeta in (
+            (state_from_json(json.dumps(HUGONIOT_RIGHT)), 0.25),
+            (random_state(np.random.default_rng(0), 3, 4, scale=0.02), 0.2),
+        ):
+            fld = classify_field(left, float(he_roots(left.M + 1)[-1]))
+            right = rarefaction_curve(left, fld, zeta)
+            lf = tmp_path / "l.json"
+            rf = tmp_path / "r.json"
+            lf.write_text(state_to_json(left))
+            rf.write_text(state_to_json(right))
+            dst = tmp_path / "wave.json"
+            assert run(["riemann", "--left", str(lf), "--right", str(rf), "--out", str(dst)]) == 0
+            doc = json.loads(dst.read_text())
+            hits = [r for r in doc["rarefactions"] if r["ok"]]
+            assert len(hits) == 1
+            assert hits[0]["C"] > 0
+            assert abs(hits[0]["zeta"] - zeta) < 1e-12
+            assert len(doc["table"]["rarefaction"]) == 1
+            assert doc["table"]["rarefaction"][0]["ok"] is True
+            assert doc["shock"] is not None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -654,12 +664,21 @@ class TestSingleScanConjecture:
         monkeypatch.setattr(hermite, "cross_order_root_distances", counted)
         return calls
 
-    def test_no_reference_without_possible_hits(self, monkeypatch, tmp_path):
+    def test_no_reference_without_possible_hits(self, monkeypatch, tmp_path, capsys):
+        # the closest gaps pin the polished root table: up to order 200, and
+        # at --tol 0 up to order 600, past order 484, from which Gatteschi's
+        # far Airy indices (j > 10) seed the zeros
         calls = self._count_reference(monkeypatch)
         out = tmp_path / "conj.csv"
-        assert run(["conjecture", "--n-max", "200", "--out", str(out)]) == 0
-        assert calls == []
-        assert out.read_bytes() == (GOLDEN / "conjecture_empty.csv").read_bytes()
+        for argv, gap in (
+            (["--n-max", "200"], "2.012850e-07 between orders (146, 190)"),
+            (["--n-max", "600", "--tol", "0"], "5.144472e-10 between orders (539, 583)"),
+        ):
+            assert run(["conjecture", *argv, "--out", str(out)]) == 0
+            assert calls == []
+            assert out.read_bytes() == (GOLDEN / "conjecture_empty.csv").read_bytes()
+            err = f"orders 2..{argv[1]}: 0 violation(s); closest nonzero-zero gap {gap}\n"
+            assert capsys.readouterr().err == err
 
     def test_reference_rows_when_hits_possible(self, monkeypatch, tmp_path):
         (want,), _ = self._reference(8, (0.5,))
@@ -670,6 +689,10 @@ class TestSingleScanConjecture:
         head, rows = read_rows(out)
         assert head == ["m", "n", "root", "distance"]
         assert want and rows == [[str(m), str(n), repr(r), repr(d)] for m, n, r, d in want]
+        # at the default tolerance, orders 91 and 217 are the first pair within it
+        assert run(["conjecture", "--n-max", "217", "--out", str(out)]) == 2
+        assert calls == [8, 217]
+        assert read_rows(out) == (head, [["91", "217", "-18.023246436171043", "9.733007289014495e-09"]])
 
 
 class TestInputContract:
@@ -836,8 +859,6 @@ class TestNumericalFailureExit:
     )
 
     def test_clipping_warning_as_error_exits_2(self, tmp_path, capsys):
-        import warnings
-
         cf = write_json(tmp_path, "sim.json", self.CLIPPING_CONFIG)
         out = tmp_path / "kin.csv"
         with warnings.catch_warnings():
@@ -864,8 +885,6 @@ class TestNumericalFailureExit:
 
     @pytest.mark.parametrize("flags", [[], ["--regularized"]], ids=["plain", "regularized"])
     def test_overflowing_denominator_exits_2(self, tmp_path, capsys, flags):
-        import warnings
-
         sf = write_json(tmp_path, "s.json", self.OVERFLOW_STATE)
         out = tmp_path / "A.csv"
         with warnings.catch_warnings():
@@ -1084,6 +1103,14 @@ def test_module_entry_point_has_no_import_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("orders 2..4: 0 violation(s)")
+
+
+@pytest.mark.parametrize("category", [RuntimeWarning, UserWarning])
+def test_warnings_are_errors(category):
+    # pyproject.toml's filterwarnings makes both categories errors in every
+    # test that sets no filter of its own
+    with pytest.raises(category, match="probe"):
+        warnings.warn("probe", category)
 
 
 class TestIntegerFields:
