@@ -30,9 +30,10 @@ recurrence is rescaled by a power of two every 32 steps, which leaves every
 bit of the roots as it is: in between, the pair stays below 1.9e128 and
 clear of the subnormal range up to order 10^4, the largest order the
 conjecture scan takes. ``_root_table`` mirrors the positive zeros for
-``he_roots`` and the per-pair reference
-``cross_order_root_distances``; ``root_gap_scan`` sorts the positive half
-only, whose gaps mirror exactly those of the negative half.
+``he_roots`` and the per-pair reference ``cross_order_root_distances``.
+``root_gap_scan`` finds, in one sort of the positive half, the order pairs
+whose zeros come close enough to matter, and runs the reference's own
+per-pair body, ``_closest_root``, on those pairs only.
 
 The anisotropic polynomials He_alpha of a scale tensor Theta and the
 Gaussian moments that ``state`` converts with obey one multi-index raising
@@ -533,6 +534,18 @@ def gram_deviations(basis: AnisotropicBasis, max_order: int, shift) -> tuple:
     )
 
 
+def _closest_root(rm, rn):
+    """(root, gap): the zero of row rn closest to any zero of row rm (both
+    increasing), from the neighbours in rm of each zero of rn, below then
+    above; argmin keeps the first of equal gaps in that order."""
+    pos = np.searchsorted(rm, rn)
+    cand = np.stack([pos - 1, pos], axis=1)
+    valid = (cand >= 0) & (cand < rm.size)
+    gaps = np.where(valid, np.abs(rn[:, None] - rm.take(cand, mode="clip")), np.inf)
+    best = int(np.argmin(gaps))
+    return float(rn[best // 2]), float(gaps.flat[best])
+
+
 def cross_order_root_distances(n_max: int):
     """Yield (m, n, root, distance) per order pair 1 <= m < n <= n_max.
 
@@ -547,18 +560,8 @@ def cross_order_root_distances(n_max: int):
     nonzero = dict(enumerate(np.split(roots, np.searchsorted(orders, np.arange(2, n_max + 1))), start=1))
     for n in range(2, n_max + 1):
         rn = nonzero[n]
-        for m in range(1, n):
-            rm = nonzero[m]
-            if rm.size == 0:
-                continue
-            # the two neighbours in rm of each root of rn, below then above;
-            # argmin keeps the first of equal gaps in that order
-            pos = np.searchsorted(rm, rn)
-            cand = np.stack([pos - 1, pos], axis=1)
-            valid = (cand >= 0) & (cand < rm.size)
-            gaps = np.where(valid, np.abs(rn[:, None] - rm[np.clip(cand, 0, rm.size - 1)]), np.inf)
-            best = int(np.argmin(gaps))
-            yield m, n, float(rn[best // 2]), float(gaps.flat[best])
+        for m in range(2, n):
+            yield (m, n, *_closest_root(nonzero[m], rn))
 
 
 def common_zero_scan(n_max: int, tol: float = 1e-9):
@@ -572,21 +575,14 @@ def common_zero_scan(n_max: int, tol: float = 1e-9):
 def root_gap_scan(n_max: int, tol: float = 1e-9):
     """The hits of common_zero_scan and the closest (m, n, root, distance)
     entry of cross_order_root_distances (the first one on ties, None when
-    there is no pair), from one sorted pass over the positive zeros.
-
-    Sorted together, the roots of all orders put the closest pair of
-    different orders next to each other: a root between them would be
-    closer to one of the two. The positive half suffices. Negation is exact,
-    so every gap among the negative zeros is bitwise the mirror of one among
-    the positive zeros, and the only pair of the full table that straddles
-    zero is the smallest positive zero and its own mirror, of one order. On
-    tied gaps the reference yields first the lowest n, then the lowest m,
-    then the lowest root of order n: the mirror of the largest tied positive
-    one, so the pass takes the smallest (n, m, -x). Every pair's gap is at
-    least the closest one, so when it exceeds tol times the largest root
-    magnitude (at least 1) there is no hit. Otherwise a hit is possible, or
-    two roots coincide and adjacency no longer orders the ties; then the
-    hits and the closest entry both come from the per-pair reference.
+    there is no pair): the reference's per-pair body, run in its (n, m)
+    order on the pairs that can give either. Negation is exact, so a pair's
+    closest gap lies between positive zeros. Sorted together, these put the
+    closest pair of different orders next to each other, at gap d, and a
+    hit's gap is at most w = tol max(1, largest zero). When two zeros k apart
+    in the sort are within max(d, w), so are all zeros between them, so
+    stepping k = 1, 2, ... until none are, or every pair is found, finds all
+    pairs with zeros that close, whatever the order of equal zeros.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -595,28 +591,30 @@ def root_gap_scan(n_max: int, tol: float = 1e-9):
         # table alone (n_max^2 / 4 roots) would not fit in memory
         raise ValueError(f"n_max must be <= 10000, got {n_max}")
     roots, orders = _positive_roots(n_max)
-    # any sort will do: the roots of one order are distinct, and equal roots
-    # of two orders give d = 0 and the per-pair reference below, so the fast
-    # path sorts distinct values, which have one order
     by_value = np.argsort(roots)
     x, lab = roots[by_value], orders[by_value]
-    gaps = np.where(lab[1:] != lab[:-1], np.diff(x), np.inf)
-    d = gaps.min(initial=np.inf)
-    if d == np.inf:  # n_max == 2: order 2 has a single positive zero
-        return [], None
-    if d > tol * max(1.0, float(x[-1])):
-        # a tie between the neighbours below and above a root leaves the
-        # entry unchanged
-        k = np.flatnonzero(gaps == d)
-        hi = k + (lab[k + 1] > lab[k])  # the entry of the higher order
-        lo = 2 * k + 1 - hi
-        n, m, r = min(zip(lab[hi].tolist(), lab[lo].tolist(), (-x[hi]).tolist()))
-        return [], (m, n, r, float(d))
-    out = []
-    best = None
-    for m, n, r, d in cross_order_root_distances(n_max):
-        if d <= tol * max(1.0, abs(r)):
-            out.append((m, n, r, d))
-        if best is None or d < best[3]:
-            best = (m, n, r, d)
+    d = np.where(lab[1:] != lab[:-1], np.diff(x), np.inf).min(initial=np.inf)
+    reach = max(d, tol * max(1.0, float(x[-1])))
+    span = n_max + 1  # pair (m, n) has code n * span + m: codes sort in (n, m) order
+    seen = np.zeros(span * span, dtype=bool)
+    found, left = [np.empty(0, dtype=int)], (n_max - 1) * (n_max - 2) // 2
+    for k in range(1, x.size):
+        close = x[k:] - x[:-k] <= reach
+        if not (left and close.any()):
+            break
+        a, b = lab[:-k][close], lab[k:][close]
+        code = np.maximum(a, b) * span + np.minimum(a, b)
+        found.append(np.unique(code[(a != b) & ~seen[code]]))
+        seen[found[-1]] = True
+        left -= found[-1].size
+    ns, ms = (c.tolist() for c in np.divmod(np.sort(np.concatenate(found)), span))
+    halves = {o: roots[np.searchsorted(orders, o) :][: o // 2] for o in {*ns, *ms}}
+    rows = {o: np.concatenate((-p[::-1], p)) for o, p in halves.items()}
+    out, best = [], None
+    for n, m in zip(ns, ms):
+        r, g = _closest_root(rows[m], rows[n])
+        if g <= tol * max(1.0, abs(r)):
+            out.append((m, n, r, g))
+        if best is None or g < best[3]:
+            best = (m, n, r, g)
     return out, best

@@ -610,7 +610,7 @@ class TestSingleScanConjecture:
     def test_sorted_pass_equals_reference(self):
         from hypermoment.hermite import root_gap_scan
 
-        tols = (0.0, 1e-9, 1e-3, 0.05, 0.5)
+        tols = (0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.5)
         for n_max in range(2, 61):
             want_hits, want_best = self._reference(n_max, tols)
             for tol, want in zip(tols, want_hits):
@@ -624,6 +624,27 @@ class TestSingleScanConjecture:
         hits, best = root_gap_scan(200)
         assert hits == []
         assert best == self._reference(200, ())[1]
+        # from order 217 on there are hits at the default tolerance; from
+        # 436 on there are two, one farther apart than the closest pair
+        for n_max in (217, 436):
+            (want_hits,), want_best = self._reference(n_max, (1e-9,))
+            assert want_hits
+            assert root_gap_scan(n_max) == (want_hits, want_best), n_max
+
+    @staticmethod
+    def _patch_table(monkeypatch, rows):
+        """hermite, with _positive_roots reading the positive zeros per order
+        from rows."""
+        from hypermoment import hermite
+
+        def positive_roots(n_max, n_min=1):
+            ns = range(n_min, n_max + 1)
+            got = [rows.get(n, []) for n in ns]
+            assert [len(r) for r in got] == [n // 2 for n in ns]
+            return np.array(sum(got, []), dtype=float), np.repeat(list(ns), [len(r) for r in got])
+
+        monkeypatch.setattr(hermite, "_positive_roots", positive_roots)
+        return hermite
 
     # positive zeros per order with exact (dyadic) tied gaps of 0.25: order 6
     # ties with one order at 1.0 and 3.0 and with the other on both sides of
@@ -634,21 +655,27 @@ class TestSingleScanConjecture:
 
     @pytest.mark.parametrize("rows,best6", [(TIES_APART, -3.0), (TIES_AROUND, -5.0)], ids=["apart", "around"])
     def test_half_table_tie_rule(self, monkeypatch, rows, best6):
-        from hypermoment import hermite
-
-        def positive_roots(n_max, n_min=1):
-            ns = range(n_min, n_max + 1)
-            got = [rows.get(n, []) for n in ns]
-            assert [len(r) for r in got] == [n // 2 for n in ns]
-            return np.array(sum(got, []), dtype=float), np.repeat(list(ns), [len(r) for r in got])
-
-        monkeypatch.setattr(hermite, "_positive_roots", positive_roots)
+        hermite = self._patch_table(monkeypatch, rows)
         for n_max, want in ((2, None), (3, (2, 3, -10.0, 2.0)), (6, (4, 6, best6, 0.25))):
             tols = (0.0, 0.5)
             want_hits, want_best = self._reference(n_max, tols)
             assert want_best == want
             for tol, hits in zip(tols, want_hits):
                 assert hermite.root_gap_scan(n_max, tol) == (hits, want_best), (n_max, tol)
+
+    # orders 4, 5 and 6 share the zero 3.0 (d = 0), so one of their three
+    # pairs is two apart in any sort; orders 2 and 3 are 2^-28 apart at 8.0,
+    # a hit at tol 1e-9 above d; at tol 0.5, orders 2 and 3 also hit order 5
+    SHARED = {2: [8.0], 3: [8.0 + 2.0**-28], 4: [1.25, 3.0], 5: [3.0, 6.0], 6: [1.0, 3.0, 5.0]}
+
+    def test_shared_zero_table(self, monkeypatch):
+        hermite = self._patch_table(monkeypatch, self.SHARED)
+        tols = (0.0, 1e-9, 0.5)
+        want_hits, want_best = self._reference(6, tols)
+        assert want_best == (4, 5, -3.0, 0.0)
+        assert [len(h) for h in want_hits] == [3, 4, 6]
+        for tol, hits in zip(tols, want_hits):
+            assert hermite.root_gap_scan(6, tol) == (hits, want_best), tol
 
     @staticmethod
     def _count_reference(monkeypatch):
@@ -680,19 +707,31 @@ class TestSingleScanConjecture:
             err = f"orders 2..{argv[1]}: 0 violation(s); closest nonzero-zero gap {gap}\n"
             assert capsys.readouterr().err == err
 
-    def test_reference_rows_when_hits_possible(self, monkeypatch, tmp_path):
+    def test_reference_rows_when_hits_possible(self, monkeypatch, tmp_path, capsys):
         (want,), _ = self._reference(8, (0.5,))
         calls = self._count_reference(monkeypatch)
         out = tmp_path / "conj.csv"
         assert run(["conjecture", "--n-max", "8", "--tol", "0.5", "--out", str(out)]) == 2
-        assert calls == [8]
+        assert calls == []
         head, rows = read_rows(out)
         assert head == ["m", "n", "root", "distance"]
         assert want and rows == [[str(m), str(n), repr(r), repr(d)] for m, n, r, d in want]
         # at the default tolerance, orders 91 and 217 are the first pair within it
         assert run(["conjecture", "--n-max", "217", "--out", str(out)]) == 2
-        assert calls == [8, 217]
+        assert calls == []
         assert read_rows(out) == (head, [["91", "217", "-18.023246436171043", "9.733007289014495e-09"]])
+        # up to order 1000, the rows and gap of the full per-pair reference
+        # (about 20 s to run)
+        capsys.readouterr()
+        assert run(["conjecture", "--n-max", "1000", "--out", str(out)]) == 2
+        assert calls == []
+        got_head, rows = read_rows(out)
+        assert got_head == head and len(rows) == 24
+        assert rows[0] == ["91", "217", "-18.023246436171043", "9.733007289014495e-09"]
+        assert rows[-1] == ["828", "998", "-43.84621789305432", "2.2423733980758698e-09"]
+        assert capsys.readouterr().err == (
+            "orders 2..1000: 24 violation(s); closest nonzero-zero gap 1.093132e-10 between orders (401, 678)\n"
+        )
 
 
 class TestInputContract:

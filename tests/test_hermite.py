@@ -293,8 +293,9 @@ class TestRootTable:
         assert np.min(np.abs(np.abs(roots) - 1.0)) > 1e-4
 
     def test_positive_roots_are_distinct_up_to_400(self):
-        # root_gap_scan sorts with the default, unstable argsort: on distinct
-        # values every sort gives the same order
+        # no two positive zeros are equal, within an order or across orders;
+        # root_gap_scan's result does not depend on its sort order, so this
+        # pins the table, not the scan
         roots, _ = H._positive_roots(400)
         assert np.unique(roots).size == roots.size
 

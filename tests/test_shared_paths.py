@@ -20,6 +20,10 @@ separate constructions it replaced.
 - ``rotation_spectrum_check`` and the spectrum command read
   ``spectrum_regularized(state, n)``, bitwise the unit spectrum scaled by
   sqrt(n^T Theta n) and repeated by multiplicity.
+- ``cross_order_root_distances`` runs its per-pair body through
+  ``_closest_root``, which ``root_gap_scan`` shares; it still yields, bit for
+  bit, what its own inline loop did, so it stays an independent oracle of
+  the scan.
 """
 
 import itertools
@@ -30,7 +34,14 @@ import pytest
 from helpers import random_state
 
 from hypermoment.assembly import _row_tables, assemble, directional, regularize
-from hypermoment.hermite import AnisotropicBasis, differential_deviation, ghe_table, weight
+from hypermoment.hermite import (
+    AnisotropicBasis,
+    _root_table,
+    cross_order_root_distances,
+    differential_deviation,
+    ghe_table,
+    weight,
+)
 from hypermoment.index import (
     IndexSet,
     _rank_table,
@@ -119,6 +130,26 @@ def _reference_verdict(state, d, regularized):
         max_imag=float(np.abs(lam.imag).max()),
         condition=cond,
     )
+
+
+def _reference_cross_order_root_distances(n_max):
+    """The per-pair loop with its body inline."""
+    roots, orders = _root_table(n_max)
+    keep = np.abs(roots) > 1e-10
+    roots, orders = roots[keep], orders[keep]
+    nonzero = dict(enumerate(np.split(roots, np.searchsorted(orders, np.arange(2, n_max + 1))), start=1))
+    for n in range(2, n_max + 1):
+        rn = nonzero[n]
+        for m in range(1, n):
+            rm = nonzero[m]
+            if rm.size == 0:
+                continue
+            pos = np.searchsorted(rm, rn)
+            cand = np.stack([pos - 1, pos], axis=1)
+            valid = (cand >= 0) & (cand < rm.size)
+            gaps = np.where(valid, np.abs(rn[:, None] - rm[np.clip(cand, 0, rm.size - 1)]), np.inf)
+            best = int(np.argmin(gaps))
+            yield m, n, float(rn[best // 2]), float(gaps.flat[best])
 
 
 def _random_theta(rng, D):
@@ -297,3 +328,14 @@ def test_directional_spectrum_is_the_scaled_unit_spectrum(D, M):
         first, e1 = spectrum_regularized(st), spectrum_regularized(st, np.eye(D)[0])
         _equal(first.Lambda, e1.Lambda)
         assert first.lines == e1.lines
+
+
+@pytest.mark.parametrize("n_maxes", [range(2, 61), [217]], ids=["2-60", "217"])
+def test_cross_order_root_distances_is_the_inline_loop(n_maxes):
+    for n_max in n_maxes:
+        got = list(cross_order_root_distances(n_max))
+        want = list(_reference_cross_order_root_distances(n_max))
+        assert all(type(r) is float and type(d) is float for _, _, r, d in got)
+        assert [(m, n, r.hex(), d.hex()) for m, n, r, d in got] == [
+            (m, n, r.hex(), d.hex()) for m, n, r, d in want
+        ], n_max
