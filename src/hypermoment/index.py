@@ -80,16 +80,9 @@ def ordinal(alpha: Sequence[int], set_: "IndexSet") -> int:
         raise ValueError(f"negative entry in {alpha}")
     if order(alpha) > set_.M:
         raise ValueError(f"order {order(alpha)} exceeds M={set_.M}")
-    return rank_unbounded(alpha)
-
-
-def rank_unbounded(alpha: Sequence[int]) -> int:
-    """Rank formula without the order cap (the ordering does not depend on M)."""
-    D = len(alpha)
-    r = 1
-    s = 0
-    for i in range(1, D + 1):
-        s += alpha[D - i]
+    r, s = 1, 0
+    for i, a in enumerate(reversed(alpha), 1):
+        s += a
         r += _binom(s + i - 1, i)
     return r
 

@@ -145,15 +145,10 @@ def speed_gradient_dot_eigenvector(state: MomentState, field: CharField) -> floa
     eigenvector of the field, with the density entry normalized to rho."""
     C = field.C
     th = float(state.theta_tensor[0, 0])
-    return (C**2 + 1) * np.sqrt(th) / (2 * state.rho) * C * _density_entry(
-        state, field
-    )
-
-
-def _density_entry(state: MomentState, field: CharField) -> float:
     # with the leading-entry-1 convention, the density component is rho for
     # the top family and 0 otherwise
-    return state.rho if field.family[0] == state.M + 1 else 0.0
+    density = state.rho if field.family[0] == state.M + 1 else 0.0
+    return (C**2 + 1) * np.sqrt(th) / (2 * state.rho) * C * density
 
 
 def _field_eigenvector(

@@ -55,7 +55,8 @@ class AdmissibilityLoss(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered mesh on [x_min, x_max]."""
+    """Uniform cell-centered mesh on [x_min, x_max]. Its boundary kind sets
+    the one ghost cell per side that the transport reads, through pad."""
 
     nx: int
     x_min: float = 0.0
@@ -86,6 +87,15 @@ class Grid1D:
         x = self.x_min + (np.arange(self.nx) + 0.5) * self.dx
         x.setflags(write=False)
         return x
+
+    @property
+    def pad(self) -> np.ndarray:
+        """Cell of each padded row: row g is cell g - 1 for g = 1..nx, and
+        the ghost rows 0 and nx + 1 copy the edge cells ("copy") or wrap to
+        the far edge ("periodic")."""
+        pad = np.arange(-1, self.nx + 1)
+        pad[0], pad[-1] = (self.nx - 1, 0) if self.boundary == "periodic" else (0, self.nx - 1)
+        return pad
 
 
 @dataclass(frozen=True)
@@ -259,17 +269,14 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, ta
     grid = config.grid
     D, M = config.D, config.M
     dx = grid.dx
-    nx = grid.nx
 
     if speeds is None:
         speeds = _signal_speeds(W, D, M)
 
     F, G = _moments_and_flux(W, D, M, table)
 
-    # ghost cells by boundary kind; padded index g is cell g-1
-    lg, rg = (nx - 1, 0) if grid.boundary == "periodic" else (0, nx - 1)
-    pad = np.arange(-1, nx + 1)
-    pad[0], pad[-1] = lg, rg
+    # one ghost row per side, by the grid's boundary kind
+    pad = grid.pad
     Fp, Gp, Wp, sp = (a.take(pad, axis=0) for a in (F, G, W, speeds))
 
     a_if = np.maximum(sp[:-1], sp[1:])  # (nx+1,) interface dissipation speeds
@@ -522,17 +529,17 @@ def kinetic_reference(
     grid = config.grid
     oracle = build_oracle(grid, left, right, n_v=n_v, K=K)
     v, dv = oracle.v, oracle.dv
-    nx, dx = grid.nx, grid.dx
+    dx = grid.dx
     nu = config.collision.nu
     vp = np.maximum(v, 0.0)
     vm = np.minimum(v, 0.0)
-    lg, rg = (nx - 1, 0) if grid.boundary == "periodic" else (0, nx - 1)
+    pad = grid.pad
     dt_max = config.cfl * dx / float(np.max(np.abs(v)))
 
     def advance(carry, cap):
         f, clip_peak = carry
         dt = min(dt_max, cap)
-        fp = np.vstack([f[lg], f, f[rg]])
+        fp = f[pad]
         flux = vp * fp[:-1] + vm * fp[1:]
         f = f - dt / dx * (flux[1:] - flux[:-1])
         if nu > 0.0:

@@ -196,28 +196,27 @@ def _permuted(w: np.ndarray, D: int, M: int, regularized: bool = True) -> tuple:
     return perm, perm.conjugate(A).reshape(w.shape[:-1] + A.shape[1:])
 
 
-def _prolong_permuted(blocks, B: np.ndarray, lam, block_vec=None) -> np.ndarray:
+def _prolong_permuted(blocks, B: np.ndarray, lam) -> np.ndarray:
     """Eigenvector of the permuted matrix B at lam, in permuted coordinates,
     from one solve over blocks: the target block, then the later blocks.
 
-    Entries before the target stay zero. block_vec, when given, fixes the
-    target block; otherwise its leading entry is 1 and its last row checks
-    that lam is an eigenvalue of it. A later block singular at lam (the
-    target's size, or odd size at lam = 0) has leading entry 0 and its last
-    row checks that the lower system is consistent. The other entries solve
-    the remaining rows of B - lam I; in reverse order these form an upper
-    Hessenberg matrix, so partial pivoting keeps the triangular rows of the
-    fixed blocks a plain substitution. One more right-hand side per other
-    later block, its last unit row, gives r / res on that block for its
-    homogeneous solution r (leading entry 1, last-row residual res): above
-    1e12 the block is singular at lam although its size says it is not. A
-    column is zero above its own block, so the last such column names one.
-    lam is one eigenvalue or a 1-D array of them, and B one matrix (N, N)
-    or a stack (k, N, N): the result is lam.shape + B.shape[:-1], from one
-    stacked solve over every (eigenvalue, matrix) system. The eigenvalues
-    of an array share one singular pattern, all zero or all nonzero, or
-    raise ValueError. A check that fails on any system raises, naming the
-    eigenvalue of the worst one.
+    Entries before the target stay zero. The target's leading entry is 1
+    and its last row checks that lam is an eigenvalue of it. A later block
+    singular at lam (the target's size, or odd size at lam = 0) has leading
+    entry 0 and its last row checks that the lower system is consistent.
+    The other entries solve the remaining rows of B - lam I; in reverse
+    order these form an upper Hessenberg matrix, so partial pivoting keeps
+    the triangular rows of the fixed blocks a plain substitution. One more
+    right-hand side per other later block, its last unit row, gives r / res
+    on that block for its homogeneous solution r (leading entry 1, last-row
+    residual res): above 1e12 the block is singular at lam although its
+    size says it is not. A column is zero above its own block, so the last
+    such column names one. lam is one eigenvalue or a 1-D array of them,
+    and B one matrix (N, N) or a stack (k, N, N): the result is lam.shape +
+    B.shape[:-1], from one stacked solve over every (eigenvalue, matrix)
+    system. The eigenvalues of an array share one singular pattern, all
+    zero or all nonzero, or raise ValueError. A check that fails on any
+    system raises, naming the eigenvalue of the worst one.
     """
     lam = np.asarray(lam, dtype=float)
     zero = lam == 0.0
@@ -235,20 +234,15 @@ def _prolong_permuted(blocks, B: np.ndarray, lam, block_vec=None) -> np.ndarray:
     A[..., range(n), range(n)] -= lam.reshape(lam.shape + (1,) * (B.ndim - 1))
     Rp = np.zeros(shape + B.shape[-1:])
     x = Rp[..., ts : ts + n]
-    if block_vec is None:
-        x[..., 0] = 1.0
-        held, first = [(target, 0, tn)], 0
-    else:
-        x[..., :tn] = block_vec
-        held, first = [], tn
-    free = []
+    x[..., 0] = 1.0
+    held, free = [(target, 0, tn)], []
     for h, s, size in blocks[1:]:
         singular = size == tn or (zero.all() and size % 2 == 1)
         (held if singular else free).append((h, s - ts, size))
     leads = [s for _, s, _ in held]
     checks = [s + size - 1 for _, s, size in held]
-    rows = [i for i in range(n - 1, first - 1, -1) if i not in checks]
-    cols = [j for j in range(n - 1, first - 1, -1) if j not in leads]
+    rows = [i for i in range(n - 1, -1, -1) if i not in checks]
+    cols = [j for j in range(n - 1, -1, -1) if j not in leads]
     rhs = np.zeros(shape + (n, 1 + len(free)))
     rhs[..., 0] = -(A @ x[..., None])[..., 0]
     rhs[..., [s + size - 1 for _, s, size in free], range(1, 1 + len(free))] = 1.0
@@ -315,13 +309,21 @@ def block_eigenvector(n_hat: int, lam: float, state: MomentState, regularized: b
 def prolong(block_vector, hat_alpha, lam: float, state: MomentState) -> np.ndarray:
     """Extend a diagonal-block eigenvector with trailing sub-index hat_alpha
     to a full eigenvector of the regularized first-axis matrix, in the
-    original packing order."""
+    original packing order: the one solve of _prolong_permuted, scaled by
+    block_vector[0]. Raises ValueError naming the block when block_vector
+    is more than 1e-8 max(1, max|block_vector|) from the scaled target
+    block, that is, when it is not an eigenvector of the block at lam."""
     perm, B = _permuted(state.w, state.D, state.M)
     t = _block_index(perm, tuple(hat_alpha))
-    block_vector = np.asarray(block_vector, dtype=float)
-    if block_vector.shape != (perm.blocks[t][2],):
+    h, start, size = perm.blocks[t]
+    r = np.asarray(block_vector, dtype=float)
+    if r.shape != (size,):
         raise ValueError("block vector length does not match the block size")
-    return perm.inverse_apply(_prolong_permuted(perm.blocks[t:], B, lam, block_vector))
+    Rp = r[0] * _prolong_permuted(perm.blocks[t:], B, lam)
+    off = np.max(np.abs(Rp[start : start + size] - r))
+    if not off <= 1e-8 * max(1.0, np.max(np.abs(r))):
+        raise ValueError(f"block vector is not an eigenvector of block {h} at lambda={lam} (off by {off:.3e})")
+    return perm.inverse_apply(Rp)
 
 
 def _fit(A: np.ndarray, Lam: np.ndarray, R: np.ndarray) -> tuple:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hermite import AnisotropicBasis, gaussian_raw_moments
-from .index import IndexSet, _rank_table, factorial, is_void, order, rank_array, sub
+from .index import IndexSet, _rank_table, factorial, is_void, order, rank_array
 
 _SPD_TOL = 1e-12
 
@@ -278,11 +278,9 @@ class MomentState:
         # test left is that of the pressure tensor read back from w
         t = _packing(D, M)
         ranks = _rank_table(D, M)
-        w = np.zeros(t.N)
-        w[[ranks[alpha] for alpha in f]] = list(f.values())
-        w[0] = rho
-        w[t.vel] = u.reshape(D)
-        w[t.upper_slots] = p[t.upper] / t.norm
+        fvec = np.zeros((1, t.N))
+        fvec[0, [ranks[alpha] for alpha in f]] = list(f.values())
+        w = _pack(rho, u.reshape(D), p[None], fvec, D, M)[0]
         u, p = w[t.vel], w[t.pair] * t.scale
         _check_cells(p[None], "pressure tensor")
         for name, val in (("w", w), ("u", u), ("p", p)):
@@ -382,13 +380,14 @@ def _pair_table(D: int, M: int):
     of alpha, of beta and of beta - alpha, and the start of the run of each
     beta (N + 1 entries, the last one the number of pairs)."""
     s = IndexSet(D, M)
-    pairs = [
-        (s.rank0(alpha), b, s.rank0(sub(beta, alpha)))
+    alpha, b = zip(*(
+        (alpha, b)
         for b, beta in enumerate(s.indices)
         for alpha in itertools.product(*(range(k + 1) for k in beta))
-    ]
-    a, b, d = (np.array(col) for col in zip(*pairs))
-    return a, b, d, np.searchsorted(b, np.arange(s.N + 1))
+    ))
+    alpha, b = np.array(alpha), np.array(b)
+    d = rank_array(D, M, np.array(s.indices)[b] - alpha)
+    return rank_array(D, M, alpha), b, d, np.searchsorted(b, np.arange(s.N + 1))
 
 
 def _convolve(f: np.ndarray, g: np.ndarray, D: int, M: int, lo: int, hi: int) -> np.ndarray:

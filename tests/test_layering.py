@@ -109,3 +109,13 @@ def test_state_loads_no_layer_above_it():
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_first(module):
     assert f"hypermoment.{module}" in _loaded(f"import hypermoment.{module}")
+
+
+def test_scipy_stays_behind_riemann():
+    # riemann is the one module that imports scipy; every layer below it and
+    # the solver beside it load without it
+    layers = ("index", "hermite", "state", "assembly", "spectral", "solver", "inputs")
+    loaded = _loaded("\n".join(f"import hypermoment.{m}" for m in layers))
+    assert {f"hypermoment.{m}" for m in layers} <= loaded
+    assert "hypermoment.riemann" not in loaded
+    assert "scipy" not in loaded

@@ -132,6 +132,11 @@ class TestGridAndConfig:
         with pytest.raises(ValueError):
             Grid1D(nx=8, boundary="reflect")
 
+    @pytest.mark.parametrize("boundary,ghosts", [("copy", (0, 3)), ("periodic", (3, 0))])
+    def test_pad_rows(self, boundary, ghosts):
+        # padded row g is cell g - 1; the ghost rows follow the boundary kind
+        np.testing.assert_array_equal(Grid1D(nx=4, boundary=boundary).pad, [ghosts[0], 0, 1, 2, 3, ghosts[1]])
+
     @pytest.mark.parametrize(
         "x_min,x_max,width", [(-1e308, 1e308, "inf"), (0.0, 5e-324, "0.0")]
     )

@@ -7,16 +7,19 @@ eigenvector formulas checked against the forward-substitution constructor.
 """
 
 import math
+import re
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from hypermoment.assembly import assemble, regularize
+from hypermoment.assembly import assemble, directional, regularize
 from hypermoment.hermite import he_monic_eval, he_roots
 from hypermoment.index import IndexSet, block_permutation, order, sub, unit
 from hypermoment.spectral import (
+    _COMPLEX_TOL,
+    _COND_LIMIT,
     ProlongationError,
     _fit,
     _permuted,
@@ -137,6 +140,51 @@ class TestNonhyperbolicSearch:
         st = equilibrium(2, 4, 1.0, [0.2, -0.1], [[1.0, 0.2], [0.2, 0.7]])
         v = hyperbolicity_verdict(st)
         assert v.hyperbolic and v.worst_complex_pair is None
+
+
+class TestEquilibriumInterior:
+    """The equilibrium is an interior point of the unregularized system's
+    hyperbolicity region: seeded order >= 3 coefficients of a unit Gaussian,
+    scaled to norm r, in seeded unit directions n. Every draw near the
+    equilibrium is hyperbolic by hyperbolicity_verdict's thresholds, and far
+    from it some draw is not, so the region is bounded."""
+
+    DRAWS = 40
+
+    @classmethod
+    def _draws(cls, D, M, r):
+        rng = np.random.default_rng(1000 * D + 10 * M + int(100 * r))
+        free = [a for a in IndexSet(D, M).indices if order(a) >= 3]
+        for _ in range(cls.DRAWS):
+            g = rng.normal(size=len(free))
+            n = rng.normal(size=D)
+            f = dict(zip(free, r / np.linalg.norm(g) * g))
+            yield MomentState(D=D, M=M, rho=1.0, u=np.zeros(D), p=np.eye(D), f=f), n / np.linalg.norm(n)
+
+    @classmethod
+    def _hyperbolic(cls, D, M, r):
+        """Per draw: real spectrum and diagonalizable unregularized matrix,
+        by the thresholds of hyperbolicity_verdict."""
+        out = []
+        for st, n in cls._draws(D, M, r):
+            lam, V = np.linalg.eig(directional(st, n, regularized=False).entries)
+            real = (np.abs(lam.imag) / (1.0 + np.abs(lam))).max() <= _COMPLEX_TOL
+            out.append(bool(real and np.linalg.cond(V) < _COND_LIMIT))
+        return out
+
+    @pytest.mark.parametrize("D,M", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4)])
+    def test_hyperbolic_near_equilibrium_and_not_far(self, D, M):
+        near, far = self._hyperbolic(D, M, 0.01), self._hyperbolic(D, M, 0.5)
+        print(f"D={D} M={M}: {near.count(False)} failures at r=0.01, {far.count(False)} at r=0.5")
+        assert all(near)
+        assert not all(far)
+
+    @pytest.mark.parametrize("D,M", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4)])
+    def test_regularization_is_silent_at_equilibrium(self, D, M):
+        for st, n in self._draws(D, M, 0.0):
+            plain = np.sort(np.linalg.eigvals(directional(st, n, regularized=False).entries).real)
+            reg = np.sort(np.linalg.eigvals(directional(st, n).entries).real)
+            assert np.max(np.abs(plain - reg)) <= 1e-12
 
 
 def family_by_family_table(D, M):
@@ -426,6 +474,28 @@ class TestProlong:
             Rp = perm.apply(R)
             assert np.all(Rp[:start] == 0.0)
             assert Rp[start] == 1.0
+
+    @staticmethod
+    def _block_eigenvectors(seed):
+        # one root per block of a random D=2, M=5 state
+        st = random_state(np.random.default_rng(seed), 2, 5)
+        sq = np.sqrt(st.theta_tensor[0, 0])
+        for h, _, size in block_permutation(st.index_set).blocks:
+            lam = float(he_roots(size)[0] * sq)
+            yield st, h, lam, block_eigenvector(order(h), lam, st)
+
+    def test_scales_with_the_block_vector(self):
+        for st, h, lam, r in self._block_eigenvectors(13):
+            for c in (-0.37, 2.9):
+                np.testing.assert_array_equal(prolong(c * r, h, lam, st), c * prolong(r, h, lam, st))
+
+    def test_block_vector_off_the_eigenvector_raises(self):
+        for st, h, lam, r in self._block_eigenvectors(14):
+            if r.size > 1:
+                bad = r.copy()
+                bad[-1] += 1e-3
+                with pytest.raises(ValueError, match=re.escape(f"eigenvector of block {h}")):
+                    prolong(bad, h, lam, st)
 
     def test_error_cases(self):
         st = equilibrium(2, 3, 1.0, [0.0, 0.0], np.eye(2))
