@@ -239,16 +239,23 @@ def path_integral(WL: np.ndarray, WR: np.ndarray, D: int, M: int, nodes, weights
     admissible. Nonzero only in the order-M rows, the only ones built.
 
     The solver's interface term and the jump condition of riemann.shock_check
-    are both this integral, with different rules.
+    are both this integral, with different rules. A rule of one node of
+    weight 1 (the solver's midpoint) skips the tiling of WR - WL and the
+    weighted sum over nodes, both identities there.
     """
     nodes = np.asarray(nodes, dtype=float)[:, None, None]
+    weights = np.asarray(weights, dtype=float)
     K = nodes.shape[0]
     n, N = WL.shape
     W = ((1.0 - nodes) * WL + nodes * WR).reshape(K * n, N)
     first = _packing(D, M).span[M][0]
+    one = K == 1 and weights.tolist() == [1.0]
+    jump = WR - WL if one else np.tile(WR - WL, (K, 1))
     terms = np.zeros((K * n, N))
-    terms[:, first:] = np.einsum("kab,kb->ka", _correction_rows(W, D, M, 1, first), np.tile(WR - WL, (K, 1)))
-    return (np.asarray(weights, dtype=float)[:, None, None] * terms.reshape(K, n, N)).sum(axis=0)
+    terms[:, first:] = np.einsum("kab,kb->ka", _correction_rows(W, D, M, 1, first), jump)
+    if one:
+        return terms
+    return (weights[:, None, None] * terms.reshape(K, n, N)).sum(axis=0)
 
 
 def regularization_correction(state: MomentState, d: int) -> np.ndarray:
@@ -297,7 +304,7 @@ def source_batch(W: np.ndarray, D: int, M: int, model: CollisionModel) -> np.nda
     fx = free_values(W, D, M)
     rho = W[:, 0][:, None]
     nu = model.nu
-    S = np.zeros_like(W)
+    S = np.zeros(W.shape)
     S[:, t.upper_slots] = nu * G.take(t.upper_slots, axis=1)
     val = G.take(rows, axis=1) - fx.take(rows, axis=1)
     coupling = G.take(slots, axis=1)[:, None] * fx.take(down, axis=1) / rho[:, :, None]

@@ -312,10 +312,31 @@ def he_roots(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _raising_coeffs(D: int, M: int):
-    """The axis and mult columns of every order of raising_tables(D, M),
-    stacked: rank r >= 1 is row r - 1."""
+    """The axis column of every order of raising_tables(D, M), stacked (rank
+    r >= 1 is entry r - 1), and the mult columns laid out (D, N - 1, 1) for
+    the rank-major kernel; both read-only."""
     steps = raising_tables(D, M)
-    return np.concatenate([s.axis for s in steps]), np.concatenate([s.mult for s in steps])
+    axis = np.concatenate([s.axis for s in steps])
+    mult = np.concatenate([s.mult for s in steps]).T[:, :, None].copy()
+    axis.setflags(write=False)
+    mult.setflags(write=False)
+    return axis, mult
+
+
+@lru_cache(maxsize=None)
+def _raising_plan(D: int, M: int, shifted: bool) -> tuple:
+    """The orders gaussian_raw_moments runs, as (lo, hi, slo, shi, down,
+    base) tuples: the entries lo..hi-1 of _raising_coeffs, the ranks
+    slo..shi-1 they fill, the step's down ranks laid out (D, columns) and
+    its base ranks, all read-only. Unshifted, the odd orders are zero and
+    are left out."""
+    steps = raising_tables(D, M)
+    plan = []
+    for s in steps if shifted else steps[1::2]:
+        down = s.down.T.copy()
+        down.setflags(write=False)
+        plan.append((s.lo - 1, s.hi - 1, s.lo, s.hi, down, s.base))
+    return tuple(plan)
 
 
 def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet, u: np.ndarray = None) -> np.ndarray:
@@ -328,32 +349,34 @@ def gaussian_raw_moments(Lambda: np.ndarray, set_: IndexSet, u: np.ndarray = Non
     it need not be positive definite. Lambda (..., D, D) and u (..., D) may
     carry leading batch axes, the same on both or on one of them only (one
     Lambda for a stack of shifts); the result is then (..., N).
+
+    The orders run from _raising_plan and _raising_coeffs, compiled once
+    per (D, M) from index.raising_tables and shared read-only. The table is
+    built rank-major, one contiguous row per rank, so that every product of
+    an order reads and writes contiguous blocks; the products and their
+    order of addition are those of the recurrence above.
     """
     Lambda = np.asarray(Lambda, dtype=float)
     D, N = set_.D, set_.N
     batch = Lambda.shape[:-2]
     L = Lambda.reshape(-1, D, D)
-    steps = raising_tables(D, set_.M)
     axis, mult = _raising_coeffs(D, set_.M)
-    coef = L.take(axis, axis=1) * mult
-    if u is None:
-        steps = steps[1::2]
-    else:
+    coef = L.transpose(2, 1, 0).take(axis, axis=1) * mult  # [j, r, k]: Lambda_k[axis_r, j] mult_rj
+    if u is not None:
         u = np.asarray(u, dtype=float)
         batch = batch or u.shape[:-1]
-        shift = u.reshape(-1, D).take(axis, axis=1)
-    mu = np.zeros((math.prod(batch), N + 1))
-    mu[:, 0] = 1.0
-    for step in steps:
-        lo, hi = step.lo - 1, step.hi - 1
-        terms = coef[:, lo:hi] * mu.take(step.down, axis=1)
-        acc = terms[:, :, 0]
+        shift = u.reshape(-1, D).T.take(axis, axis=0)
+    mu = np.zeros((N + 1, math.prod(batch)))
+    mu[0] = 1.0
+    for lo, hi, slo, shi, down, base in _raising_plan(D, set_.M, u is not None):
+        terms = coef[:, lo:hi] * mu.take(down, axis=0)
+        acc = terms[0]
         for j in range(1, D):
-            acc = acc + terms[:, :, j]
+            acc = acc + terms[j]
         if u is not None:
-            acc = acc + shift[:, lo:hi] * mu.take(step.base, axis=1)
-        mu[:, step.lo : step.hi] = acc
-    return mu[:, :N].reshape(batch + (N,))
+            acc = acc + shift[lo:hi] * mu.take(base, axis=0)
+        mu[slo:shi] = acc
+    return mu[:N].T.copy().reshape(batch + (N,))
 
 
 @dataclass(frozen=True)

@@ -192,11 +192,11 @@ class RaisingStep:
 @lru_cache(maxsize=None)
 def raising_tables(D: int, M: int) -> tuple:
     """The raising recurrence of IndexSet(D, M), compiled once: one
-    RaisingStep per order 1..M. Its one reader is the moment kernel
-    hermite.gaussian_raw_moments, which gives the Gaussian moments (from
-    which the conversions, the relaxation target and state.moment_table
-    follow) and, with shift ThetaInv x and covariance -ThetaInv, the basis
-    polynomials of hermite.ghe_table.
+    RaisingStep per order 1..M, its arrays shared read-only. Its one reader
+    is the moment kernel hermite.gaussian_raw_moments, which gives the
+    Gaussian moments (from which the conversions, the relaxation target and
+    state.moment_table follow) and, with shift ThetaInv x and covariance
+    -ThetaInv, the basis polynomials of hermite.ghe_table.
     """
     deg = np.array(_enumerate(D, M))
     low = rank_array(D, M, deg[:, None] - np.eye(D, dtype=int))
@@ -205,7 +205,10 @@ def raising_tables(D: int, M: int) -> tuple:
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         axis = np.argmax(deg[lo:hi] > 0, axis=1)
         base = low[np.arange(lo, hi), axis]
-        steps.append(RaisingStep(int(lo), int(hi), axis, base, deg[base].astype(float), low[base]))
+        arrays = (axis, base, deg[base].astype(float), low[base])
+        for a in arrays:
+            a.setflags(write=False)
+        steps.append(RaisingStep(int(lo), int(hi), *arrays))
     return tuple(steps)
 
 
@@ -294,6 +297,4 @@ def block_permutation(set_: IndexSet, axis: int = 1) -> BlockPermutation:
         size = set_.M + 1 - order(h)
         blocks.append((h, pos, size))
         pos += size
-    if pos != set_.N:
-        raise AssertionError("block sizes failed to tile the index set")
     return BlockPermutation(set_=set_, source=source, blocks=tuple(blocks), axis=axis)

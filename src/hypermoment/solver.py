@@ -88,13 +88,15 @@ class Grid1D:
         x.setflags(write=False)
         return x
 
-    @property
+    @cached_property
     def pad(self) -> np.ndarray:
         """Cell of each padded row: row g is cell g - 1 for g = 1..nx, and
         the ghost rows 0 and nx + 1 copy the edge cells ("copy") or wrap to
-        the far edge ("periodic")."""
+        the far edge ("periodic"). Built on first access and kept
+        read-only, like centers."""
         pad = np.arange(-1, self.nx + 1)
         pad[0], pad[-1] = (self.nx - 1, 0) if self.boundary == "periodic" else (0, self.nx - 1)
+        pad.setflags(write=False)
         return pad
 
 
@@ -121,9 +123,11 @@ class SimulationConfig:
 
 def _signal_speeds(W: np.ndarray, D: int, M: int) -> np.ndarray:
     """|u_1| + C_max sqrt(theta_11) of every packed row; C_max, the top root
-    of family M + 1, is the unit spectrum's last line."""
-    rho, u, p = _unpack(W, D, M)
-    return np.abs(u[:, 0]) + unit_spectrum(D, M)[-1].value * np.sqrt(p[:, 0, 0] / rho)
+    of family M + 1, is the unit spectrum's last line. It reads the u_1,
+    p_11 and rho columns only, p_11 as _unpack forms it."""
+    t = _packing(D, M)
+    u1, p11 = W[:, t.vel[0]], W[:, t.pair[0, 0]] * t.scale[0, 0]
+    return np.abs(u1) + unit_spectrum(D, M)[-1].value * np.sqrt(p11 / W[:, 0])
 
 
 def max_signal_speed(state: MomentState) -> float:
@@ -268,7 +272,7 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, ta
     """
     grid = config.grid
     D, M = config.D, config.M
-    dx = grid.dx
+    dt_dx = dt / grid.dx
 
     if speeds is None:
         speeds = _signal_speeds(W, D, M)
@@ -293,10 +297,12 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, ta
     fluct_minus = 0.5 * (total - diss)  # enters the cell left of the interface
     fluct_plus = 0.5 * (total + diss)  # enters the cell right of the interface
 
+    # net inflow of each cell: flux difference below order M, the two
+    # fluctuations at order M; whole rows first, so each sum is contiguous
     top = _packing(D, M).span[M][0]  # first rank of order M
-    Fn = F.copy()
-    Fn[:, :top] -= dt / dx * (H[1:][:, :top] - H[:-1][:, :top])
-    Fn[:, top:] -= dt / dx * (fluct_plus[:-1][:, top:] + fluct_minus[1:][:, top:])
+    net = H[1:] - H[:-1]
+    net[:, top:] = (fluct_plus[:-1] + fluct_minus[1:])[:, top:]
+    Fn = F - dt_dx * net
 
     try:
         W, table = _from_conserved(Fn, D, M)
@@ -312,7 +318,7 @@ def _advance(W: np.ndarray, dt: float, config: SimulationConfig, speeds=None, ta
                 f"cell {e.cell} left the admissible set during relaxation: {e}", cell=e.cell
             ) from e
         low = _packing(D, M).span[2][1]
-        if not np.array_equal(Wr[:, :low], W[:, :low]):
+        if not (Wr[:, :low] == W[:, :low]).all():
             table = None
         W = Wr
     return W, table

@@ -39,6 +39,14 @@ class AdmissibilityError(ValueError):
         self.cell = cell
 
 
+@lru_cache(maxsize=None)
+def _identity(D: int) -> np.ndarray:
+    """The (D, D) identity, built once and shared read-only."""
+    eye = np.eye(D)
+    eye.setflags(write=False)
+    return eye
+
+
 def _spd_margin(T: np.ndarray):
     """Smallest eigenvalue of each stacked symmetric matrix (..., D, D) and
     whether it passes the positive-definiteness test: above _SPD_TOL times
@@ -47,9 +55,9 @@ def _spd_margin(T: np.ndarray):
     finite = np.isfinite(T).all(axis=(-2, -1))
     all_finite = finite.all()
     if not all_finite:
-        T = np.where(finite[..., None, None], T, np.eye(T.shape[-1]))
+        T = np.where(finite[..., None, None], T, _identity(T.shape[-1]))
     lo = np.linalg.eigvalsh(T)[..., 0]
-    ok = lo > _SPD_TOL * np.maximum(np.trace(T, axis1=-2, axis2=-1), 1e-300)
+    ok = lo > _SPD_TOL * np.maximum(T.trace(axis1=-2, axis2=-1), 1e-300)
     if all_finite:
         return lo, ok
     return np.where(finite, lo, np.nan), finite & ok
@@ -94,7 +102,7 @@ class _Packing:
     scale: the (D, D) matrix 1 + delta_ij that turns slots into p_ij;
     free / free_alphas: ranks and indices of order >= 3; low: ranks of order
     1 and 2 (constrained to zero as coefficients); span[k]: rank range of
-    order k; fact: alpha! per rank.
+    order k; fact: alpha! per rank; index_set: IndexSet(D, M).
     """
 
     N: int
@@ -109,6 +117,7 @@ class _Packing:
     low: np.ndarray
     span: tuple
     fact: np.ndarray
+    index_set: IndexSet
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +145,7 @@ def _packing(D: int, M: int) -> _Packing:
         low=np.flatnonzero((orders == 1) | (orders == 2)),
         span=span,
         fact=np.array([factorial(a) for a in idx], dtype=float),
+        index_set=s,
     )
 
 
@@ -387,16 +397,30 @@ def _pair_table(D: int, M: int):
     ))
     alpha, b = np.array(alpha), np.array(b)
     d = rank_array(D, M, np.array(s.indices)[b] - alpha)
-    return rank_array(D, M, alpha), b, d, np.searchsorted(b, np.arange(s.N + 1))
+    table = rank_array(D, M, alpha), b, d, np.searchsorted(b, np.arange(s.N + 1))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _convolve_slices(D: int, M: int, lo: int, hi: int):
+    """The pairs of _pair_table whose beta has rank lo..hi-1: their alpha
+    and beta - alpha ranks, and the start of each beta's run among them."""
+    a, _, d, start = _pair_table(D, M)
+    s0, s1 = start[lo], start[hi]
+    runs = start[lo:hi] - s0
+    runs.setflags(write=False)
+    return a[s0:s1], d[s0:s1], runs
 
 
 def _convolve(f: np.ndarray, g: np.ndarray, D: int, M: int, lo: int, hi: int) -> np.ndarray:
     """Rows beta of ranks lo..hi-1 of the multi-index convolution
-    sum_{alpha <= beta} f_alpha g_{beta-alpha}, for stacked rows f and g."""
-    a, _, d, start = _pair_table(D, M)
-    s0, s1 = start[lo], start[hi]
-    terms = f.take(a[s0:s1], axis=1) * g.take(d[s0:s1], axis=1)
-    return np.add.reduceat(terms, start[lo:hi] - s0, axis=1)
+    sum_{alpha <= beta} f_alpha g_{beta-alpha}, for stacked rows f and g.
+    The gathers are the _convolve_slices of _pair_table, compiled once per
+    (D, M, lo, hi) and shared read-only."""
+    a, d, runs = _convolve_slices(D, M, lo, hi)
+    return np.add.reduceat(f.take(a, axis=1) * g.take(d, axis=1), runs, axis=1)
 
 
 def moment_table(Theta: np.ndarray, set_: IndexSet) -> np.ndarray:
@@ -445,7 +469,8 @@ def _gaussian_table(Theta: np.ndarray, u: np.ndarray, D: int, M: int) -> np.ndar
     """The rows nu_beta(u, Theta) / beta! (n, N) that the conversions
     convolve with. Ranks are graded, so the first entries of the order-M
     table are bitwise the table of any lower order."""
-    return gaussian_raw_moments(Theta, IndexSet(D, M), u) / _packing(D, M).fact
+    t = _packing(D, M)
+    return gaussian_raw_moments(Theta, t.index_set, u) / t.fact
 
 
 def to_conserved_batch(W: np.ndarray, D: int, M: int) -> np.ndarray:
@@ -520,11 +545,11 @@ def _from_conserved(F: np.ndarray, D: int, M: int):
     # the alpha = beta term of the convolution is f_beta itself (nu_0 = 1):
     # each order is F less the terms of the orders below, still zero above;
     # an overflow leaves a non-finite row, which the check below names
-    fvec = np.zeros_like(F)
+    fvec = np.zeros(F.shape)
     fvec[:, 0] = rho
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in t.span[3:]:
-            fvec[:, lo:hi] = F[:, lo:hi] - _convolve(fvec, g, D, M, lo, hi)
+            np.subtract(F[:, lo:hi], _convolve(fvec, g, D, M, lo, hi), out=fvec[:, lo:hi])
     W = _pack(rho, u, p, fvec, D, M)
     if not np.isfinite(W).all():
         bad = ~np.isfinite(W).all(axis=1)
@@ -584,8 +609,8 @@ class CollisionModel:
 def _target_covariance(rho, p, D: int, model: CollisionModel) -> np.ndarray:
     """Batched covariance b Theta + (1 - b) theta I of the relaxation target."""
     b = model.b
-    theta = np.trace(p, axis1=-2, axis2=-1) / (D * rho)
-    return b * (p / rho[:, None, None]) + (1.0 - b) * theta[:, None, None] * np.eye(D)
+    theta = p.trace(axis1=-2, axis2=-1) / (D * rho)
+    return b * (p / rho[:, None, None]) + (1.0 - b) * theta[:, None, None] * _identity(D)
 
 
 def collision_target_covariance(state: MomentState, model: CollisionModel) -> np.ndarray:
@@ -610,12 +635,14 @@ def collision_coeffs_batch(W: np.ndarray, D: int, M: int, model: CollisionModel)
     raise AdmissibilityError, naming the lowest failing row in .cell, when
     a target covariance is not positive definite.
     """
-    rho, _, p = _unpack(W, D, M)
+    t = _packing(D, M)
+    # rho and p as _unpack forms them, without the velocity it does not need
+    rho, p = W[:, 0], W[:, t.pair] * t.scale
     Lam = _target_covariance(rho, p, D, model)
     if model.b * (D - 1) < -1.0:
         _check_cells(Lam, "collision target covariance")
-    mu = gaussian_raw_moments(Lam - p / rho[:, None, None], IndexSet(D, M))
-    return rho[:, None] * mu / _packing(D, M).fact
+    mu = gaussian_raw_moments(Lam - p / rho[:, None, None], t.index_set)
+    return rho[:, None] * mu / t.fact
 
 
 def collision_coeffs(state: MomentState, model: CollisionModel) -> np.ndarray:

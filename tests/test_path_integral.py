@@ -41,6 +41,19 @@ def test_one_node_rule_is_the_midpoint_interface_term(D, M):
     np.testing.assert_array_equal(path_integral(WL, WR, D, M, [0.5], [1.0]), want)
 
 
+@pytest.mark.parametrize("D,M", [(1, 3), (1, 6), (2, 4), (3, 3), (3, 4)])
+def test_one_node_of_weight_one_is_the_weighted_rule(D, M):
+    # one node of weight 1 skips the weighted sum over the nodes; doubling
+    # is exact, so weight 2 through that sum gives twice its bits
+    rng = np.random.default_rng(13 * D + M)
+    WL = np.array([random_state(rng, D, M, scale=0.1).w for _ in range(6)])
+    WR = np.array([random_state(rng, D, M, scale=0.1).w for _ in range(6)])
+    WR[::2, -3:] = WL[::2, -3:]  # zero jumps reach the sums
+    once = path_integral(WL, WR, D, M, [0.5], [1.0])
+    twice = path_integral(WL, WR, D, M, [0.5], [2.0])
+    assert twice.dtype == once.dtype and twice.tobytes() == (2.0 * once).tobytes()
+
+
 def test_midpoint_rule_builds_no_dense_correction():
     # only the order-M rows of the correction are built: at D=3, M=6 the
     # call peaks below one dense (n, N, N) array of the n interfaces

@@ -66,10 +66,10 @@ def _names(paragraph):
 
 BLOCKS, PROSE, DOCUMENTS = _parse(README)
 COMMANDS = [
-    (number, line)
-    for lang, first, lines in BLOCKS
+    line
+    for lang, _, lines in BLOCKS
     if lang == "sh"
-    for number, line in enumerate(lines, first)
+    for line in lines
     if line.startswith("hypermoment ")
 ]
 SPANS = re.findall(r"`([^`]+)`", "\n".join(PROSE))
@@ -83,11 +83,12 @@ CITED = sorted(set(re.findall(r"tests/(\w+\.py)(?:::(\w+(?:::\w+)?))?", README))
 
 def test_readme_shows_commands_for_its_documents():
     assert COMMANDS
-    used = {arg for _, line in COMMANDS for arg in shlex.split(line) if arg.endswith(".json")}
+    used = {arg for line in COMMANDS for arg in shlex.split(line) if arg.endswith(".json")}
     assert used and used <= set(DOCUMENTS), f"no README document for {sorted(used - set(DOCUMENTS))}"
 
 
-@pytest.mark.parametrize("line", [line for _, line in COMMANDS], ids=[f"README:{n}" for n, _ in COMMANDS])
+# ids are the command text, so that README edits above the block keep them
+@pytest.mark.parametrize("line", COMMANDS, ids=[line.removeprefix("hypermoment ") for line in COMMANDS])
 def test_command_exits_0(line, tmp_path, monkeypatch, capsys):
     for name, doc in DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(doc))

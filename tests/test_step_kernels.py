@@ -22,12 +22,16 @@ from helpers import random_state
 
 from hypermoment.assembly import assemble_batch, regularization_correction_batch
 from hypermoment.cli import _load_sim_config
+from hypermoment.hermite import _raising_coeffs, _raising_plan
 from hypermoment.index import IndexSet, _rank_table, factorial, raising_tables
-from hypermoment.solver import _advance, _signal_speeds, riemann_cells
+from hypermoment.solver import Grid1D, _advance, _signal_speeds, riemann_cells
 from hypermoment.state import (
     CollisionModel,
+    _convolve_slices,
     _gaussian_table,
+    _identity,
     _packing,
+    _pair_table,
     _unpack,
     free_values,
     gaussian_raw_moments,
@@ -248,3 +252,19 @@ def test_carried_table_equals_a_fresh_lift(name, collision, carried):
         t += dt
         steps += 1
     assert steps >= 5
+
+
+@pytest.mark.parametrize("D,M", [(1, 6), (2, 4), (3, 3)])
+def test_cached_tables_are_read_only(D, M):
+    # the step's tables are compiled once and shared by every later call:
+    # a write through any of them would change every later step
+    arrays = [a for s in raising_tables(D, M) for a in (s.axis, s.base, s.mult, s.down)]
+    arrays += _raising_coeffs(D, M)
+    arrays += [a for shifted in (False, True) for plan in _raising_plan(D, M, shifted) for a in plan[4:]]
+    arrays += _pair_table(D, M)
+    for lo, hi in _packing(D, M).span[3:] + ((0, _packing(D, M).N),):
+        arrays += _convolve_slices(D, M, lo, hi)
+    arrays += [_identity(D), Grid1D(nx=6).pad, Grid1D(nx=6, boundary="periodic").pad]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
